@@ -13,7 +13,7 @@ from .errors import (AlphaUnreachableError, ConfigError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
 from .geometry import (Branch, CylinderTable, IfsSystem, Interval,
-                       cylinder_interval, example2_system, g_eval,
+                       cylinder_interval, example2_system, fold, g_eval,
                        geometric_potential, lambda_n, lemma1_gap,
                        linear_system, manneville_pomeau_system, project)
 from .oracle import (BesicovitchSpec, MarkovBlockEntropy, besicovitch_spectrum,
@@ -27,7 +27,7 @@ from .spectrum import (DepthContext, LowerBoundResult, SamplerCheckpoint,
 from .symbolic import (AbramovStats, Alphabet, BlockMeasure, MarkovChainSpec,
                        Word, WordFunction, abramov_stats, birkhoff_average,
                        birkhoff_sum, block_marginal, shannon_entropy,
-                       stationary_vector, variation_bound, word_label)
+                       variation_bound, word_label)
 
 __version__ = "0.1.0"
 

@@ -24,12 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DegenerateCylinderError, InsufficientDepthError
+from .errors import (DegenerateCylinderError, InsufficientDepthError,
+                     SolverError)
 from .symbolic import (DEFAULT_WORD_CAP, Alphabet, Word, WordFunction,
                        word_label)
 
 _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,12 @@ class Branch:
     A parabolic branch declares its indifferent fixed point explicitly;
     detection is by flag plus a numeric check, never by inference.
 
-    ``map_width`` optionally maps (lo, width) to the width of the image of
-    [lo, lo+width] in a cancellation-free form (e.g. r*width for an affine
-    branch); without it the image width falls back to an endpoint
-    difference, whose relative error grows as cylinders shrink far from 0.
+    ``image_of`` is the one step every cylinder computation takes through a
+    branch: it maps the interval [lo, lo+width] to its image (lo', width'),
+    evaluating ``map`` at lo once.  ``map_width`` optionally gives the image
+    width in a cancellation-free form (e.g. r*width for an affine branch);
+    without it the width is an endpoint difference, whose relative error
+    grows as cylinders shrink far from 0.
     """
 
     map: Callable
@@ -76,10 +80,11 @@ class Branch:
     label: str = ""
     map_width: Callable | None = None
 
-    def image_width(self, lo, width):
+    def image_of(self, lo, width):
+        image_lo = self.map(lo)
         if self.map_width is not None:
-            return self.map_width(lo, width)
-        return self.map(lo + width) - self.map(lo)
+            return image_lo, self.map_width(lo, width)
+        return image_lo, self.map(lo + width) - image_lo
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
@@ -135,15 +140,13 @@ class IfsSystem:
     def _check_diameter_decay(self, depth: int = 8, samples: int = 128) -> None:
         # Sampled sanity check that cylinder diameters shrink with depth;
         # uniform decay is assumed, not certified.
-        m = len(self.branches)
         d1 = max(b.image.diameter for b in self.branches)
-        if m**depth <= 65536:
-            lo, hi = _full_depth_endpoints(self, depth)
-            widths = hi - lo
+        if self.m**depth <= 65536:
+            widths = CylinderTable(self, depth).diameters()
         else:
             rng = np.random.default_rng(0)
-            words = rng.integers(0, m, size=(samples, depth))
-            widths = _sampled_widths(self, words)[1]
+            words = rng.integers(0, self.m, size=(samples, depth))
+            widths = fold(self, words)[1]
         if float(np.max(widths)) >= d1:
             raise ValueError(
                 f"system {self.name!r}: sampled cylinder diameters do not "
@@ -165,54 +168,60 @@ class IfsSystem:
     def has_parabolic(self) -> bool:
         return any(b.parabolic for b in self.branches)
 
-    def apply(self, symbol: int, x):
-        return self.branches[symbol].map(x)
-
     def apply_derivative(self, symbol: int, x):
         return self.branches[symbol].derivative(x)
-
-    def apply_width(self, symbol: int, lo, width):
-        return self.branches[symbol].image_width(lo, width)
-
-
-def _full_depth_endpoints(system: IfsSystem, n: int):
-    lo = np.array([float(b.map(0.0)) for b in system.branches])
-    width = np.array([b.image.diameter for b in system.branches])
-    for _ in range(n - 1):
-        plo, pw = lo, width
-        lo = np.concatenate(
-            [np.asarray(b.map(plo)) for b in system.branches])
-        width = np.concatenate(
-            [np.asarray(b.image_width(plo, pw)) for b in system.branches])
-    return lo, lo + width
-
-
-def _sampled_widths(system: IfsSystem, words: np.ndarray):
-    """Cylinder (lo, width) pairs for a (count, n) array of sampled words."""
-    count = words.shape[0]
-    lo = np.zeros(count)
-    width = np.ones(count)
-    for j in range(words.shape[1] - 1, -1, -1):
-        for a in range(system.m):
-            mask = words[:, j] == a
-            if mask.any():
-                width[mask] = system.apply_width(a, lo[mask], width[mask])
-                lo[mask] = system.apply(a, lo[mask])
-    return lo, width
 
 
 # ---------------------------------------------------------------------------
 # word-level operations
 # ---------------------------------------------------------------------------
 
-def _fold_cylinder(system: IfsSystem, w: Word) -> tuple[float, float]:
-    """(lo, width) of the cylinder of ``w``, widths kept cancellation-free."""
-    system.alphabet.validate_word(w)
-    lo, width = 0.0, 1.0
-    for s in reversed(tuple(w)):
-        width = float(system.apply_width(s, lo, width))
-        lo = float(system.apply(s, lo))
+def _suffix_cylinders(system: IfsSystem, words: np.ndarray):
+    """Yield the cylinders of ``words[:, j:]`` for j = n-1, ..., 0.
+
+    ``words`` is a (count, n) symbol array.  Each yield is the pair of
+    (lo, width) arrays, updated in place between yields, so the last one
+    holds the cylinders of the whole rows.
+    """
+    lo, width = np.zeros(len(words)), np.ones(len(words))
+    for column in reversed(np.asarray(words).T):
+        for a, branch in enumerate(system.branches):
+            sel = column == a
+            if sel.any():
+                lo[sel], width[sel] = branch.image_of(lo[sel], width[sel])
+        yield lo, width
+
+
+def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
+    """Cylinder (lo, width) arrays of the rows of a (count, n) symbol array.
+
+    Words are folded through the branches right to left with
+    ``Branch.image_of``, so widths stay cancellation-free where the branch
+    family allows; the results equal the matching ``CylinderTable`` slots.
+    """
+    lo, width = np.zeros(len(words)), np.ones(len(words))
+    for lo, width in _suffix_cylinders(system, words):
+        pass
     return lo, width
+
+
+def neg_log_derivative(system: IfsSystem, symbols: np.ndarray,
+                       points: np.ndarray) -> np.ndarray:
+    """-log of branch ``symbols[i]``'s derivative at ``points[i]``."""
+    out = np.empty(len(points))
+    for a, branch in enumerate(system.branches):
+        sel = symbols == a
+        if sel.any():
+            out[sel] = -np.log(np.asarray(branch.derivative(points[sel]),
+                                          dtype=float))
+    return out
+
+
+def _fold_cylinder(system: IfsSystem, w: Word) -> tuple[float, float]:
+    """(lo, width) of the cylinder of ``w``."""
+    system.alphabet.validate_word(w)
+    lo, width = fold(system, np.array([w]))
+    return float(lo[0]), float(width[0])
 
 
 def cylinder_interval(system: IfsSystem, w: Word) -> Interval:
@@ -261,10 +270,12 @@ class CylinderTable:
 
     Slot ``i`` at depth k holds the word whose base-m encoding is ``i`` with
     the first symbol most significant, i.e. lexicographic order.  Built by
-    prepending symbols: the depth-k block for leading symbol a is the branch-a
-    image of the whole depth-(k-1) table, so construction is O(m^depth)
-    vectorized branch applications.  All downstream sums over these arrays use
-    numpy's pairwise summation, so results are reproducible bit-for-bit.
+    prepending symbols: the depth-k block for leading symbol a is branch a's
+    ``image_of`` the depth-(k-1) table (depth 0 is [0,1]), the step ``fold``
+    takes, so every slot equals the fold of its word and construction is
+    O(m^depth) vectorized branch applications.  All downstream sums over
+    these arrays use numpy's pairwise summation, so results are
+    reproducible bit-for-bit.
     """
 
     def __init__(self, system: IfsSystem, depth: int,
@@ -274,15 +285,13 @@ class CylinderTable:
         system.alphabet.check_cap(depth, cap)
         self.system = system
         self.depth = depth
-        self._lo = [np.array([float(b.map(0.0)) for b in system.branches])]
-        self._width = [np.array([b.image.diameter for b in system.branches])]
-        for _ in range(depth - 1):
-            plo, pw = self._lo[-1], self._width[-1]
-            self._width.append(np.concatenate(
-                [np.asarray(b.image_width(plo, pw))
-                 for b in system.branches]))
-            self._lo.append(np.concatenate(
-                [np.asarray(b.map(plo)) for b in system.branches]))
+        lo, width = np.zeros(1), np.ones(1)
+        self._lo, self._width = [], []
+        for _ in range(depth):
+            images = [b.image_of(lo, width) for b in system.branches]
+            lo, width = (np.concatenate(part) for part in zip(*images))
+            self._lo.append(lo)
+            self._width.append(width)
 
     @property
     def m(self) -> int:
@@ -420,20 +429,14 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
         return CylinderTable(system, n, cap).lemma1_gap_value
     rng = np.random.default_rng(seed)
     words = rng.integers(0, system.m, size=(sample, n))
-    lo = np.zeros(sample)
-    width = np.ones(sample)
+    # before symbol w_j is applied the fold holds the suffix cylinder whose
+    # midpoint the geometric potential of w_j is evaluated at
+    mid = np.full(sample, 0.5)
     gsum = np.zeros(sample)
-    # fold suffixes from the right; before applying symbol w_j the current
-    # interval is the suffix cylinder needed by the geometric potential
-    for j in range(n - 1, -1, -1):
+    for column, (lo, width) in zip(reversed(words.T),
+                                   _suffix_cylinders(system, words)):
+        gsum += neg_log_derivative(system, column, mid)
         mid = lo + 0.5 * width
-        for a in range(system.m):
-            mask = words[:, j] == a
-            if mask.any():
-                gsum[mask] += -np.log(np.asarray(
-                    system.apply_derivative(a, mid[mask]), dtype=float))
-                width[mask] = system.apply_width(a, lo[mask], width[mask])
-                lo[mask] = system.apply(a, lo[mask])
     if np.any(width <= 0.0):
         bad = int(np.argmax(width <= 0.0))
         raise DegenerateCylinderError(word_label(tuple(words[bad])))
@@ -454,10 +457,8 @@ def geometric_potential(system: IfsSystem, depth: int,
 
     def evaluate(w: Word) -> float:
         if len(w) == 1:
-            point = 0.5
-        else:
-            point = cylinder_interval(system, tuple(w)[1:]).midpoint
-        return -math.log(float(system.apply_derivative(w[0], point)))
+            return -math.log(float(system.apply_derivative(w[0], 0.5)))
+        return g_eval(system, w)
 
     def error_bound(k: int) -> float:
         if not 1 <= k <= depth:
@@ -545,20 +546,19 @@ def example2_system() -> IfsSystem:
 
 
 def manneville_pomeau_system(beta: float) -> IfsSystem:
-    """Inverse branches of x + x^(1+beta) mod 1 on [0,1].
+    """Inverse branches of x + x^(1+beta) mod 1 on [0,1], for any beta > 0.
 
     The forward map is piecewise onto with branch domains split where
     x + x^(1+beta) crosses 1 (found once by root finding); the left inverse
-    branch is parabolic at 0.  Inverse values are computed by bisection
-    bracketing plus a Newton polish on the monotone forward map.
+    branch is parabolic at 0.  The forward map is convex and increasing, so
+    Newton's method started right of the root, at min(target, hi), decreases
+    monotonically onto it; iteration stops once no entry decreases, which
+    leaves the fixed point 0 exact.
     """
     if not 0.0 < beta:
         raise ValueError("beta must be positive")
     cut = brentq(lambda x: x + x ** (1.0 + beta) - 1.0, 0.0, 1.0,
                  xtol=1e-15, rtol=8.9e-16)
-
-    def forward(x):
-        return x + x ** (1.0 + beta)
 
     def forward_derivative(x):
         return 1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta
@@ -566,20 +566,18 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
     def invert(y, lo, hi, offset):
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        target = y + offset
-        a = np.full(y.shape, lo)
-        b = np.full(y.shape, hi)
-        for _ in range(45):
-            midp = 0.5 * (a + b)
-            low = forward(midp) < target
-            a = np.where(low, midp, a)
-            b = np.where(low, b, midp)
-        x = 0.5 * (a + b)
-        for _ in range(3):
-            x = np.clip(x - (forward(x) - target) / forward_derivative(x),
-                        lo, hi)
-        return x[0] if scalar else x
+        target = np.atleast_1d(y) + offset
+        x = np.minimum(target, hi)
+        for _ in range(_NEWTON_MAX_ITER):
+            # x - target is exact on the left branch (Sterbenz), so the
+            # residual carries no rounding of the forward value itself
+            residual = x - target + x ** (1.0 + beta)
+            step = np.maximum(x - residual / forward_derivative(x), lo)
+            if not np.any(step < x):
+                return x[0] if scalar else x
+            x = np.minimum(step, x)
+        raise SolverError(f"Manneville-Pomeau inverse (beta={beta:g}) did "
+                          f"not settle in {_NEWTON_MAX_ITER} Newton steps")
 
     def left(y):
         return invert(y, 0.0, cut, 0.0)

@@ -24,17 +24,20 @@ unfiltered Moran estimate and the point is flagged.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
-from .geometry import CylinderTable, IfsSystem, Interval
+from .geometry import (CylinderTable, IfsSystem, Interval, fold,
+                       neg_log_derivative)
 from .potentials import PotentialSpec, potential_arrays, variation_slack
 from .symbolic import DEFAULT_WORD_CAP, BlockMeasure, Word
 
@@ -51,7 +54,7 @@ class SolverOptions:
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
     Lyapunov floor excluding words with lambda_n below it (None means no
     floor, except that parabolic systems apply a small default floor to the
-    cover route outside the flagged interval).
+    cover route, ``DepthContext.cover_delta``).
     """
 
     n: int = 10
@@ -201,16 +204,12 @@ class DepthContext:
     """Exhaustive depth-n arrays shared by both estimator routes."""
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
-                 opts: SolverOptions | None = None,
-                 table: CylinderTable | None = None):
+                 opts: SolverOptions | None = None):
         self.opts = opts or SolverOptions()
         self.system = system
         self.potential = potential
         self.n = self.opts.n
-        if table is not None and table.depth == self.n:
-            self.table = table
-        else:
-            self.table = CylinderTable(system, self.n, self.opts.word_cap)
+        self.table = CylinderTable(system, self.n, self.opts.word_cap)
         self.phi = self.table.birkhoff(potential_arrays(self.table, potential))
         self.averages = self.phi / self.n
         self.slack = variation_slack(self.table, potential)
@@ -236,6 +235,18 @@ class DepthContext:
         if self.opts.rho is not None:
             return self.opts.rho
         return max(0.05, 2.0 * self.slack)
+
+    @property
+    def cover_delta(self) -> float:
+        """Lyapunov floor of the cover route.
+
+        ``opts.delta`` when set; otherwise a small default floor on parabolic
+        systems, which keeps near-neutral words out of the cover, else none.
+        """
+        if self.opts.delta is not None:
+            return self.opts.delta
+        return 1e-3 * math.log(self.system.m) if self.system.has_parabolic \
+            else 0.0
 
     def delta_mask(self, delta: float) -> np.ndarray | None:
         if delta <= 0.0:
@@ -275,7 +286,8 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     plus the word-approximation slack; that widened half-width is what a
     finite-depth window actually certifies about means over the covered
     cylinders, and is reported back.  A positive Lyapunov floor additionally
-    drops words with lambda_n below it.
+    drops words with lambda_n below it; ``DepthContext.cover_delta`` says
+    which floor applies.
     """
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
@@ -285,7 +297,7 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
             f"window rho={rho:g} must exceed the word-approximation slack "
             f"{ctx.slack:g} at depth {ctx.n}")
     half = 2.0 * rho + ctx.slack
-    delta = opts.delta if opts.delta is not None else 0.0
+    delta = ctx.cover_delta
     dev = np.abs(ctx.averages - alpha)
     keep = dev < half
     if (mask := ctx.delta_mask(delta)) is not None:
@@ -389,15 +401,8 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     def finalize(p, entropy, e_ell, e_phi, t, q, iterations, boundary):
         words = ctx.table.words()
         if mask is not None:
-            weights = {}
-            j = 0
-            for idx, w in enumerate(words):
-                if mask[idx]:
-                    weights[w] = float(p[j])
-                    j += 1
-        else:
-            weights = {w: float(pi) for w, pi in zip(words, p.tolist())}
-        measure = BlockMeasure(n=n, weights=weights)
+            words = itertools.compress(words, mask)
+        measure = BlockMeasure(n=n, weights=dict(zip(words, p.tolist())))
         return LowerBoundResult(
             dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
             lyapunov=e_ell / n, entropy_rate=entropy / n,
@@ -458,14 +463,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     per point: a failed point carries its message and the sweep continues.
     """
     ctx = DepthContext(system, potential, opts)
-    opts = ctx.opts
     interval = parabolic_interval(system, potential)
-    if opts.delta is None and system.has_parabolic:
-        upper_delta = 1e-3 * math.log(system.m)
-    else:
-        upper_delta = opts.delta if opts.delta is not None else 0.0
-    upper_opts = replace(opts, delta=upper_delta)
-    upper_ctx = DepthContext(system, potential, upper_opts, table=ctx.table)
     if ctx.rho <= ctx.slack:
         # alpha-independent precondition; fail before sweeping
         raise ValueError(
@@ -488,14 +486,14 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:
-            ub = upper_bound(system, potential, alpha, context=upper_ctx)
+            ub = upper_bound(system, potential, alpha, context=ctx)
             upper, cover = ub.s_n, ub.cover_size
         except MfspecError as exc:
             errors.append(f"upper: {exc}")
         return SpectrumPoint(
             alpha=alpha, lower=lower, upper=upper,
             in_parabolic_interval=False, n=ctx.n, rho=ctx.rho,
-            delta=upper_delta, lemma1_gap=ctx.lemma1_gap,
+            delta=ctx.cover_delta, lemma1_gap=ctx.lemma1_gap,
             iterations=iterations, t=t, q=q, cover_size=cover,
             error="; ".join(errors) or None)
 
@@ -588,19 +586,16 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
             total += pad
     seq = np.concatenate(chunks)
 
-    mids = _window_midpoints(system, seq, min(eval_depth, len(seq)))
+    # one full-depth window per position; the padding above guarantees
+    # every checkpoint position and its successor have one
+    lo, width = fold(system, sliding_window_view(seq, eval_depth))
+    mids = lo + 0.5 * width
     if potential.word_local:
         vals = np.asarray(potential.symbol_values(system.m))
-        f_terms = vals[seq]
+        f_terms = vals[seq[:len(mids)]]
     else:
         f_terms = np.asarray(potential.func(mids), dtype=float)
-    shifted = np.append(mids[1:], 0.5)
-    g_terms = np.empty(len(seq))
-    for a in range(system.m):
-        sel = seq == a
-        if sel.any():
-            g_terms[sel] = -np.log(np.asarray(
-                system.apply_derivative(a, shifted[sel]), dtype=float))
+    g_terms = neg_log_derivative(system, seq[:len(mids) - 1], mids[1:])
     f_cum = np.cumsum(f_terms)
     g_cum = np.cumsum(g_terms)
     return [
@@ -609,26 +604,3 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
                           k=ks[i - 1], eps=eps[i - 1])
         for i, nq in marks
     ]
-
-
-def _window_midpoints(system: IfsSystem, seq: np.ndarray,
-                      depth: int) -> np.ndarray:
-    """Midpoints of the cylinders of the length-``depth`` suffix windows.
-
-    Entry k approximates the projection of the shifted sequence at position
-    k; windows reaching past the end of ``seq`` are shortened.
-    """
-    size = len(seq)
-    lo = np.zeros(size)
-    width = np.ones(size)
-    for j in range(depth, 0, -1):
-        valid = size - j + 1
-        sym = seq[j - 1:j - 1 + valid]
-        cl = lo[:valid]
-        cw = width[:valid]
-        for a in range(system.m):
-            sel = sym == a
-            if sel.any():
-                cw[sel] = system.apply_width(a, cl[sel], cw[sel])
-                cl[sel] = system.apply(a, cl[sel])
-    return lo + 0.5 * width

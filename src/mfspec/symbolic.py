@@ -108,12 +108,6 @@ class BlockMeasure:
         return cls(n=len(w), weights={tuple(w): 1.0})
 
     @classmethod
-    def uniform(cls, words: Sequence[Word]) -> "BlockMeasure":
-        words = [tuple(w) for w in words]
-        p = 1.0 / len(words)
-        return cls(n=len(words[0]), weights={w: p for w in words})
-
-    @classmethod
     def uniform_full(cls, alphabet: Alphabet, n: int,
                      cap: int = DEFAULT_WORD_CAP) -> "BlockMeasure":
         count = alphabet.word_count(n)
@@ -158,17 +152,6 @@ class MarkovChainSpec:
     def iid(cls, p: Sequence[float]) -> "MarkovChainSpec":
         p = np.asarray(p, dtype=float)
         return cls(transition=np.tile(p, (len(p), 1)), initial=p)
-
-
-def stationary_vector(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix (direct solve)."""
-    P = np.asarray(P, dtype=float)
-    m = P.shape[0]
-    A = np.vstack([P.T - np.eye(m), np.ones(m)])
-    b = np.zeros(m + 1)
-    b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return p
 
 
 def shannon_entropy(measure: BlockMeasure) -> float:
@@ -220,15 +203,6 @@ def variation_bound(f: WordFunction, n: int) -> float:
     if n < 1:
         raise ValueError("variation depth must be >= 1")
     return 2.0 * f.error_bound(n)
-
-
-def average_variation_slack(f: WordFunction, n: int) -> float:
-    """Bound on |word-level Birkhoff average - true depth-n average|.
-
-    Equals (1/n) * sum_{k=1..n} error_bound(k): each truncated suffix term
-    contributes its own cylinder-approximation error.
-    """
-    return math.fsum(f.error_bound(k) for k in range(1, n + 1)) / n
 
 
 @dataclass(frozen=True)

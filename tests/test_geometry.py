@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfspec.errors import (DegenerateCylinderError, EnumerationLimitError,
                            InsufficientDepthError)
 from mfspec.geometry import (Branch, CylinderTable, cylinder_interval,
-                             example2_system, g_eval, geometric_potential,
-                             lambda_n, lemma1_gap, linear_system,
-                             manneville_pomeau_system, project)
+                             example2_system, fold, g_eval,
+                             geometric_potential, lambda_n, lemma1_gap,
+                             linear_system, manneville_pomeau_system, project)
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -154,6 +156,35 @@ def test_mp_inverse_branches_are_sections():
     assert np.max(np.abs(forward(right.map(grid)) - (grid + 1.0))) < 1e-10
 
 
+def _mp_inverse_reference(target, beta):
+    """Root of x + x^(1+beta) = target, Newton from the right in 60 digits."""
+    with mpmath.workdps(60):
+        t, b = mpmath.mpf(target), mpmath.mpf(beta)
+        x = min(t, mpmath.mpf(1))
+        for _ in range(200):
+            step = (x + x ** (1 + b) - t) / (1 + (1 + b) * x ** b)
+            if abs(step) <= x * mpmath.mpf(10) ** -50:
+                break
+            x -= step
+        return x
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.25])
+def test_mp_small_beta_inverse_matches_mpmath(beta):
+    system = manneville_pomeau_system(beta)
+    left, right = system.branches
+    assert left.map(0.0) == 0.0
+    grid = np.concatenate([[1e-300, 1e-30, 1e-10, 1e-3],
+                           np.linspace(0.0, 1.0, 21)])
+    for branch, offset in ((left, 0), (right, 1)):
+        for y, x in zip(grid, branch.map(grid)):
+            ref = _mp_inverse_reference(mpmath.mpf(float(y)) + offset, beta)
+            if ref == 0:
+                assert x == 0.0
+            else:
+                assert abs(x - ref) <= 4 * np.spacing(float(ref)), (beta, y)
+
+
 def test_mp_parabolic_flags():
     assert MP.parabolic_symbols == (0,)
     assert EX2.parabolic_symbols == (0, 1)
@@ -219,6 +250,37 @@ def test_table_word_roundtrip():
         iv = cylinder_interval(MIXED, w)
         assert table.lo(5)[idx] == pytest.approx(iv.lo, abs=1e-15)
         assert table.hi(5)[idx] == pytest.approx(iv.hi, abs=1e-15)
+
+
+@st.composite
+def _system_and_words(draw):
+    kind = draw(st.sampled_from(["linear", "example2", "mp"]))
+    if kind == "linear":
+        m = draw(st.integers(2, 4))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        total = draw(st.floats(0.3, 1.0))
+        system = linear_system([total * r / sum(raw) for r in raw])
+    else:
+        system = EX2 if kind == "example2" else MP
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, system.m - 1), min_size=n, max_size=n),
+        min_size=1, max_size=20))
+    return system, np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_system_and_words())
+def test_fold_matches_cylinder_table(case):
+    # the word-array fold and the exhaustive table take the same branch
+    # steps, so their results agree bit for bit
+    system, words = case
+    n = words.shape[1]
+    table = CylinderTable(system, n)
+    slots = words @ system.m ** np.arange(n - 1, -1, -1)
+    lo, width = fold(system, words)
+    assert np.array_equal(lo, table.lo(n)[slots])
+    assert np.array_equal(width, table.diameters(n)[slots])
 
 
 def test_geometric_potential_matches_g_eval():

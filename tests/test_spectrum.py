@@ -109,6 +109,15 @@ def test_upper_unreachable_alpha():
     assert err.value.achievable == (0.0, 1.0)
 
 
+def test_upper_parabolic_default_floor_matches_sweep():
+    # a direct call and the sweep read the same cover floor from the context
+    opts = SolverOptions(n=8)
+    res = upper_bound(MP, coordinate(), 0.3, opts)
+    point, = full_spectrum(MP, coordinate(), [0.3], opts)
+    assert res.delta == point.delta == 1e-3 * math.log(2)
+    assert res.s_n == point.upper
+
+
 def test_upper_rho_must_exceed_slack():
     opts = SolverOptions(n=4, rho=1e-6)
     with pytest.raises(ValueError):
