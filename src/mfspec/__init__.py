@@ -17,7 +17,8 @@ from .geometry import (Branch, CylinderTable, IfsSystem, Interval,
                        geometric_potential, lambda_n, lemma1_gap,
                        linear_system, manneville_pomeau_system, project)
 from .oracle import (BesicovitchSpec, MarkovBlockEntropy, besicovitch_spectrum,
-                     brute_force_ratio, markov_block_entropy_exact)
+                     brute_force_ratio, markov_block_entropy_exact,
+                     similarity_dimension)
 from .potentials import (PotentialSpec, coordinate, first_symbol,
                          indicator_branch, induced_word_function, polynomial)
 from .spectrum import (DepthContext, LowerBoundResult, SamplerCheckpoint,

@@ -14,11 +14,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
-
-from scipy.optimize import brentq
 
 from . import oracle
 from .errors import ConfigError, MfspecError
@@ -387,8 +384,7 @@ def _suite_markov(n: int):
 
 def _suite_moran(n: int):
     system = linear_system([0.5, 1.0 / 3.0])
-    reference = brentq(lambda s: 2.0**-s + 3.0**-s - 1.0, 0.0, 2.0,
-                       xtol=1e-14, rtol=8.9e-16)
+    reference = oracle.similarity_dimension((2.0, 3.0))
     rows = []
     for depth in range(2, n + 1, 2):
         s = moran_dimension(system, depth)
@@ -421,14 +417,12 @@ def _attractor_row(system, potential, opts: SolverOptions) -> dict:
     }
 
 
-def run(config: RunConfig, workers: int | None = None) -> int:
+def run(config: RunConfig) -> int:
     """Execute a config: write the table artifact plus a diagnostics sidecar.
 
     Exit status 0 on full success, 2 when individual rows carry errors,
     1 (via exception) on fatal problems.
     """
-    if workers is None:
-        workers = max(1, int(os.environ.get("MFSPEC_THREADS", "1")))
     command = config.command
     out = config.output
     diagnostics: dict = {"command": command.name, "n": config.solver.n}
@@ -447,8 +441,7 @@ def run(config: RunConfig, workers: int | None = None) -> int:
         else:
             grid = command.alphas if command.name == "spectrum" \
                 else (command.alpha,)
-            points = full_spectrum(system, potential, grid, config.solver,
-                                   workers=workers)
+            points = full_spectrum(system, potential, grid, config.solver)
             columns = TABLE_COLUMNS
             rows = [_point_row(p) for p in points]
             diagnostics["points"] = [

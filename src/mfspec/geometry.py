@@ -22,12 +22,11 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DegenerateCylinderError, InsufficientDepthError,
                      SolverError)
 from .symbolic import (DEFAULT_WORD_CAP, Alphabet, Word, WordFunction,
-                       word_label)
+                       slot_words, word_label)
 
 _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
@@ -315,18 +314,10 @@ class CylinderTable:
 
     def word(self, idx: int, k: int | None = None) -> Word:
         """Decode a slot index back into its word."""
-        k = self.depth if k is None else k
-        out = []
-        for _ in range(k):
-            out.append(idx % self.m)
-            idx //= self.m
-        return tuple(reversed(out))
+        return slot_words(self.m, self.depth if k is None else k, [idx])[0]
 
     def index(self, w: Word) -> int:
-        idx = 0
-        for s in w:
-            idx = idx * self.m + s
-        return idx
+        return int(np.ravel_multi_index(tuple(w), (self.m,) * len(w)))
 
     def words(self, k: int | None = None):
         """All words at depth k in slot order."""
@@ -549,16 +540,14 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
     """Inverse branches of x + x^(1+beta) mod 1 on [0,1], for any beta > 0.
 
     The forward map is piecewise onto with branch domains split where
-    x + x^(1+beta) crosses 1 (found once by root finding); the left inverse
-    branch is parabolic at 0.  The forward map is convex and increasing, so
-    Newton's method started right of the root, at min(target, hi), decreases
-    monotonically onto it; iteration stops once no entry decreases, which
-    leaves the fixed point 0 exact.
+    x + x^(1+beta) crosses 1; the left inverse branch is parabolic at 0.  The
+    forward map is convex and increasing, so Newton's method started right
+    of the root, at min(target, hi), decreases monotonically onto it;
+    iteration stops once no entry decreases, which leaves the fixed point 0
+    exact.  The same inverse, applied to 1, finds the cut.
     """
     if not 0.0 < beta:
         raise ValueError("beta must be positive")
-    cut = brentq(lambda x: x + x ** (1.0 + beta) - 1.0, 0.0, 1.0,
-                 xtol=1e-15, rtol=8.9e-16)
 
     def forward_derivative(x):
         return 1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta
@@ -578,6 +567,8 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
             x = np.minimum(step, x)
         raise SolverError(f"Manneville-Pomeau inverse (beta={beta:g}) did "
                           f"not settle in {_NEWTON_MAX_ITER} Newton steps")
+
+    cut = float(invert(1.0, 0.0, 1.0, 0.0))
 
     def left(y):
         return invert(y, 0.0, cut, 0.0)

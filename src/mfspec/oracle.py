@@ -3,7 +3,8 @@
 Everything here is deliberately small and self-contained: closed formulas,
 scalar root finding and simplex grid search only.  This module must never
 import the spectrum estimators, so acceptance tests always compare two
-independent code paths.
+independent code paths.  It is the only module that uses scipy, which it
+imports inside the functions that need it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InfeasibleAlphaError
 from .geometry import IfsSystem, cylinder_interval
@@ -48,6 +49,7 @@ def besicovitch_spectrum(spec: BesicovitchSpec, alpha: float) -> float:
     exp(q c_i); q is located by bracketed root finding on the strictly
     increasing mean map, to 1e-12.
     """
+    from scipy.optimize import brentq
     c = np.asarray(spec.values, dtype=float)
     lo, hi = float(np.min(c)), float(np.max(c))
     if not lo - 1e-12 <= alpha <= hi + 1e-12:
@@ -82,6 +84,14 @@ def besicovitch_spectrum(spec: BesicovitchSpec, alpha: float) -> float:
     q = brentq(mean_gap, -span, span, xtol=1e-12, rtol=8.9e-16)
     h, _ = entropy_at(q)
     return h / log_contraction
+
+
+def similarity_dimension(expansions) -> float:
+    """Root s in [0, 2] of Moran's equation sum_i b_i^-s = 1: the dimension
+    of the self-similar set with contraction ratios 1/b_i."""
+    from scipy.optimize import brentq
+    return brentq(lambda s: sum(b**-s for b in expansions) - 1.0, 0.0, 2.0,
+                  xtol=1e-14, rtol=8.9e-16)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ Two routes are combined per level value alpha:
   cylinder length among depth-n block measures whose mean potential sum is
   n * alpha.  The maximizer of the linearized objective is an exponential
   family in (log-diameter, potential sum), so the inner problem is a 1-D
-  monotone root find and the outer fractional program is a bisection on the
-  ratio (Dinkelbach scheme).  The returned value is the entropy/length ratio
-  of an explicitly constructed feasible measure, hence a certified
-  finite-depth value, with the depth-n contraction-rate gap attached.
+  monotone root find, and the outer fractional program is solved by
+  Dinkelbach's iteration t <- entropy/length of the last inner maximizer.
+  The returned value is the entropy/length ratio of an explicitly
+  constructed feasible measure, hence a certified finite-depth value, with
+  the depth-n contraction-rate gap attached.
 
 * a cover upper route: the Moran exponent of the depth-n cylinders whose
   word average falls inside the alpha window, widened to the resolution the
@@ -24,7 +25,6 @@ unfiltered Moran estimate and the point is flagged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +39,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
 from .geometry import (CylinderTable, IfsSystem, Interval, fold,
                        neg_log_derivative)
 from .potentials import PotentialSpec, potential_arrays, variation_slack
-from .symbolic import DEFAULT_WORD_CAP, BlockMeasure, Word
+from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -54,7 +54,9 @@ class SolverOptions:
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
     Lyapunov floor excluding words with lambda_n below it (None means no
     floor, except that parabolic systems apply a small default floor to the
-    cover route, ``DepthContext.cover_delta``).
+    cover route, ``DepthContext.cover_delta``).  The lower route stops its
+    Dinkelbach iteration once a step raises the ratio by at most ``t_tol``
+    and raises ``SolverError`` after ``max_iter`` steps.
     """
 
     n: int = 10
@@ -232,9 +234,15 @@ class DepthContext:
 
     @property
     def rho(self) -> float:
-        if self.opts.rho is not None:
-            return self.opts.rho
-        return max(0.05, 2.0 * self.slack)
+        """Cover window half-width; ValueError unless it exceeds the slack."""
+        rho = self.opts.rho
+        if rho is None:
+            return max(0.05, 2.0 * self.slack)
+        if rho <= self.slack:
+            raise ValueError(
+                f"window rho={rho:g} must exceed the word-approximation slack "
+                f"{self.slack:g} at depth {self.n}")
+        return rho
 
     @property
     def cover_delta(self) -> float:
@@ -292,10 +300,6 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
     rho = ctx.rho
-    if rho <= ctx.slack:
-        raise ValueError(
-            f"window rho={rho:g} must exceed the word-approximation slack "
-            f"{ctx.slack:g} at depth {ctx.n}")
     half = 2.0 * rho + ctx.slack
     delta = ctx.cover_delta
     dev = np.abs(ctx.averages - alpha)
@@ -369,13 +373,15 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
                 context: DepthContext | None = None) -> LowerBoundResult:
     """Best entropy/length ratio over depth-n block measures with mean alpha.
 
-    Outer bisection on the ratio t drives max H - t*L to zero over the
-    constrained simplex; each inner problem is solved exactly by the
+    Dinkelbach's iteration drives max H - t*L to zero over the constrained
+    simplex: starting from t = 0, each inner problem is solved exactly by the
     exponential-family measure with the multiplier q tuned so the mean
-    potential sum hits n * alpha.  At a boundary alpha the constraint forces
-    support on the extreme words and the uniform measure over them is
-    returned.  The result records the measure itself, so feasibility and the
-    Gibbs form can be re-verified independently.
+    potential sum hits n * alpha, and t moves to that measure's ratio H/L.
+    The ratios increase, and every iterate is a feasible measure.  At a
+    boundary alpha the constraint forces support on the extreme words and the
+    uniform measure over them is returned.  The result records the measure
+    itself, so feasibility and the Gibbs form can be re-verified
+    independently.
     """
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
@@ -398,54 +404,44 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     if alpha < lo_avg - opts.boundary_tol or alpha > hi_avg + opts.boundary_tol:
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
 
-    def finalize(p, entropy, e_ell, e_phi, t, q, iterations, boundary):
-        words = ctx.table.words()
-        if mask is not None:
-            words = itertools.compress(words, mask)
-        measure = BlockMeasure(n=n, weights=dict(zip(words, p.tolist())))
-        return LowerBoundResult(
-            dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
-            lyapunov=e_ell / n, entropy_rate=entropy / n,
-            iterations=iterations, n=n, boundary=boundary,
-            lemma1_gap=ctx.lemma1_gap, measure=measure)
-
-    if alpha >= hi_avg - opts.boundary_tol or alpha <= lo_avg + opts.boundary_tol:
-        extreme = float(np.max(phi)) if alpha >= hi_avg - opts.boundary_tol \
-            else float(np.min(phi))
-        sel = np.abs(phi - extreme) <= _TIE_TOL
+    at_hi = alpha >= hi_avg - opts.boundary_tol
+    boundary = at_hi or alpha <= lo_avg + opts.boundary_tol
+    if boundary:
+        e_phi = float(np.max(phi) if at_hi else np.min(phi))
+        sel = np.abs(phi - e_phi) <= _TIE_TOL
         count = int(sel.sum())
         p = np.where(sel, 1.0 / count, 0.0)
         entropy = math.log(count)
         e_ell = float(ell[sel].mean())
-        e_phi = extreme
-        return finalize(p, entropy, e_ell, e_phi, entropy / e_ell, None, 0,
-                        boundary=True)
-
-    q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
-    t_lo = 0.0
-    t_hi = math.log(phi.size) / float(np.min(ell)) + 1.0
-    iterations = 0
-    while t_hi - t_lo > opts.t_tol:
-        iterations += 1
-        if iterations > opts.max_iter:
-            raise SolverError(
-                f"ratio bisection did not reach {opts.t_tol:g} within "
-                f"{opts.max_iter} iterations")
-        t = 0.5 * (t_lo + t_hi)
-        _, (_, entropy, e_ell, _, _) = _solve_q(ell, phi, t, target, q_tol)
-        if entropy - t * e_ell > 0:
-            t_lo = t
+        t, q, iterations = entropy / e_ell, None, 0
+    else:
+        q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
+        t = 0.0
+        for iterations in range(1, opts.max_iter + 1):
+            q, (p, entropy, e_ell, e_phi, _) = _solve_q(ell, phi, t, target,
+                                                        q_tol)
+            ratio = entropy / e_ell
+            if ratio - t <= opts.t_tol:
+                break
+            t = ratio
         else:
-            t_hi = t
-    t = 0.5 * (t_lo + t_hi)
-    q, (p, entropy, e_ell, e_phi, _) = _solve_q(ell, phi, t, target, q_tol)
-    if abs(e_phi - target) > 10.0 * q_tol:
-        raise SolverError(
-            f"constraint residual {abs(e_phi - target):g} after multiplier "
-            f"capping; alpha={alpha:g} is too close to the achievable edge "
-            f"[{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
-    return finalize(p, entropy, e_ell, e_phi, t, q, iterations,
-                    boundary=False)
+            raise SolverError(
+                f"Dinkelbach iteration did not settle to {opts.t_tol:g} "
+                f"within {opts.max_iter} steps")
+        if abs(e_phi - target) > 10.0 * q_tol:
+            raise SolverError(
+                f"constraint residual {abs(e_phi - target):g} after "
+                f"multiplier capping; alpha={alpha:g} is too close to the "
+                f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
+    if mask is not None:
+        full = np.zeros(mask.size)
+        full[mask] = p
+        p = full
+    return LowerBoundResult(
+        dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
+        lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,
+        n=n, boundary=boundary, lemma1_gap=ctx.lemma1_gap,
+        measure=BlockMeasure(m=system.m, n=n, p=p))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +450,7 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
 
 def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                   alphas: Iterable[float],
-                  opts: SolverOptions | None = None,
-                  workers: int = 1) -> list[SpectrumPoint]:
+                  opts: SolverOptions | None = None) -> list[SpectrumPoint]:
     """Lower and upper estimates for a grid of level values, sorted by alpha.
 
     Points inside the indifferent-fixed-point interval are flagged and get
@@ -464,18 +459,14 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     """
     ctx = DepthContext(system, potential, opts)
     interval = parabolic_interval(system, potential)
-    if ctx.rho <= ctx.slack:
-        # alpha-independent precondition; fail before sweeping
-        raise ValueError(
-            f"window rho={ctx.rho:g} must exceed the word-approximation "
-            f"slack {ctx.slack:g} at depth {ctx.n}")
+    rho = ctx.rho  # alpha-independent precondition; fail before sweeping
 
     def compute(alpha: float) -> SpectrumPoint:
         if interval is not None and interval.contains(alpha):
             s = ctx.attractor_dimension
             return SpectrumPoint(
                 alpha=alpha, lower=s, upper=s, in_parabolic_interval=True,
-                n=ctx.n, rho=ctx.rho, delta=0.0, lemma1_gap=ctx.lemma1_gap)
+                n=ctx.n, rho=rho, delta=0.0, lemma1_gap=ctx.lemma1_gap)
         lower = upper = None
         t = q = None
         iterations = cover = None
@@ -492,17 +483,12 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             errors.append(f"upper: {exc}")
         return SpectrumPoint(
             alpha=alpha, lower=lower, upper=upper,
-            in_parabolic_interval=False, n=ctx.n, rho=ctx.rho,
+            in_parabolic_interval=False, n=ctx.n, rho=rho,
             delta=ctx.cover_delta, lemma1_gap=ctx.lemma1_gap,
             iterations=iterations, t=t, q=q, cover_size=cover,
             error="; ".join(errors) or None)
 
-    grid = sorted(float(a) for a in alphas)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(compute, grid))
-    return [compute(a) for a in grid]
+    return [compute(a) for a in sorted(float(a) for a in alphas)]
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +534,18 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
             "k_i * eps_i must be nonincreasing within tolerance")
 
     rng = np.random.default_rng(seed)
-    support = sorted(measure.support())
-    weights = np.array([measure.weights[w] for w in support])
-    weights = weights / weights.sum()
-    block_len = measure.n
+    slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
+    weights = measure.p[slots] / measure.p[slots].sum()
+    block_shape = (measure.m,) * measure.n
 
     chunks: list[np.ndarray] = []
     marks: list[tuple[int, int]] = []  # (stage, cumulative length)
     total = 0
 
     def emit_stage(i: int, k: int) -> int:
-        draws = rng.choice(len(support), size=-(-i // block_len), p=weights)
-        nu_part = np.concatenate([np.array(support[j]) for j in draws])[:i]
-        chunks.append(nu_part.astype(np.int64))
+        draws = rng.choice(len(slots), size=-(-i // measure.n), p=weights)
+        words = np.stack(np.unravel_index(slots[draws], block_shape), axis=1)
+        chunks.append(words.ravel()[:i].astype(np.int64))
         if k:
             chunks.append(np.full(i * k, symbol, dtype=np.int64))
         return i * (1 + k)

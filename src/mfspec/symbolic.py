@@ -2,7 +2,8 @@
 
 Symbols are 0-based integers 0..m-1 internally (1..m in rendered reports).
 A length-n word indexes the cylinder of all sequences sharing its first n
-symbols.  Block measures are sparse probability vectors over length-n words;
+symbols.  Block measures are dense probability vectors over the m^n words of
+length n, in slot order (as in ``Alphabet.words`` and ``CylinderTable``);
 all statistics of the induced n-th level Bernoulli concatenation are computed
 from the block weights alone, never from materialized infinite sequences.
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +39,13 @@ _STATIONARY_TOL = 1e-10
 def word_label(w: Word) -> str:
     """Render a word with 1-based symbols, e.g. (0, 1, 0) -> '121'."""
     return "".join(str(s + 1) for s in w)
+
+
+def slot_words(m: int, n: int, slots) -> list[Word]:
+    """The length-n words at the given slot indices (base-m, first symbol
+    most significant: the order of ``Alphabet.words``)."""
+    digits = np.unravel_index(slots, (m,) * n)
+    return list(zip(*(d.tolist() for d in digits)))
 
 
 @dataclass(frozen=True)
@@ -83,39 +93,53 @@ class WordFunction:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMeasure:
-    """Probability weights over length-n words (sparse; zero words omitted)."""
+    """Probability weights over the m^n words of length n, dense in slot order.
 
+    ``p[i]`` is the weight of the word whose base-m digits, first symbol most
+    significant, spell i.
+    """
+
+    m: int
     n: int
-    weights: Mapping[Word, float]
+    p: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length must be >= 1")
-        for w, p in self.weights.items():
-            if len(w) != self.n:
-                raise ValueError(
-                    f"word {w} has length {len(w)}, expected {self.n}")
-            if p < 0:
-                raise ValueError(f"negative weight {p} on word {w}")
-        total = math.fsum(self.weights.values())
-        if abs(total - 1.0) > _SUM_TOL:
+        p = np.asarray(self.p, dtype=float)
+        object.__setattr__(self, "p", p)
+        if p.shape != (self.m**self.n,):
+            raise ValueError(f"{p.size} weights for {self.m}^{self.n} words")
+        if (p < 0).any():
+            raise ValueError(f"negative weight {p.min()} in block measure")
+        total = math.fsum(p)
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {_SUM_TOL}")
 
     @classmethod
-    def dirac(cls, w: Word) -> "BlockMeasure":
-        return cls(n=len(w), weights={tuple(w): 1.0})
+    def dirac(cls, w: Word, m: int) -> "BlockMeasure":
+        p = np.zeros(m**len(w))
+        p[np.ravel_multi_index(tuple(w), (m,) * len(w))] = 1.0
+        return cls(m=m, n=len(w), p=p)
 
     @classmethod
     def uniform_full(cls, alphabet: Alphabet, n: int,
                      cap: int = DEFAULT_WORD_CAP) -> "BlockMeasure":
+        alphabet.check_cap(n, cap)
         count = alphabet.word_count(n)
-        p = 1.0 / count
-        return cls(n=n, weights={w: p for w in alphabet.words(n, cap)})
+        return cls(m=alphabet.m, n=n, p=np.full(count, 1.0 / count))
 
     def support(self) -> list[Word]:
-        return [w for w, p in self.weights.items() if p > WEIGHT_FLOOR]
+        slots = np.flatnonzero(self.p > WEIGHT_FLOOR)
+        return slot_words(self.m, self.n, slots)
+
+    @cached_property
+    def weights(self) -> Mapping[Word, float]:
+        """Read-only word-keyed view of ``p``, built on first access."""
+        words = slot_words(self.m, self.n, np.arange(self.p.size))
+        return MappingProxyType(dict(zip(words, self.p.tolist())))
 
 
 @dataclass(frozen=True)
@@ -157,7 +181,7 @@ class MarkovChainSpec:
 def shannon_entropy(measure: BlockMeasure) -> float:
     """Shannon entropy sum_w p(w) log(1/p(w)) in nats, with 0 log(1/0) = 0."""
     return math.fsum(-p * math.log(p)
-                     for p in measure.weights.values() if p > WEIGHT_FLOOR)
+                     for p in measure.p.tolist() if p > WEIGHT_FLOOR)
 
 
 def block_marginal(chain: MarkovChainSpec, n: int,
@@ -166,20 +190,15 @@ def block_marginal(chain: MarkovChainSpec, n: int,
 
     weight(w_1..w_n) = p_{w_1} * prod_k P_{w_k, w_{k+1}}.  Enumerates all
     m^n words (guarded by ``cap``), appending one symbol per level so the
-    array index is the base-m encoding of the word, first symbol most
-    significant.
+    array is already in slot order.
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    alphabet = Alphabet(chain.m)
-    alphabet.check_cap(n, cap)
     m = chain.m
+    Alphabet(m).check_cap(n, cap)
     weights = chain.initial.copy()
     for k in range(1, n):
         last = np.arange(m**k) % m
         weights = (weights[:, None] * chain.transition[last, :]).ravel()
-    words = alphabet.words(n, cap)
-    return BlockMeasure(n=n, weights=dict(zip(words, weights.tolist())))
+    return BlockMeasure(m=m, n=n, p=weights)
 
 
 def birkhoff_sum(f: WordFunction, w: Word) -> float:
@@ -226,9 +245,9 @@ def abramov_stats(measure: BlockMeasure,
     """
     n = measure.n
     rate = shannon_entropy(measure) / n
+    slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
+    support = list(zip(slot_words(measure.m, n, slots),
+                       measure.p[slots].tolist()))
     avgs = tuple(
-        math.fsum(p * birkhoff_sum(f, w)
-                  for w, p in measure.weights.items() if p > WEIGHT_FLOOR) / n
-        for f in fs
-    )
+        math.fsum(p * birkhoff_sum(f, w) for w, p in support) / n for f in fs)
     return AbramovStats(n=n, entropy_rate=rate, averages=avgs)

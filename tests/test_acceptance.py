@@ -44,7 +44,7 @@ def test_criterion_01_besicovitch_agreement():
         checks.append(abs(closed - digits) <= 5e-5)
         lower = lower_bound(HALVES, COIN, alpha, opts).dim
         upper = upper_bound(HALVES, COIN, alpha, opts).s_n
-        checks.append(abs(lower - closed) <= 0.02)
+        checks.append(abs(lower - closed) <= 1e-8)
         checks.append(abs(upper - closed) <= 0.08)
     elapsed = time.perf_counter() - start
     checks.append(elapsed <= 30.0)

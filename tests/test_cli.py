@@ -1,9 +1,14 @@
 """Config parsing, artifact writing, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfspec
 from mfspec.cli import (CommandConfig, PotentialConfig, SystemConfig,
                         main, parse_config, run, run_suite, serialize_config)
 from mfspec.errors import ConfigError
@@ -203,12 +208,19 @@ def test_main_reports_fatal_errors(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    raw = make_config(tmp_path)
-    raw["command"]["alphas"] = [0.2, 0.4, 0.6, 0.8]
-    cfg = parse_config(json.dumps(raw))
-    run(cfg, workers=1)
-    serial = (tmp_path / "out.csv").read_bytes()
-    monkeypatch.setenv("MFSPEC_THREADS", "4")
-    run(cfg)
-    assert (tmp_path / "out.csv").read_bytes() == serial
+def test_cli_and_shipped_systems_load_without_scipy():
+    # scipy serves only the oracles: importing the CLI and building every
+    # shipped system must not pull in scipy.optimize
+    code = (
+        "import sys\n"
+        "from mfspec.cli import SystemConfig, build_system\n"
+        "for cfg in (SystemConfig('linear', ratios=(0.5, 0.5)),\n"
+        "            SystemConfig('example2'),\n"
+        "            SystemConfig('manneville_pomeau', beta=0.5)):\n"
+        "    build_system(cfg)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n")
+    src = str(Path(mfspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
@@ -13,9 +14,9 @@ from mfspec.geometry import (CylinderTable, example2_system, linear_system,
                              manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import coordinate, first_symbol, indicator_branch
-from mfspec.spectrum import (SolverOptions, _moran_root, alternating_sampler,
-                             full_spectrum, lower_bound, moran_dimension,
-                             parabolic_interval, upper_bound)
+from mfspec.spectrum import (DepthContext, SolverOptions, _moran_root,
+                             alternating_sampler, full_spectrum, lower_bound,
+                             moran_dimension, parabolic_interval, upper_bound)
 from mfspec.symbolic import BlockMeasure, MarkovChainSpec, block_marginal
 
 HALVES = linear_system([0.5, 0.5])
@@ -189,6 +190,48 @@ def test_lower_infeasible_alpha():
     assert err.value.achievable == (0.0, 1.0)
 
 
+@st.composite
+def _linear_level(draw):
+    m = draw(st.integers(2, 3))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    total = draw(st.floats(0.3, 1.0))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    assume(max(values) - min(values) >= 0.5)
+    u = draw(st.floats(0.1, 0.9))
+    alpha = min(values) + u * (max(values) - min(values))
+    system = linear_system([total * r / sum(raw) for r in raw])
+    return system, first_symbol(values), alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear_level())
+def test_lower_linear_value_is_depth_free_and_fast(case):
+    # with affine branches and a word-local potential the best block measure
+    # is a product measure, so the depth-n value does not depend on n; the
+    # Dinkelbach iteration reaches it in a handful of steps
+    system, potential, alpha = case
+    base = lower_bound(system, potential, alpha, SolverOptions(n=2))
+    for n in range(2, 8):
+        res = lower_bound(system, potential, alpha, SolverOptions(n=n))
+        assert res.dim == pytest.approx(base.dim, abs=1e-9)
+        assert res.iterations <= 8
+
+
+def test_lower_delta_floor_masks_the_measure():
+    # the smallest MP rate at n=8 is ~0.35, so a floor of 0.5 drops a few
+    # near-neutral words (0.05 would drop none)
+    opts = SolverOptions(n=8, delta=0.5)
+    res = lower_bound(MP, coordinate(), 0.4, opts)
+    ctx = DepthContext(MP, coordinate(), opts)
+    keep = ctx.lam >= opts.delta
+    assert not keep.all()
+    p = res.measure.p
+    assert np.all(p[~keep] == 0.0)
+    assert p @ ctx.phi == pytest.approx(8 * res.alpha_achieved, rel=1e-12)
+    entropy = -np.sum(p[keep] * np.log(p[keep]))
+    assert entropy / (p @ ctx.ell) == pytest.approx(res.dim, abs=1e-9)
+
+
 def test_lower_reports_contraction_gap():
     res = lower_bound(MP, coordinate(), 0.4, SolverOptions(n=6))
     from mfspec.geometry import lemma1_gap
@@ -257,13 +300,6 @@ def test_spectrum_lower_at_most_upper_plus_slack():
         assert p.upper >= 0.0 and p.lower <= 1.0
 
 
-def test_spectrum_thread_workers_match_serial():
-    serial = full_spectrum(HALVES, COIN, [0.3, 0.5, 0.7], SolverOptions(n=8))
-    threaded = full_spectrum(HALVES, COIN, [0.3, 0.5, 0.7],
-                             SolverOptions(n=8), workers=3)
-    assert serial == threaded
-
-
 # ---------------------------------------------------------------------------
 # alternating-block sampler
 # ---------------------------------------------------------------------------
@@ -306,7 +342,7 @@ def test_sampler_degenerate_schedule_tracks_measure_average():
 def test_sampler_pure_parabolic_word():
     # Dirac measure on (0,0) makes every block constant: the potential
     # average follows the all-0 word down to the fixed-point value
-    nu = BlockMeasure.dirac((0, 0))
+    nu = BlockMeasure.dirac((0, 0), 2)
     points = alternating_sampler(MP, coordinate(), nu, 0, [1] * 40,
                                  [1.0 / (i + 1) for i in range(40)],
                                  horizon=4000, seed=1)

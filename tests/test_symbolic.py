@@ -35,32 +35,31 @@ def test_entropy_uniform_block():
 
 
 def test_entropy_point_mass():
-    assert shannon_entropy(BlockMeasure.dirac((0, 1, 1))) == 0.0
+    assert shannon_entropy(BlockMeasure.dirac((0, 1, 1), 2)) == 0.0
 
 
 def test_entropy_biased_coin():
-    nu = BlockMeasure(n=1, weights={(0,): 0.3, (1,): 0.7})
+    nu = BlockMeasure(m=2, n=1, p=[0.3, 0.7])
     assert shannon_entropy(nu) == pytest.approx(H_03, abs=1e-12)
 
 
 def test_entropy_bounds_random_measures():
     rng = np.random.default_rng(42)
-    alphabet = Alphabet(3)
     for _ in range(25):
         n = int(rng.integers(1, 4))
         w = rng.dirichlet(np.ones(3**n))
-        nu = BlockMeasure(n=n, weights=dict(zip(alphabet.words(n), w)))
+        nu = BlockMeasure(m=3, n=n, p=w)
         h = shannon_entropy(nu)
         assert -1e-12 <= h <= n * math.log(3) + 1e-12
 
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        BlockMeasure(n=1, weights={(0,): 0.6, (1,): 0.6})
+        BlockMeasure(m=2, n=1, p=[0.6, 0.6])
     with pytest.raises(ValueError):
-        BlockMeasure(n=2, weights={(0,): 1.0})
+        BlockMeasure(m=2, n=2, p=[1.0])
     with pytest.raises(ValueError):
-        BlockMeasure(n=1, weights={(0,): -0.2, (1,): 1.2})
+        BlockMeasure(m=2, n=1, p=[-0.2, 1.2])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def test_error_bounds_nonincreasing():
 
 def test_abramov_point_mass():
     f = indicator_first(0)
-    stats = abramov_stats(BlockMeasure.dirac((0, 0, 0, 0)), [f])
+    stats = abramov_stats(BlockMeasure.dirac((0, 0, 0, 0), 2), [f])
     assert stats.entropy_rate == 0.0
     assert stats.averages[0] == pytest.approx(1.0)
 
