@@ -56,7 +56,9 @@ class SolverOptions:
     floor, except that parabolic systems apply a small default floor to the
     cover route, ``DepthContext.cover_delta``).  The lower route stops its
     Dinkelbach iteration once a step raises the ratio by at most ``t_tol``
-    and raises ``SolverError`` after ``max_iter`` steps.
+    and raises ``SolverError`` after ``max_iter`` steps.  ``seed`` is a
+    no-op: every estimator is deterministic and none reads it; it is kept
+    so that configs carrying a ``seed`` key stay valid and round-trip.
     """
 
     n: int = 10
@@ -495,6 +497,36 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
 # alternating-block sampler
 # ---------------------------------------------------------------------------
 
+def _window_midpoints(system: IfsSystem, seq: np.ndarray,
+                      depth: int) -> np.ndarray:
+    """Cylinder midpoints of the length-``depth`` windows of ``seq``.
+
+    A window lies inside one run of a symbol exactly when that run, read
+    from the window's start, is at least ``depth`` long; all such windows
+    are the same constant word, folded once per symbol.  Every other window
+    is folded as its own row.  ``fold`` treats rows independently, so the
+    result equals the midpoints of ``fold(system,
+    sliding_window_view(seq, depth))`` bit for bit.
+    """
+    windows = sliding_window_view(seq, depth)
+    starts = np.arange(len(windows))
+    run_starts = np.flatnonzero(np.diff(seq)) + 1
+    run_ends = np.append(run_starts, len(seq))[
+        np.searchsorted(run_starts, starts, side="right")]
+    constant = run_ends - starts >= depth
+
+    def midpoints(words):
+        lo, width = fold(system, words)
+        return lo + 0.5 * width
+
+    mids = np.empty(len(windows))
+    mids[~constant] = midpoints(windows[~constant])
+    heads = seq[:len(windows)]
+    for a in np.unique(heads[constant]):
+        mids[constant & (heads == a)] = midpoints(np.full((1, depth), a))
+    return mids
+
+
 def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
                         measure: BlockMeasure, symbol: int,
                         k_schedule: Sequence[int],
@@ -512,9 +544,12 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
 
     The finite schedule must have nondecreasing k_i and nonincreasing
     k_i * eps_i (the numeric stand-ins for k_i -> infinity, k_i eps_i -> 0).
-    Suffixes during evaluation are truncated at ``eval_depth`` symbols; the
-    truncation error is bounded by the potential oscillation over cylinders
-    of that depth.
+    Suffixes during evaluation are truncated at ``eval_depth`` (>= 1)
+    symbols; the truncation error is bounded by the potential oscillation
+    over cylinders of that depth.  A window inside one run of a symbol is
+    that symbol's constant word, so the cost is one fold per window that
+    crosses a symbol change plus one per symbol that has a constant window;
+    the long parabolic blocks add almost nothing.
     """
     if symbol not in system.parabolic_symbols:
         raise ValueError(f"symbol {symbol} is not an indifferent branch")
@@ -528,6 +563,8 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
         raise InvalidScheduleError("schedule entries must be nonnegative")
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise InvalidScheduleError("k schedule must be nondecreasing")
+    if eval_depth < 1:
+        raise InvalidScheduleError(f"eval_depth must be >= 1, got {eval_depth}")
     products = [k * e for k, e in zip(ks, eps)]
     if any(b > a + _SCHEDULE_TOL for a, b in zip(products, products[1:])):
         raise InvalidScheduleError(
@@ -573,8 +610,7 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
 
     # one full-depth window per position; the padding above guarantees
     # every checkpoint position and its successor have one
-    lo, width = fold(system, sliding_window_view(seq, eval_depth))
-    mids = lo + 0.5 * width
+    mids = _window_midpoints(system, seq, eval_depth)
     if potential.word_local:
         vals = np.asarray(potential.symbol_values(system.m))
         f_terms = vals[seq[:len(mids)]]

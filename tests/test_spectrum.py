@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
@@ -10,13 +11,14 @@ from scipy.optimize import brentq
 from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
                            InvalidScheduleError, NoCylindersError,
                            NotContractingError)
-from mfspec.geometry import (CylinderTable, example2_system, linear_system,
-                             manneville_pomeau_system)
+from mfspec.geometry import (CylinderTable, example2_system, fold,
+                             linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import coordinate, first_symbol, indicator_branch
 from mfspec.spectrum import (DepthContext, SolverOptions, _moran_root,
-                             alternating_sampler, full_spectrum, lower_bound,
-                             moran_dimension, parabolic_interval, upper_bound)
+                             _window_midpoints, alternating_sampler,
+                             full_spectrum, lower_bound, moran_dimension,
+                             parabolic_interval, upper_bound)
 from mfspec.symbolic import BlockMeasure, MarkovChainSpec, block_marginal
 
 HALVES = linear_system([0.5, 0.5])
@@ -324,6 +326,39 @@ def test_sampler_schedule_validation():
     with pytest.raises(InvalidScheduleError):
         alternating_sampler(MP, coordinate(), nu, 0, [1, 2, 3],
                             [0.1, 0.2, 0.3], 100)
+
+
+def test_sampler_rejects_nonpositive_eval_depth():
+    nu = block_marginal(CHAIN, 2)
+    for depth in (0, -3):
+        with pytest.raises(InvalidScheduleError):
+            alternating_sampler(MP, coordinate(), nu, 0, [1, 2], [0.5, 0.25],
+                                100, eval_depth=depth)
+
+
+def _clustered_runs(depth):
+    """Symbol runs whose lengths cluster at depth - 1, depth and depth + 1."""
+    length = st.one_of(st.sampled_from([depth - 1, depth, depth + 1]),
+                       st.integers(1, 2 * depth + 2)).filter(lambda n: n > 0)
+    return st.lists(length, min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), depth=st.integers(1, 12),
+       system=st.sampled_from([MP, EX2, linear_system([0.3, 0.2, 0.4])]))
+def test_window_midpoints_match_per_window_fold(data, depth, system):
+    # adjacent runs differ in symbol, so each run is maximal; the reference
+    # folds every window as its own row
+    lengths = data.draw(_clustered_runs(depth))
+    symbols = [data.draw(st.integers(0, system.m - 1))]
+    for _ in lengths[1:]:
+        shift = data.draw(st.integers(1, system.m - 1))
+        symbols.append((symbols[-1] + shift) % system.m)
+    seq = np.repeat(np.array(symbols, dtype=np.int64), lengths)
+    assume(len(seq) >= depth)
+    lo, width = fold(system, sliding_window_view(seq, depth))
+    assert np.array_equal(_window_midpoints(system, seq, depth),
+                          lo + 0.5 * width)
 
 
 def test_sampler_degenerate_schedule_tracks_measure_average():

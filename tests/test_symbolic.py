@@ -60,6 +60,10 @@ def test_measure_validation():
         BlockMeasure(m=2, n=2, p=[1.0])
     with pytest.raises(ValueError):
         BlockMeasure(m=2, n=1, p=[-0.2, 1.2])
+    with pytest.raises(ValueError):
+        BlockMeasure(m=2, n=1, p=[float("nan"), 1.0])
+    with pytest.raises(ValueError):
+        BlockMeasure(m=2, n=1, p=[float("inf"), 0.0])
 
 
 # ---------------------------------------------------------------------------
