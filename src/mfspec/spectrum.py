@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,28 +146,41 @@ class SamplerCheckpoint:
     eps: float
 
 
+def _debug(msg: str, *args) -> None:
+    """Debug record on the ``mfspec.spectrum`` logger (silent by default).
+
+    ``logging`` is imported on first use, so importing the package does not
+    load it.
+    """
+    import logging
+    logging.getLogger(__name__).debug(msg, *args)
+
+
 # ---------------------------------------------------------------------------
 # Moran cover exponent
 # ---------------------------------------------------------------------------
 
-def _moran_root(diameters: np.ndarray, tol: float) -> float:
-    """Unique s >= 0 with sum diameters^s = 1, by bisection.
+def _moran_root(ell: np.ndarray, count: np.ndarray, tol: float) -> float:
+    """Unique s >= 0 with sum count * exp(-s * ell) = 1, by bisection.
 
-    The map is strictly decreasing for diameters < 1; a single cylinder
-    forces s = 0.
+    ``ell`` holds cylinder log-diameters with the sign flipped and ``count``
+    how many cylinders share each one.  The map is strictly decreasing when
+    every ``ell`` is positive; a single cylinder forces s = 0.
     """
-    d = np.asarray(diameters, dtype=float)
-    if d.size == 0:
+    if ell.size == 0:
         raise NoCylindersError("no cylinders to cover with")
-    if float(np.max(d)) >= 1.0:
+    if float(np.min(ell)) <= 0.0:
         raise NotContractingError(
             "some cylinder diameter is >= 1; increase the depth n")
-    if d.size == 1:
+    if float(count.sum()) == 1.0:
         return 0.0
-    logd = np.log(d)
+
+    buf = np.empty_like(ell)
 
     def total(s: float) -> float:
-        return float(np.exp(s * logd).sum())
+        np.multiply(ell, -s, out=buf)
+        np.exp(buf, out=buf)
+        return float(buf @ count)
 
     hi = 1.0
     while total(hi) > 1.0:
@@ -197,7 +210,7 @@ def moran_dimension(system: IfsSystem, n: int,
         keep = np.fromiter((bool(word_filter(w)) for w in table.words()),
                            dtype=bool, count=d.size)
         d = d[keep]
-    return _moran_root(d, tol)
+    return _moran_root(-np.log(d), np.ones(d.size), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +218,19 @@ def moran_dimension(system: IfsSystem, n: int,
 # ---------------------------------------------------------------------------
 
 class DepthContext:
-    """Exhaustive depth-n arrays shared by both estimator routes."""
+    """Depth-n data shared by both estimator routes.
+
+    ``phi`` (Birkhoff sums), ``ell`` (minus log-diameters) and ``lam``
+    (lambda_n) are per word, in slot order.  Both routes run over rows
+    instead: words whose cylinder width and Birkhoff sum are bit-equal share
+    one row of ``row_ell``, ``row_phi`` and the integer-valued multiplicity
+    ``row_count``.  Everything the routes compute (Gibbs statistics, the
+    cover window, the Lyapunov floor, Moran sums) depends on a word only
+    through that pair, so the grouping is exact.  It pays for linear systems
+    with word-local potentials (linear [1/2, 1/2] at n=18: 2^18 words, 19
+    rows); on Manneville-Pomeau no two words merge and it costs one sort.
+    Only the block measure ``lower_bound`` returns is built per word.
+    """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
                  opts: SolverOptions | None = None):
@@ -215,8 +240,37 @@ class DepthContext:
         self.n = self.opts.n
         self.table = CylinderTable(system, self.n, self.opts.word_cap)
         self.phi = self.table.birkhoff(potential_arrays(self.table, potential))
-        self.averages = self.phi / self.n
         self.slack = variation_slack(self.table, potential)
+        width = self.table.diameters()
+        order = np.lexsort((self.phi, width))
+        width = width[order]
+        phi = self.phi[order]
+        del order
+        new = np.empty(width.size, dtype=bool)
+        new[0] = True
+        np.not_equal(width[1:], width[:-1], out=new[1:])
+        new[1:] |= phi[1:] != phi[:-1]
+        starts = np.flatnonzero(new)
+        del new
+        self.row_phi = phi[starts]
+        del phi
+        self.row_ell = width[starts]
+        np.log(self.row_ell, out=self.row_ell)
+        np.negative(self.row_ell, out=self.row_ell)
+        self.row_count = np.empty(starts.size)
+        np.subtract(starts[1:], starts[:-1], out=self.row_count[:-1])
+        self.row_count[-1] = width.size - starts[-1]
+        _debug("depth %d: %d words in %d (width, phi) rows", self.n,
+               width.size, starts.size)
+
+    def row_mask(self, delta: float) -> np.ndarray | None:
+        """Rows with lambda_n >= delta, None if no floor.
+
+        ``row_ell / n`` is bit-equal to ``lam`` on the row's words.
+        """
+        if delta <= 0.0:
+            return None
+        return self.row_ell / self.n >= delta
 
     @cached_property
     def ell(self) -> np.ndarray:
@@ -232,7 +286,7 @@ class DepthContext:
 
     @cached_property
     def attractor_dimension(self) -> float:
-        return _moran_root(self.table.diameters(), self.opts.moran_tol)
+        return _moran_root(self.row_ell, self.row_count, self.opts.moran_tol)
 
     @property
     def rho(self) -> float:
@@ -257,11 +311,6 @@ class DepthContext:
             return self.opts.delta
         return 1e-3 * math.log(self.system.m) if self.system.has_parabolic \
             else 0.0
-
-    def delta_mask(self, delta: float) -> np.ndarray | None:
-        if delta <= 0.0:
-            return None
-        return self.lam >= delta
 
 
 # ---------------------------------------------------------------------------
@@ -304,70 +353,107 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     rho = ctx.rho
     half = 2.0 * rho + ctx.slack
     delta = ctx.cover_delta
-    dev = np.abs(ctx.averages - alpha)
+    dev = ctx.row_phi / ctx.n
+    dev -= alpha
+    np.abs(dev, out=dev)
     keep = dev < half
-    if (mask := ctx.delta_mask(delta)) is not None:
+    if (mask := ctx.row_mask(delta)) is not None:
         keep &= mask
     if not keep.any():
-        lo = float(np.min(ctx.averages))
-        hi = float(np.max(ctx.averages))
+        lo = float(np.min(ctx.row_phi)) / ctx.n
+        hi = float(np.max(ctx.row_phi)) / ctx.n
         raise AlphaUnreachableError(alpha, half, float(np.min(dev)), (lo, hi))
-    s = _moran_root(ctx.table.diameters()[keep], opts.moran_tol)
-    return UpperBoundResult(s_n=s, cover_size=int(keep.sum()), half_width=half,
-                            rho=rho, delta=delta, n=ctx.n)
+    count = ctx.row_count[keep]
+    s = _moran_root(ctx.row_ell[keep], count, opts.moran_tol)
+    return UpperBoundResult(s_n=s, cover_size=int(count.sum()),
+                            half_width=half, rho=rho, delta=delta, n=ctx.n)
 
 
 # ---------------------------------------------------------------------------
 # variational lower route
 # ---------------------------------------------------------------------------
 
-def _gibbs_stats(ell, phi, t, q):
-    """Normalized exponential-family stats for weights ~ exp(-t*ell + q*phi)."""
-    a = -t * ell + q * phi
-    shift = float(a.max())
-    w = np.exp(a - shift)
+class _Gibbs(NamedTuple):
+    """Stats of the word weights exp(-t*ell + q*phi - shift) / z."""
+
+    shift: float
+    z: float
+    entropy: float
+    e_ell: float
+    e_phi: float
+    variance: float
+
+
+def _gibbs_stats(ell, phi, count, t, q, w, tmp) -> _Gibbs:
+    """Gibbs stats over rows of ``count`` words each, in two reused buffers.
+
+    ``w`` ends up holding the row weights count * exp(-t*ell + q*phi - shift)
+    and ``tmp`` is scratch; both have the length of the rows.
+    """
+    np.multiply(ell, -t, out=w)
+    np.multiply(phi, q, out=tmp)
+    w += tmp
+    shift = float(w.max())
+    w -= shift
+    np.exp(w, out=w)
+    w *= count
     z = float(w.sum())
-    p = w / z
-    logz = shift + math.log(z)
-    e_phi = float(p @ phi)
-    e_ell = float(p @ ell)
-    entropy = logz + t * e_ell - q * e_phi
-    variance = float(p @ (phi - e_phi) ** 2)
-    return p, entropy, e_ell, e_phi, variance
+    e_phi = float(w @ phi) / z
+    e_ell = float(w @ ell) / z
+    entropy = shift + math.log(z) + t * e_ell - q * e_phi
+    np.subtract(phi, e_phi, out=tmp)
+    np.square(tmp, out=tmp)
+    variance = float(w @ tmp) / z
+    return _Gibbs(shift, z, entropy, e_ell, e_phi, variance)
 
 
-def _solve_q(ell, phi, t, target, tol, max_iter=80):
+def _solve_q(ell, phi, count, t, target, tol, max_iter=80):
     """Find q with the Gibbs mean of phi equal to target (monotone in q).
 
     Newton steps with bisection fallback inside a maintained bracket; |q| is
     capped so the exponent stays within floating range, and an unreachable
-    target simply clamps at the cap (caller checks the residual).
+    target simply clamps at the cap (logged; caller checks the residual).
+    Returns q, its stats and the number of Gibbs evaluations.
     """
     scale = max(float(np.max(np.abs(phi))), 1e-12)
     cap = _Q_EXP_LIMIT / scale
+    buffers = np.empty((2, ell.size))
+    evals = 0
+
+    def stats(q):
+        nonlocal evals
+        evals += 1
+        return _gibbs_stats(ell, phi, count, t, q, *buffers)
+
+    def clamped(q, gibbs):
+        _debug("multiplier clamped at q=%.17g: target %.17g lies beyond the "
+               "Gibbs mean %.17g there (t=%.17g)", q, target, gibbs.e_phi, t)
+        return q, gibbs, evals
+
     lo, hi = -cap, cap
-    stats = _gibbs_stats(ell, phi, t, lo)
-    if target <= stats[3]:
-        return lo, stats
-    stats = _gibbs_stats(ell, phi, t, hi)
-    if target >= stats[3]:
-        return hi, stats
+    gibbs = stats(lo)
+    if target <= gibbs.e_phi:
+        return clamped(lo, gibbs)
+    gibbs = stats(hi)
+    if target >= gibbs.e_phi:
+        return clamped(hi, gibbs)
     q = 0.0
     for _ in range(max_iter):
-        stats = _gibbs_stats(ell, phi, t, q)
-        residual = stats[3] - target
+        gibbs = stats(q)
+        residual = gibbs.e_phi - target
         if abs(residual) <= tol:
-            return q, stats
+            return q, gibbs, evals
         if residual > 0:
             hi = q
         else:
             lo = q
-        variance = stats[4]
+        variance = gibbs.variance
         step = q - residual / variance if variance > 1e-300 else None
         if step is None or not lo < step < hi:
             step = 0.5 * (lo + hi)
         q = step
-    return q, _gibbs_stats(ell, phi, t, q)
+    gibbs = stats(q)
+    return q, gibbs, evals
 
 
 def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
@@ -381,25 +467,25 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     potential sum hits n * alpha, and t moves to that measure's ratio H/L.
     The ratios increase, and every iterate is a feasible measure.  At a
     boundary alpha the constraint forces support on the extreme words and the
-    uniform measure over them is returned.  The result records the measure
-    itself, so feasibility and the Gibbs form can be re-verified
-    independently.
+    uniform measure over them is returned.  The iteration runs over the
+    context's (width, phi) rows; the returned per-word measure is built once
+    from the final t, q and normaliser, so feasibility and the Gibbs form can
+    be re-verified independently.
     """
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
     n = ctx.n
-    phi = ctx.phi
-    ell = ctx.ell
+    logd = ctx.table.log_diameters  # DegenerateCylinderError on a zero width
+    ell, phi, count = ctx.row_ell, ctx.row_phi, ctx.row_count
     if float(np.min(ell)) <= 0.0:
         raise NotContractingError(
             "some cylinder diameter is >= 1; increase the depth n")
     delta = opts.delta if opts.delta is not None else 0.0
-    if (mask := ctx.delta_mask(delta)) is not None:
+    if (mask := ctx.row_mask(delta)) is not None:
         if not mask.any():
             raise NoCylindersError(
                 f"Lyapunov floor {delta:g} excludes every word")
-        phi = phi[mask]
-        ell = ell[mask]
+        ell, phi, count = ell[mask], phi[mask], count[mask]
     target = n * alpha
     lo_avg = float(np.min(phi)) / n
     hi_avg = float(np.max(phi)) / n
@@ -411,17 +497,20 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     if boundary:
         e_phi = float(np.max(phi) if at_hi else np.min(phi))
         sel = np.abs(phi - e_phi) <= _TIE_TOL
-        count = int(sel.sum())
-        p = np.where(sel, 1.0 / count, 0.0)
-        entropy = math.log(count)
-        e_ell = float(ell[sel].mean())
+        words = float(count[sel].sum())
+        entropy = math.log(words)
+        e_ell = float(count[sel] @ ell[sel]) / words
         t, q, iterations = entropy / e_ell, None, 0
+        logw = np.where(np.abs(ctx.phi - e_phi) <= _TIE_TOL, 0.0, -np.inf)
+        z = words
     else:
         q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
         t = 0.0
         for iterations in range(1, opts.max_iter + 1):
-            q, (p, entropy, e_ell, e_phi, _) = _solve_q(ell, phi, t, target,
-                                                        q_tol)
+            q, gibbs, evals = _solve_q(ell, phi, count, t, target, q_tol)
+            _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
+                   iterations, t, q, evals)
+            entropy, e_ell, e_phi = gibbs.entropy, gibbs.e_ell, gibbs.e_phi
             ratio = entropy / e_ell
             if ratio - t <= opts.t_tol:
                 break
@@ -435,10 +524,15 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
                 f"constraint residual {abs(e_phi - target):g} after "
                 f"multiplier capping; alpha={alpha:g} is too close to the "
                 f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
+        logw = q * ctx.phi
+        logw += t * logd  # -t * ell, bit for bit
+        logw -= gibbs.shift
+        z = gibbs.z
+    # the per-word measure: the rows' weights, spread back over their words
     if mask is not None:
-        full = np.zeros(mask.size)
-        full[mask] = p
-        p = full
+        logw[ctx.lam < delta] = -np.inf
+    p = np.exp(logw, out=logw)
+    p /= z
     return LowerBoundResult(
         dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
         lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,

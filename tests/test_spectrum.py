@@ -1,5 +1,6 @@
 """Estimator checks: Moran roots, both bound routes, dispatch, sampler."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
-                           InvalidScheduleError, NoCylindersError,
-                           NotContractingError)
+                           InvalidScheduleError, MfspecError,
+                           NoCylindersError, NotContractingError, SolverError)
 from mfspec.geometry import (CylinderTable, example2_system, fold,
                              linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
@@ -73,7 +74,7 @@ def test_moran_empty_filter():
 
 def test_moran_root_rejects_uncontracted():
     with pytest.raises(NotContractingError):
-        _moran_root(np.array([0.5, 1.0]), 1e-10)
+        _moran_root(-np.log([0.5, 1.0]), np.ones(2), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,22 @@ def test_upper_single_word_window():
     res = upper_bound(HALVES, COIN, 1.0, opts)
     assert res.cover_size == 1
     assert res.s_n == 0.0
+
+
+def test_upper_single_row_cover_counts_its_words():
+    # the window keeps only the words with 4 zeros out of 8: C(8, 4) = 70
+    # cylinders of width 2^-8 in a single (width, phi) row, whose Moran root
+    # is log 70 / (8 log 2), not the 0 of a single cylinder
+    n = 8
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=n, rho=1.0 / (4 * n)))
+    res = upper_bound(HALVES, COIN, 0.5, context=ctx)
+    kept = np.abs(ctx.row_phi / n - 0.5) < res.half_width
+    assert kept.sum() == 1
+    assert res.cover_size == ctx.row_count[kept][0] == 70
+    expected = math.log(70) / (n * math.log(2))
+    assert res.s_n == pytest.approx(expected, abs=1e-9)
+    assert _moran_root(ctx.row_ell[kept], ctx.row_count[kept], 1e-10) \
+        == pytest.approx(expected, abs=1e-9)
 
 
 def test_upper_binomial_window_value():
@@ -192,6 +209,21 @@ def test_lower_infeasible_alpha():
     assert err.value.achievable == (0.0, 1.0)
 
 
+def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
+    # one large potential value caps |q| at 700/4000, too weak to pull the
+    # mean potential sum down to 4e-6: the multiplier clamps and the
+    # residual check rejects the point
+    system = linear_system([1 / 3] * 3)
+    potential = first_symbol([1000.0, 1e-3, 0.0])
+    caplog.set_level(logging.DEBUG, logger="mfspec")
+    with pytest.raises(SolverError):
+        lower_bound(system, potential, 1e-6, SolverOptions(n=4))
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("depth 4: 81 words in ") for m in messages)
+    assert any(m.startswith("Dinkelbach step 1: t=0 ") for m in messages)
+    assert any(m.startswith("multiplier clamped at q=-0.17") for m in messages)
+
+
 @st.composite
 def _linear_level(draw):
     m = draw(st.integers(2, 3))
@@ -247,6 +279,187 @@ def test_lower_beats_brute_force():
         res = lower_bound(HALVES, COIN, alpha, opts)
         ref = brute_force_ratio(HALVES, COIN, alpha, n=2, grid_step=0.01)
         assert res.dim >= ref - 0.01
+
+
+# ---------------------------------------------------------------------------
+# (width, phi) rows against a per-word reference
+# ---------------------------------------------------------------------------
+
+def _ref_gibbs_stats(ell, phi, t, q):
+    a = -t * ell + q * phi
+    shift = float(a.max())
+    w = np.exp(a - shift)
+    z = float(w.sum())
+    p = w / z
+    e_phi = float(p @ phi)
+    e_ell = float(p @ ell)
+    entropy = shift + math.log(z) + t * e_ell - q * e_phi
+    return p, entropy, e_ell, e_phi, float(p @ (phi - e_phi) ** 2)
+
+
+def _ref_solve_q(ell, phi, t, target, tol, max_iter=80):
+    cap = 700.0 / max(float(np.max(np.abs(phi))), 1e-12)
+    lo, hi = -cap, cap
+    stats = _ref_gibbs_stats(ell, phi, t, lo)
+    if target <= stats[3]:
+        return lo, stats
+    stats = _ref_gibbs_stats(ell, phi, t, hi)
+    if target >= stats[3]:
+        return hi, stats
+    q = 0.0
+    for _ in range(max_iter):
+        stats = _ref_gibbs_stats(ell, phi, t, q)
+        residual = stats[3] - target
+        if abs(residual) <= tol:
+            return q, stats
+        if residual > 0:
+            hi = q
+        else:
+            lo = q
+        step = q - residual / stats[4] if stats[4] > 1e-300 else None
+        if step is None or not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        q = step
+    return q, _ref_gibbs_stats(ell, phi, t, q)
+
+
+def _ref_lower(ctx, alpha):
+    """lower_bound over every word: (dim, iterations, boundary, p)."""
+    opts, n = ctx.opts, ctx.n
+    phi, ell = ctx.phi, ctx.ell
+    mask = ctx.lam >= opts.delta if opts.delta else None
+    if mask is not None:
+        if not mask.any():
+            raise NoCylindersError("floor excludes every word")
+        phi, ell = phi[mask], ell[mask]
+    lo_avg, hi_avg = float(np.min(phi)) / n, float(np.max(phi)) / n
+    tol = opts.boundary_tol
+    if alpha < lo_avg - tol or alpha > hi_avg + tol:
+        raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
+    at_hi = alpha >= hi_avg - opts.boundary_tol
+    boundary = at_hi or alpha <= lo_avg + opts.boundary_tol
+    if boundary:
+        e_phi = float(np.max(phi) if at_hi else np.min(phi))
+        sel = np.abs(phi - e_phi) <= 1e-9
+        p = np.where(sel, 1.0 / sel.sum(), 0.0)
+        entropy, e_ell, iterations = math.log(sel.sum()), ell[sel].mean(), 0
+    else:
+        q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
+        t = 0.0
+        for iterations in range(1, opts.max_iter + 1):
+            _, (p, entropy, e_ell, e_phi, _) = _ref_solve_q(
+                ell, phi, t, n * alpha, q_tol)
+            if entropy / e_ell - t <= opts.t_tol:
+                break
+            t = entropy / e_ell
+        if abs(e_phi - n * alpha) > 10.0 * q_tol:
+            raise SolverError("residual after capping")
+    if mask is not None:
+        full = np.zeros(mask.size)
+        full[mask] = p
+        p = full
+    return entropy / e_ell, iterations, boundary, p
+
+
+def _ref_upper(ctx, alpha):
+    """upper_bound over every word: (s_n, cover_size)."""
+    half = 2.0 * ctx.rho + ctx.slack
+    keep = np.abs(ctx.phi / ctx.n - alpha) < half
+    if ctx.cover_delta > 0.0:
+        keep &= ctx.lam >= ctx.cover_delta
+    if not keep.any():
+        raise AlphaUnreachableError(alpha, half, 0.0, (0.0, 0.0))
+    logd = np.log(ctx.table.diameters()[keep])
+    if keep.sum() == 1:
+        return 0.0, 1
+
+    def total(s):
+        return float(np.exp(s * logd).sum())
+
+    lo, hi = 0.0, 1.0
+    while total(hi) > 1.0:
+        hi *= 2.0
+    while hi - lo > ctx.opts.moran_tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if total(mid) > 1.0 else (lo, mid)
+    return 0.5 * (lo + hi), int(keep.sum())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MfspecError, ValueError) as exc:
+        return type(exc)
+
+
+_ROW_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                        st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _row_case(draw):
+    kind = draw(st.sampled_from(["linear", "example2", "mp"]))
+    if kind == "linear":
+        m = draw(st.integers(2, 4))
+        equal = draw(st.booleans())
+        raw = [1.0] * m if equal else draw(
+            st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        total = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.3, 1.0))
+        system = linear_system([total * r / sum(raw) for r in raw])
+        values = draw(st.lists(_ROW_VALUES, min_size=m, max_size=m))
+        potential = draw(st.sampled_from(
+            [first_symbol(values), indicator_branch(m - 1)]))
+        n = draw(st.integers(2, {2: 8, 3: 6, 4: 5}[m]))
+    else:
+        system = EX2 if kind == "example2" else MP
+        potential = draw(st.sampled_from(
+            [coordinate(), first_symbol([1.0, 0.0])]))
+        n = draw(st.integers(2, 8))
+    return system, potential, n
+
+
+# the Moran bisection runs to 1e-13 here: at the default 1e-10 two sums that
+# differ in the last bit can settle a dyadic root (1.0 for a tiling cover) on
+# opposite sides, and the two answers differ by the resolution, not the rows
+@settings(max_examples=120, deadline=None)
+@given(_row_case(), st.data())
+def test_rows_match_per_word_reference(case, data):
+    system, potential, n = case
+    # each floor above the smallest rate masks some words
+    floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
+    delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
+    opts = SolverOptions(n=n, delta=delta, moran_tol=1e-13)
+    ctx = DepthContext(system, potential, opts)
+    assert np.array_equal(np.unique(ctx.row_ell / n), np.unique(ctx.lam))
+    if delta is not None:
+        assert ctx.row_count[ctx.row_mask(delta)].sum() == \
+            (ctx.lam >= delta).sum()
+    kept = ctx.phi if delta is None else ctx.phi[ctx.lam >= delta]
+    lo, hi = float(np.min(kept)) / n, float(np.max(kept)) / n
+    u = data.draw(st.floats(0.02, 0.98)
+                  | st.sampled_from([-0.05, 0.0, 1.0, 1.05]))
+    alpha = lo + u * (hi - lo)
+
+    ref = _outcome(_ref_lower, ctx, alpha)
+    got = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert not isinstance(got, type), got
+        dim, iterations, boundary, p = ref
+        assert got.dim == pytest.approx(dim, abs=1e-12)
+        assert (got.iterations, got.boundary) == (iterations, boundary)
+        assert np.array_equal(got.measure.p == 0.0, p == 0.0)
+        assert np.max(np.abs(got.measure.p - p)) <= 1e-12
+
+    ref = _outcome(_ref_upper, ctx, alpha)
+    got = _outcome(upper_bound, system, potential, alpha, None, ctx)
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert not isinstance(got, type), got
+        assert got.s_n == pytest.approx(ref[0], abs=1e-12)
+        assert got.cover_size == ref[1]
 
 
 # ---------------------------------------------------------------------------
