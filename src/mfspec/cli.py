@@ -447,6 +447,7 @@ def run(config: RunConfig) -> int:
             diagnostics["points"] = [
                 {"alpha": p.alpha, "cover_size": p.cover_size,
                  "iterations": p.iterations, "t": p.t, "q": p.q,
+                 "gibbs_evals": p.gibbs_evals, "moran_evals": p.moran_evals,
                  "lemma1_gap": p.lemma1_gap, "rho": p.rho, "delta": p.delta,
                  "flag": p.in_parabolic_interval, "error": p.error}
                 for p in points]

@@ -56,9 +56,13 @@ class SolverOptions:
     floor, except that parabolic systems apply a small default floor to the
     cover route, ``DepthContext.cover_delta``).  The lower route stops its
     Dinkelbach iteration once a step raises the ratio by at most ``t_tol``
-    and raises ``SolverError`` after ``max_iter`` steps.  ``seed`` is a
-    no-op: every estimator is deterministic and none reads it; it is kept
-    so that configs carrying a ``seed`` key stay valid and round-trip.
+    and raises ``SolverError`` after ``max_iter`` steps.  Moran roots (the
+    cover route and the attractor estimate) stop once a safeguarded Newton
+    step is at most ``moran_tol``; that step is taken, so the error left is
+    of the order of its square and the root is accurate to the last digits
+    of a double.  ``seed`` is a no-op: every estimator is deterministic and
+    none reads it; it is kept so that configs carrying a ``seed`` key stay
+    valid and round-trip.
     """
 
     n: int = 10
@@ -97,6 +101,7 @@ class LowerBoundResult:
     lyapunov: float
     entropy_rate: float
     iterations: int
+    gibbs_evals: int
     n: int
     boundary: bool
     lemma1_gap: float
@@ -109,6 +114,7 @@ class UpperBoundResult:
 
     s_n: float
     cover_size: int
+    moran_evals: int
     half_width: float
     rho: float
     delta: float
@@ -131,6 +137,8 @@ class SpectrumPoint:
     t: float | None = None
     q: float | None = None
     cover_size: int | None = None
+    gibbs_evals: int | None = None
+    moran_evals: int | None = None
     error: str | None = None
 
 
@@ -160,41 +168,63 @@ def _debug(msg: str, *args) -> None:
 # Moran cover exponent
 # ---------------------------------------------------------------------------
 
-def _moran_root(ell: np.ndarray, count: np.ndarray, tol: float) -> float:
-    """Unique s >= 0 with sum count * exp(-s * ell) = 1, by bisection.
+def _moran_root(ell: np.ndarray, count: np.ndarray,
+                tol: float) -> tuple[float, int]:
+    """Unique s >= 0 with sum count * exp(-s * ell) = 1, by safeguarded Newton.
 
     ``ell`` holds cylinder log-diameters with the sign flipped and ``count``
-    how many cylinders share each one.  The map is strictly decreasing when
-    every ``ell`` is positive; a single cylinder forces s = 0.
+    how many cylinders share each one (integer-valued, so the total C is at
+    least 1).  Returns the root and the number of partition sums it took.
+
+    f(s) = log sum count * exp(-s * ell) is convex and decreasing with
+    f'(s) = -E_s[ell], and its root lies in [log C / max ell, log C / min ell]
+    (a single cylinder, or cylinders of one width, close the bracket on the
+    root).  Newton starts at the left end, where f >= 0, and climbs onto the
+    root from the left.  Every evaluation narrows the bracket, and a Newton
+    step longer than ``tol`` that leaves it is replaced by bisection.  The
+    iteration stops once a step is at most ``tol``, or no double lies
+    strictly inside the bracket, and returns the point that step reaches: a
+    bisection step that short leaves the root within ``tol``, and a Newton
+    step that short leaves an error of the order of its square.  The sum is
+    max-shifted and formed in one reused buffer.
     """
     if ell.size == 0:
         raise NoCylindersError("no cylinders to cover with")
-    if float(np.min(ell)) <= 0.0:
+    ell_min = float(np.min(ell))
+    if ell_min <= 0.0:
         raise NotContractingError(
             "some cylinder diameter is >= 1; increase the depth n")
-    if float(count.sum()) == 1.0:
-        return 0.0
-
+    log_c = math.log(float(count.sum()))
+    lo = s = log_c / float(np.max(ell))
+    hi = log_c / ell_min
     buf = np.empty_like(ell)
-
-    def total(s: float) -> float:
+    evals = 0
+    while lo < hi:
+        evals += 1
+        shift = -s * ell_min
         np.multiply(ell, -s, out=buf)
+        buf -= shift
         np.exp(buf, out=buf)
-        return float(buf @ count)
-
-    hi = 1.0
-    while total(hi) > 1.0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise SolverError("Moran bisection failed to bracket a root")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if total(mid) > 1.0:
-            lo = mid
+        buf *= count
+        z = float(buf.sum())
+        f = shift + math.log(z)
+        if f > 0.0:
+            lo = s
+        elif f < 0.0:
+            hi = s
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            break
+        step = s + f * z / float(buf @ ell)
+        # a short step is taken even where rounding puts it on a bracket end
+        if abs(step - s) > tol and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        done = abs(step - s) <= tol or not lo < step < hi
+        s = step
+        if done:
+            break
+    _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
+           evals)
+    return s, evals
 
 
 def moran_dimension(system: IfsSystem, n: int,
@@ -210,7 +240,7 @@ def moran_dimension(system: IfsSystem, n: int,
         keep = np.fromiter((bool(word_filter(w)) for w in table.words()),
                            dtype=bool, count=d.size)
         d = d[keep]
-    return _moran_root(-np.log(d), np.ones(d.size), tol)
+    return _moran_root(-np.log(d), np.ones(d.size), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +315,13 @@ class DepthContext:
         return self.table.lemma1_gap_value
 
     @cached_property
-    def attractor_dimension(self) -> float:
+    def attractor_root(self) -> tuple[float, int]:
+        """Moran root of every row and the partition sums it took."""
         return _moran_root(self.row_ell, self.row_count, self.opts.moran_tol)
+
+    @property
+    def attractor_dimension(self) -> float:
+        return self.attractor_root[0]
 
     @property
     def rho(self) -> float:
@@ -346,7 +381,11 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     finite-depth window actually certifies about means over the covered
     cylinders, and is reported back.  A positive Lyapunov floor additionally
     drops words with lambda_n below it; ``DepthContext.cover_delta`` says
-    which floor applies.
+    which floor applies.  The exponent is ``_moran_root`` over the kept
+    rows, and ``moran_evals`` counts its partition sums.  An empty window
+    raises ``AlphaUnreachableError`` with the nearest word average and the
+    range of averages among the words the floor keeps (``NoCylindersError``
+    if it keeps none).
     """
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
@@ -360,13 +399,19 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     if (mask := ctx.row_mask(delta)) is not None:
         keep &= mask
     if not keep.any():
-        lo = float(np.min(ctx.row_phi)) / ctx.n
-        hi = float(np.max(ctx.row_phi)) / ctx.n
-        raise AlphaUnreachableError(alpha, half, float(np.min(dev)), (lo, hi))
+        avg = ctx.row_phi if mask is None else ctx.row_phi[mask]
+        if avg.size == 0:
+            raise NoCylindersError(
+                f"Lyapunov floor {delta:g} excludes every word")
+        avg = avg / ctx.n
+        nearest = float(avg[np.argmin(np.abs(avg - alpha))])
+        raise AlphaUnreachableError(
+            alpha, half, nearest, (float(np.min(avg)), float(np.max(avg))))
     count = ctx.row_count[keep]
-    s = _moran_root(ctx.row_ell[keep], count, opts.moran_tol)
+    s, evals = _moran_root(ctx.row_ell[keep], count, opts.moran_tol)
     return UpperBoundResult(s_n=s, cover_size=int(count.sum()),
-                            half_width=half, rho=rho, delta=delta, n=ctx.n)
+                            moran_evals=evals, half_width=half, rho=rho,
+                            delta=delta, n=ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +455,14 @@ def _gibbs_stats(ell, phi, count, t, q, w, tmp) -> _Gibbs:
 def _solve_q(ell, phi, count, t, target, tol, max_iter=80):
     """Find q with the Gibbs mean of phi equal to target (monotone in q).
 
-    Newton steps with bisection fallback inside a maintained bracket; |q| is
-    capped so the exponent stays within floating range, and an unreachable
-    target simply clamps at the cap (logged; caller checks the residual).
-    Returns q, its stats and the number of Gibbs evaluations.
+    Newton steps from q = 0 with bisection fallback inside the bracket
+    [-cap, cap]; |q| is capped so the exponent stays within floating range.
+    A cap end is evaluated only when a step, or the bisection fallback,
+    heads for that end while it still bounds the bracket: if the target lies
+    beyond the Gibbs mean there, the multiplier clamps at the cap (logged;
+    the caller checks the residual), otherwise the fallback bisects.  The
+    midpoint uses only the bracket's value, so a probe never moves an
+    iterate.  Returns q, its stats and the number of Gibbs evaluations.
     """
     scale = max(float(np.max(np.abs(phi))), 1e-12)
     cap = _Q_EXP_LIMIT / scale
@@ -425,18 +474,8 @@ def _solve_q(ell, phi, count, t, target, tol, max_iter=80):
         evals += 1
         return _gibbs_stats(ell, phi, count, t, q, *buffers)
 
-    def clamped(q, gibbs):
-        _debug("multiplier clamped at q=%.17g: target %.17g lies beyond the "
-               "Gibbs mean %.17g there (t=%.17g)", q, target, gibbs.e_phi, t)
-        return q, gibbs, evals
-
     lo, hi = -cap, cap
-    gibbs = stats(lo)
-    if target <= gibbs.e_phi:
-        return clamped(lo, gibbs)
-    gibbs = stats(hi)
-    if target >= gibbs.e_phi:
-        return clamped(hi, gibbs)
+    unprobed = {lo, hi}
     q = 0.0
     for _ in range(max_iter):
         gibbs = stats(q)
@@ -450,6 +489,16 @@ def _solve_q(ell, phi, count, t, target, tol, max_iter=80):
         variance = gibbs.variance
         step = q - residual / variance if variance > 1e-300 else None
         if step is None or not lo < step < hi:
+            end = lo if residual > 0 else hi
+            if end in unprobed:
+                unprobed.discard(end)
+                gibbs = stats(end)
+                if (target <= gibbs.e_phi if residual > 0
+                        else target >= gibbs.e_phi):
+                    _debug("multiplier clamped at q=%.17g: target %.17g lies "
+                           "beyond the Gibbs mean %.17g there (t=%.17g)",
+                           end, target, gibbs.e_phi, t)
+                    return end, gibbs, evals
             step = 0.5 * (lo + hi)
         q = step
     gibbs = stats(q)
@@ -500,14 +549,16 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
         words = float(count[sel].sum())
         entropy = math.log(words)
         e_ell = float(count[sel] @ ell[sel]) / words
-        t, q, iterations = entropy / e_ell, None, 0
+        t, q, iterations, gibbs_evals = entropy / e_ell, None, 0, 0
         logw = np.where(np.abs(ctx.phi - e_phi) <= _TIE_TOL, 0.0, -np.inf)
         z = words
     else:
         q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
         t = 0.0
+        gibbs_evals = 0
         for iterations in range(1, opts.max_iter + 1):
             q, gibbs, evals = _solve_q(ell, phi, count, t, target, q_tol)
+            gibbs_evals += evals
             _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
                    iterations, t, q, evals)
             entropy, e_ell, e_phi = gibbs.entropy, gibbs.e_ell, gibbs.e_phi
@@ -536,7 +587,8 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     return LowerBoundResult(
         dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
         lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,
-        n=n, boundary=boundary, lemma1_gap=ctx.lemma1_gap,
+        gibbs_evals=gibbs_evals, n=n, boundary=boundary,
+        lemma1_gap=ctx.lemma1_gap,
         measure=BlockMeasure(m=system.m, n=n, p=p))
 
 
@@ -562,19 +614,21 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             s = ctx.attractor_dimension
             return SpectrumPoint(
                 alpha=alpha, lower=s, upper=s, in_parabolic_interval=True,
-                n=ctx.n, rho=rho, delta=0.0, lemma1_gap=ctx.lemma1_gap)
+                n=ctx.n, rho=rho, delta=0.0, lemma1_gap=ctx.lemma1_gap,
+                moran_evals=ctx.attractor_root[1])
         lower = upper = None
         t = q = None
-        iterations = cover = None
+        iterations = cover = gibbs_evals = moran_evals = None
         errors = []
         try:
             lb = lower_bound(system, potential, alpha, context=ctx)
             lower, t, q, iterations = lb.dim, lb.t, lb.q, lb.iterations
+            gibbs_evals = lb.gibbs_evals
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:
             ub = upper_bound(system, potential, alpha, context=ctx)
-            upper, cover = ub.s_n, ub.cover_size
+            upper, cover, moran_evals = ub.s_n, ub.cover_size, ub.moran_evals
         except MfspecError as exc:
             errors.append(f"upper: {exc}")
         return SpectrumPoint(
@@ -582,6 +636,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             in_parabolic_interval=False, n=ctx.n, rho=rho,
             delta=ctx.cover_delta, lemma1_gap=ctx.lemma1_gap,
             iterations=iterations, t=t, q=q, cover_size=cover,
+            gibbs_evals=gibbs_evals, moran_evals=moran_evals,
             error="; ".join(errors) or None)
 
     return [compute(a) for a in sorted(float(a) for a in alphas)]

@@ -58,9 +58,9 @@ def test_criterion_02_moran_exactness():
     roots = [moran_dimension(mixed, n) for n in (4, 8, 12)]
     reference = brentq(lambda s: 2.0**-s + 3.0**-s - 1.0, 0.0, 2.0,
                        xtol=1e-14, rtol=8.9e-16)
-    ok = (max(roots) - min(roots) <= 1e-9
-          and abs(roots[0] - reference) <= 1e-6
-          and all(abs(moran_dimension(HALVES, n) - 1.0) <= 1e-9
+    ok = (max(roots) - min(roots) <= 1e-13
+          and abs(roots[0] - reference) <= 1e-13
+          and all(abs(moran_dimension(HALVES, n) - 1.0) <= 1e-13
                   for n in (4, 8, 12)))
     elapsed = time.perf_counter() - start
     report(2, "Moran exactness on linear systems", ok and elapsed <= 5.0,

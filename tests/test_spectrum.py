@@ -6,7 +6,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
@@ -16,8 +16,9 @@ from mfspec.geometry import (CylinderTable, example2_system, fold,
                              linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import coordinate, first_symbol, indicator_branch
-from mfspec.spectrum import (DepthContext, SolverOptions, _moran_root,
-                             _window_midpoints, alternating_sampler,
+from mfspec.spectrum import (DepthContext, SolverOptions, _gibbs_stats,
+                             _moran_root, _solve_q, _window_midpoints,
+                             alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
                              parabolic_interval, upper_bound)
 from mfspec.symbolic import BlockMeasure, MarkovChainSpec, block_marginal
@@ -45,7 +46,7 @@ def test_moran_partition_sum_is_decreasing_in_s():
 
 def test_moran_tiling_gives_one():
     for n in (3, 6, 9):
-        assert moran_dimension(HALVES, n) == pytest.approx(1.0, abs=1e-9)
+        assert moran_dimension(HALVES, n) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_moran_depth_invariance_and_reference():
@@ -75,6 +76,41 @@ def test_moran_empty_filter():
 def test_moran_root_rejects_uncontracted():
     with pytest.raises(NotContractingError):
         _moran_root(-np.log([0.5, 1.0]), np.ones(2), 1e-10)
+
+
+def _mp_moran_root(ell, count):
+    """The Moran root at 50 digits: Newton on sum c * exp(-s * ell) - 1 from
+    log C / max ell, which climbs monotonically onto the root (the sum is
+    convex and decreasing in s)."""
+    from mpmath import mp
+    with mp.workdps(50):
+        terms = [(mp.mpf(int(c)), mp.mpf(e)) for c, e in zip(count, ell)]
+        s = mp.log(mp.fsum(c for c, _ in terms)) / max(e for _, e in terms)
+        for _ in range(200):
+            weights = [c * mp.exp(-s * e) for c, e in terms]
+            step = (mp.fsum(weights) - 1) / mp.fsum(
+                w * e for w, (_, e) in zip(weights, terms))
+            s += step
+            if abs(step) < mp.mpf(10) ** -40:
+                return float(s)
+    raise AssertionError("reference Newton did not converge")
+
+
+# minus log-widths from 0.05 (a cylinder 95% as wide as the interval) to 30,
+# with counts of one word or of many
+_MORAN_ROWS = st.integers(1, 50).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.05, 30.0), min_size=k, max_size=k),
+    st.lists(st.integers(1, 10_000) | st.just(1), min_size=k, max_size=k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MORAN_ROWS)
+def test_moran_root_matches_mpmath(rows):
+    ell, count = (np.array(v, dtype=float) for v in rows)
+    s, evals = _moran_root(ell, count, 1e-10)
+    ref = _mp_moran_root(ell, count)
+    assert abs(s - ref) <= 1e-14 * ref
+    assert evals <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +143,9 @@ def test_upper_single_row_cover_counts_its_words():
     assert kept.sum() == 1
     assert res.cover_size == ctx.row_count[kept][0] == 70
     expected = math.log(70) / (n * math.log(2))
-    assert res.s_n == pytest.approx(expected, abs=1e-9)
-    assert _moran_root(ctx.row_ell[kept], ctx.row_count[kept], 1e-10) \
-        == pytest.approx(expected, abs=1e-9)
+    assert res.s_n == pytest.approx(expected, abs=1e-13)
+    assert _moran_root(ctx.row_ell[kept], ctx.row_count[kept], 1e-10)[0] \
+        == pytest.approx(expected, abs=1e-13)
 
 
 def test_upper_binomial_window_value():
@@ -120,13 +156,32 @@ def test_upper_binomial_window_value():
     kept = [k for k in range(n + 1) if abs(k / n - alpha) < 2 * rho]
     expected = math.log(sum(math.comb(n, k) for k in kept)) / (n * math.log(2))
     assert res.cover_size == sum(math.comb(n, k) for k in kept)
-    assert res.s_n == pytest.approx(expected, abs=1e-9)
+    assert res.s_n == pytest.approx(expected, abs=1e-13)
 
 
 def test_upper_unreachable_alpha():
     with pytest.raises(AlphaUnreachableError) as err:
         upper_bound(HALVES, COIN, 0.3, SolverOptions(n=4, rho=0.001))
     assert err.value.achievable == (0.0, 1.0)
+    assert err.value.nearest == 0.25
+    # under a Lyapunov floor the nearest average and the range are those of
+    # the words the floor keeps: the all-0 word (lambda_8 ~ 0.35) is dropped
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=8, delta=0.5))
+    avg = ctx.phi[ctx.lam >= 0.5] / 8
+    with pytest.raises(AlphaUnreachableError) as err:
+        upper_bound(MP, coordinate(), -1.0, context=ctx)
+    assert err.value.nearest == np.min(avg) > np.min(ctx.phi / 8)
+    assert err.value.achievable == (np.min(avg), np.max(avg))
+
+
+def test_upper_tiling_cover_is_exactly_one():
+    # the window keeps all 3^5 words, whose widths (powers of 2) tile [0, 1]:
+    # the root is 1, and every printed digit of it must be right
+    opts = SolverOptions(n=5, rho=0.6)
+    res = upper_bound(linear_system([0.5, 0.25, 0.25]),
+                      first_symbol([1.0, 0.0, 0.0]), 0.5, opts)
+    assert res.cover_size == 3**5
+    assert abs(res.s_n - 1.0) <= 4 * math.ulp(1.0)
 
 
 def test_upper_parabolic_default_floor_matches_sweep():
@@ -222,6 +277,98 @@ def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
     assert any(m.startswith("depth 4: 81 words in ") for m in messages)
     assert any(m.startswith("Dinkelbach step 1: t=0 ") for m in messages)
     assert any(m.startswith("multiplier clamped at q=-0.17") for m in messages)
+
+
+def _eager_solve_q(ell, phi, count, t, target, tol, max_iter=80):
+    """``_solve_q`` with both cap ends evaluated before the first step.
+
+    Also returns how many cap ends a fallback step headed for while that end
+    still bounded the bracket: the ends a lazy solver has to evaluate.
+    """
+    cap = 700.0 / max(float(np.max(np.abs(phi))), 1e-12)
+    buffers = np.empty((2, ell.size))
+    evals = 0
+    headed = set()
+
+    def stats(q):
+        nonlocal evals
+        evals += 1
+        return _gibbs_stats(ell, phi, count, t, q, *buffers)
+
+    lo, hi = -cap, cap
+    gibbs = stats(lo)
+    if target <= gibbs.e_phi:
+        return lo, gibbs, evals, 0
+    gibbs = stats(hi)
+    if target >= gibbs.e_phi:
+        return hi, gibbs, evals, 0
+    q = 0.0
+    for _ in range(max_iter):
+        gibbs = stats(q)
+        residual = gibbs.e_phi - target
+        if abs(residual) <= tol:
+            return q, gibbs, evals, len(headed & {-cap, cap})
+        if residual > 0:
+            hi = q
+        else:
+            lo = q
+        variance = gibbs.variance
+        step = q - residual / variance if variance > 1e-300 else None
+        if step is None or not lo < step < hi:
+            headed.add(lo if residual > 0 else hi)
+            step = 0.5 * (lo + hi)
+        q = step
+    gibbs = stats(q)
+    return q, gibbs, evals, len(headed & {-cap, cap})
+
+
+@st.composite
+def _gibbs_rows(draw):
+    k = draw(st.integers(2, 50))
+    scale = draw(st.sampled_from([1.0, 10.0, 1000.0]))
+    ell = draw(st.lists(st.floats(0.05, 30.0), min_size=k, max_size=k))
+    phi = draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k))
+    count = draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k))
+    assume(max(phi) - min(phi) >= 1e-3)
+    return (np.array(ell), scale * np.array(phi), np.array(count, float),
+            draw(st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gibbs_rows(), st.booleans(), st.floats(0.0, 1.0))
+# three Newton steps in a row overshoot the upper cap: its end is evaluated
+# once, not once per overshoot
+@example((np.array([23.291920924517697, 8.636830719864905]),
+          np.array([-362.27144460977723, -375.8796156139963]),
+          np.array([482.0, 394.0]), 1.466143514010959), False, 0.87)
+def test_lazy_cap_probes_match_eager_probes(rows, clamp, u):
+    # interior targets: the same iterates, so q and every stat bit for bit,
+    # minus the two up-front probes plus the ends actually needed; targets
+    # beyond the Gibbs mean at a cap: the same clamp
+    ell, phi, count, t = rows
+    tol = 1e-9 * float(np.max(np.abs(phi)))
+    cap = 700.0 / float(np.max(np.abs(phi)))
+    buffers = np.empty((2, ell.size))
+    low = _gibbs_stats(ell, phi, count, t, -cap, *buffers).e_phi
+    high = _gibbs_stats(ell, phi, count, t, cap, *buffers).e_phi
+    if clamp:
+        # the cap 700 / max|phi| leaves room beyond its Gibbs mean only for
+        # large |phi|; elsewhere the gap is below 10 tol and assume() drops it
+        side = u < 0.5
+        edge, extreme = (low, np.min(phi)) if side else (high, np.max(phi))
+        target = edge + (0.1 + 0.8 * (2 * u % 1)) * (extreme - edge)
+        assume(abs(target - edge) > 10 * tol)
+    else:
+        target = low + (0.01 + 0.98 * u) * (high - low)
+        assume(min(target - low, high - target) > 10 * tol)
+    q, gibbs, evals, ends = _eager_solve_q(ell, phi, count, t, target, tol)
+    got_q, got_gibbs, got_evals = _solve_q(ell, phi, count, t, target, tol)
+    assert got_q == q and got_gibbs == gibbs
+    if clamp:
+        assert q == (-cap if side else cap)
+    else:
+        assert abs(q) < cap
+        assert got_evals == evals - 2 + ends
 
 
 @st.composite
