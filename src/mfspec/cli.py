@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import oracle
 from .errors import ConfigError, MfspecError
@@ -201,11 +201,8 @@ def _parse_command(obj) -> CommandConfig:
     return CommandConfig(name=name, alphas=alphas, alpha=alpha, suite=suite)
 
 
-_SOLVER_KEYS = {
-    "n": "int", "rho": "number", "delta": "number", "t_tol": "number",
-    "alpha_tol": "number", "moran_tol": "number", "boundary_tol": "number",
-    "max_iter": "int", "word_cap": "int", "seed": "int",
-}
+_SOLVER_KEYS = {f.name: "int" if f.type in (int, "int") else "number"
+                for f in fields(SolverOptions)}
 
 
 def _parse_solver(obj) -> SolverOptions:
@@ -401,7 +398,10 @@ def run_suite(suite: str, n: int):
     if suite not in _SUITE_RUNNERS:
         raise ConfigError(
             f"unknown suite '{suite}'; available: {', '.join(_SUITES)}")
-    return _SUITE_RUNNERS[suite](n)
+    columns, rows = _SUITE_RUNNERS[suite](n)
+    if not rows:
+        raise ConfigError(f"suite '{suite}' has no rows at depth n={n}")
+    return columns, rows
 
 
 # ---------------------------------------------------------------------------

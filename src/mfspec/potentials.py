@@ -110,10 +110,6 @@ def indicator_branch(index: int) -> PotentialSpec:
     return PotentialSpec(name="indicator_branch", branch_index=int(index))
 
 
-BUILTIN_POTENTIALS = ("coordinate", "polynomial", "first_symbol",
-                      "indicator_branch")
-
-
 def induced_word_function(system: IfsSystem, spec: PotentialSpec, depth: int,
                           cap: int = DEFAULT_WORD_CAP) -> WordFunction:
     """Word-level form of the induced sequence function, with error bounds

@@ -58,11 +58,9 @@ class SolverOptions:
     Dinkelbach iteration once a step raises the ratio by at most ``t_tol``
     and raises ``SolverError`` after ``max_iter`` steps.  Moran roots (the
     cover route and the attractor estimate) stop once a safeguarded Newton
-    step is at most ``moran_tol``; that step is taken, so the error left is
-    of the order of its square and the root is accurate to the last digits
-    of a double.  ``seed`` is a no-op: every estimator is deterministic and
-    none reads it; it is kept so that configs carrying a ``seed`` key stay
-    valid and round-trip.
+    step is at most ``moran_tol`` (``Rows.moran_root``).  ``seed`` is a
+    no-op: every estimator is deterministic and none reads it; it is kept so
+    that configs carrying a ``seed`` key stay valid and round-trip.
     """
 
     n: int = 10
@@ -165,66 +163,164 @@ def _debug(msg: str, *args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Moran cover exponent
+# partition function over (width, phi) rows
 # ---------------------------------------------------------------------------
 
-def _moran_root(ell: np.ndarray, count: np.ndarray,
-                tol: float) -> tuple[float, int]:
-    """Unique s >= 0 with sum count * exp(-s * ell) = 1, by safeguarded Newton.
+class _Gibbs(NamedTuple):
+    """Stats of the word weights exp(-t*ell + q*phi - shift) / z."""
 
-    ``ell`` holds cylinder log-diameters with the sign flipped and ``count``
-    how many cylinders share each one (integer-valued, so the total C is at
-    least 1).  Returns the root and the number of partition sums it took.
+    shift: float
+    z: float
+    entropy: float
+    e_ell: float
+    e_phi: float
+    variance: float
 
-    f(s) = log sum count * exp(-s * ell) is convex and decreasing with
-    f'(s) = -E_s[ell], and its root lies in [log C / max ell, log C / min ell]
-    (a single cylinder, or cylinders of one width, close the bracket on the
-    root).  Newton starts at the left end, where f >= 0, and climbs onto the
-    root from the left.  Every evaluation narrows the bracket, and a Newton
-    step longer than ``tol`` that leaves it is replaced by bisection.  The
-    iteration stops once a step is at most ``tol``, or no double lies
-    strictly inside the bracket, and returns the point that step reaches: a
-    bisection step that short leaves the root within ``tol``, and a Newton
-    step that short leaves an error of the order of its square.  The sum is
-    max-shifted and formed in one reused buffer.
+
+class Rows(NamedTuple):
+    """Depth-n cylinders grouped into rows, with their partition function.
+
+    Row i stands for ``count[i]`` cylinders of minus log-diameter ``ell[i]``
+    and Birkhoff sum ``phi[i]``.  ``log_z`` alone forms the weights of
+    Z(t, q) = sum count * exp(-t*ell + q*phi): the Gibbs statistics are its
+    derivatives, and a Moran root solves Z(s, 0) = 1 without ``phi``.
     """
-    if ell.size == 0:
-        raise NoCylindersError("no cylinders to cover with")
-    ell_min = float(np.min(ell))
-    if ell_min <= 0.0:
-        raise NotContractingError(
-            "some cylinder diameter is >= 1; increase the depth n")
-    log_c = math.log(float(count.sum()))
-    lo = s = log_c / float(np.max(ell))
-    hi = log_c / ell_min
-    buf = np.empty_like(ell)
-    evals = 0
-    while lo < hi:
-        evals += 1
-        shift = -s * ell_min
-        np.multiply(ell, -s, out=buf)
-        buf -= shift
-        np.exp(buf, out=buf)
-        buf *= count
-        z = float(buf.sum())
-        f = shift + math.log(z)
-        if f > 0.0:
-            lo = s
-        elif f < 0.0:
-            hi = s
-        else:
-            break
-        step = s + f * z / float(buf @ ell)
-        # a short step is taken even where rounding puts it on a bracket end
-        if abs(step - s) > tol and not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        done = abs(step - s) <= tol or not lo < step < hi
-        s = step
-        if done:
-            break
-    _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
-           evals)
-    return s, evals
+
+    ell: np.ndarray
+    phi: np.ndarray | None
+    count: np.ndarray
+
+    def where(self, mask: np.ndarray) -> Rows:
+        return Rows(self.ell[mask], self.phi[mask], self.count[mask])
+
+    def log_z(self, t, q, w, tmp=None) -> tuple[float, float]:
+        """Max-shifted partition sum: ``(shift, z)`` with log Z = shift + log z.
+
+        ``w`` ends up holding the row weights count * exp(-t*ell + q*phi -
+        shift) and ``tmp`` is scratch; both have the length of the rows.  At
+        q = 0 the q*phi term is skipped: bit-exact, since x + 0*phi = x.
+        """
+        np.multiply(self.ell, -t, out=w)
+        if q != 0.0:
+            np.multiply(self.phi, q, out=tmp)
+            w += tmp
+        shift = float(w.max())
+        w -= shift
+        np.exp(w, out=w)
+        w *= self.count
+        return shift, float(w.sum())
+
+    def gibbs(self, t, q, w, tmp) -> _Gibbs:
+        """Gibbs stats at (t, q), in the two buffers ``log_z`` takes."""
+        shift, z = self.log_z(t, q, w, tmp)
+        e_phi = float(w @ self.phi) / z
+        e_ell = float(w @ self.ell) / z
+        entropy = shift + math.log(z) + t * e_ell - q * e_phi
+        np.subtract(self.phi, e_phi, out=tmp)
+        np.square(tmp, out=tmp)
+        variance = float(w @ tmp) / z
+        return _Gibbs(shift, z, entropy, e_ell, e_phi, variance)
+
+    def solve_q(self, t, target, tol, max_iter=80):
+        """Find q with the Gibbs mean of phi equal to target (monotone in q).
+
+        Newton steps from q = 0 with bisection fallback inside the bracket
+        [-cap, cap]; |q| is capped so the exponent stays within floating
+        range.  A cap end is evaluated only when a step, or the bisection
+        fallback, heads for that end while it still bounds the bracket: if
+        the target lies beyond the Gibbs mean there, the multiplier clamps at
+        the cap (logged; the caller checks the residual), otherwise the
+        fallback bisects.  The midpoint uses only the bracket's value, so a
+        probe never moves an iterate.  Returns q, its stats and the number of
+        Gibbs evaluations.
+        """
+        scale = max(float(np.max(np.abs(self.phi))), 1e-12)
+        cap = _Q_EXP_LIMIT / scale
+        buffers = np.empty((2, self.ell.size))
+        evals = 0
+
+        def stats(q):
+            nonlocal evals
+            evals += 1
+            return self.gibbs(t, q, *buffers)
+
+        lo, hi = -cap, cap
+        unprobed = {lo, hi}
+        q = 0.0
+        for _ in range(max_iter):
+            gibbs = stats(q)
+            residual = gibbs.e_phi - target
+            if abs(residual) <= tol:
+                return q, gibbs, evals
+            if residual > 0:
+                hi = q
+            else:
+                lo = q
+            variance = gibbs.variance
+            step = q - residual / variance if variance > 1e-300 else None
+            if step is None or not lo < step < hi:
+                end = lo if residual > 0 else hi
+                if end in unprobed:
+                    unprobed.discard(end)
+                    gibbs = stats(end)
+                    if (target <= gibbs.e_phi if residual > 0
+                            else target >= gibbs.e_phi):
+                        _debug("multiplier clamped at q=%.17g: target %.17g "
+                               "lies beyond the Gibbs mean %.17g there "
+                               "(t=%.17g)", end, target, gibbs.e_phi, t)
+                        return end, gibbs, evals
+                step = 0.5 * (lo + hi)
+            q = step
+        gibbs = stats(q)
+        return q, gibbs, evals
+
+    def moran_root(self, tol: float) -> tuple[float, int]:
+        """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took.
+
+        f(s) = log Z(s, 0) is convex and decreasing with f'(s) = -E_s[ell];
+        its root lies in [log C / max ell, log C / min ell] for the total
+        count C >= 1 (a single cylinder, or cylinders of one width, close the
+        bracket).  Newton starts at the left end, where f >= 0, and climbs
+        onto the root; every evaluation narrows the bracket, and a step
+        longer than ``tol`` that leaves it is replaced by bisection.  The
+        iteration stops once a step is at most ``tol``, or no double lies
+        strictly inside the bracket, and returns the point that step reaches:
+        after a bisection step that short the root is within ``tol``, after a
+        Newton step within about its square.
+        """
+        ell = self.ell
+        if ell.size == 0:
+            raise NoCylindersError("no cylinders to cover with")
+        ell_min = float(np.min(ell))
+        if ell_min <= 0.0:
+            raise NotContractingError(
+                "some cylinder diameter is >= 1; increase the depth n")
+        log_c = math.log(float(self.count.sum()))
+        lo = s = log_c / float(np.max(ell))
+        hi = log_c / ell_min
+        w = np.empty_like(ell)
+        evals = 0
+        while lo < hi:
+            evals += 1
+            shift, z = self.log_z(s, 0.0, w)
+            f = shift + math.log(z)
+            if f > 0.0:
+                lo = s
+            elif f < 0.0:
+                hi = s
+            else:
+                break
+            step = s + f * z / float(w @ ell)
+            # a short step is taken even where rounding puts it on a bracket end
+            if abs(step - s) > tol and not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            done = abs(step - s) <= tol or not lo < step < hi
+            s = step
+            if done:
+                break
+        _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
+               evals)
+        return s, evals
 
 
 def moran_dimension(system: IfsSystem, n: int,
@@ -240,7 +336,7 @@ def moran_dimension(system: IfsSystem, n: int,
         keep = np.fromiter((bool(word_filter(w)) for w in table.words()),
                            dtype=bool, count=d.size)
         d = d[keep]
-    return _moran_root(-np.log(d), np.ones(d.size), tol)[0]
+    return Rows(-np.log(d), None, np.ones(d.size)).moran_root(tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +347,15 @@ class DepthContext:
     """Depth-n data shared by both estimator routes.
 
     ``phi`` (Birkhoff sums), ``ell`` (minus log-diameters) and ``lam``
-    (lambda_n) are per word, in slot order.  Both routes run over rows
+    (lambda_n) are per word, in slot order.  Both routes run over ``rows``
     instead: words whose cylinder width and Birkhoff sum are bit-equal share
-    one row of ``row_ell``, ``row_phi`` and the integer-valued multiplicity
-    ``row_count``.  Everything the routes compute (Gibbs statistics, the
-    cover window, the Lyapunov floor, Moran sums) depends on a word only
-    through that pair, so the grouping is exact.  It pays for linear systems
-    with word-local potentials (linear [1/2, 1/2] at n=18: 2^18 words, 19
-    rows); on Manneville-Pomeau no two words merge and it costs one sort.
-    Only the block measure ``lower_bound`` returns is built per word.
+    one row, and everything the routes compute (the partition sum
+    ``Rows.log_z`` behind the Gibbs and Moran solvers, the cover window, the
+    Lyapunov ``floor``) depends on a word only through that pair, so the
+    grouping is exact.  It pays for linear systems with word-local
+    potentials (linear [1/2, 1/2] at n=18: 2^18 words, 19 rows); on
+    Manneville-Pomeau no two words merge and it costs one sort.  Only the
+    block measure ``lower_bound`` returns is built per word.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -282,25 +378,28 @@ class DepthContext:
         new[1:] |= phi[1:] != phi[:-1]
         starts = np.flatnonzero(new)
         del new
-        self.row_phi = phi[starts]
-        del phi
-        self.row_ell = width[starts]
-        np.log(self.row_ell, out=self.row_ell)
-        np.negative(self.row_ell, out=self.row_ell)
-        self.row_count = np.empty(starts.size)
-        np.subtract(starts[1:], starts[:-1], out=self.row_count[:-1])
-        self.row_count[-1] = width.size - starts[-1]
+        phi = phi[starts]
+        ell = width[starts]
+        np.log(ell, out=ell)
+        np.negative(ell, out=ell)
+        count = np.empty(starts.size)
+        np.subtract(starts[1:], starts[:-1], out=count[:-1])
+        count[-1] = width.size - starts[-1]
+        self.rows = Rows(ell, phi, count)
         _debug("depth %d: %d words in %d (width, phi) rows", self.n,
                width.size, starts.size)
 
-    def row_mask(self, delta: float) -> np.ndarray | None:
-        """Rows with lambda_n >= delta, None if no floor.
-
-        ``row_ell / n`` is bit-equal to ``lam`` on the row's words.
-        """
-        if delta <= 0.0:
+    def floor(self, delta: float | None) -> np.ndarray | None:
+        """Rows with lambda_n >= delta (``rows.ell / n`` is bit-equal to
+        ``lam`` on the row's words); None if no floor, ``NoCylindersError``
+        if it keeps no row."""
+        if not delta:
             return None
-        return self.row_ell / self.n >= delta
+        mask = self.rows.ell / self.n >= delta
+        if not mask.any():
+            raise NoCylindersError(
+                f"Lyapunov floor {delta:g} excludes every word")
+        return mask
 
     @cached_property
     def ell(self) -> np.ndarray:
@@ -317,7 +416,7 @@ class DepthContext:
     @cached_property
     def attractor_root(self) -> tuple[float, int]:
         """Moran root of every row and the partition sums it took."""
-        return _moran_root(self.row_ell, self.row_count, self.opts.moran_tol)
+        return self.rows.moran_root(self.opts.moran_tol)
 
     @property
     def attractor_dimension(self) -> float:
@@ -381,7 +480,7 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     finite-depth window actually certifies about means over the covered
     cylinders, and is reported back.  A positive Lyapunov floor additionally
     drops words with lambda_n below it; ``DepthContext.cover_delta`` says
-    which floor applies.  The exponent is ``_moran_root`` over the kept
+    which floor applies.  The exponent is ``Rows.moran_root`` over the kept
     rows, and ``moran_evals`` counts its partition sums.  An empty window
     raises ``AlphaUnreachableError`` with the nearest word average and the
     range of averages among the words the floor keeps (``NoCylindersError``
@@ -392,23 +491,22 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     rho = ctx.rho
     half = 2.0 * rho + ctx.slack
     delta = ctx.cover_delta
-    dev = ctx.row_phi / ctx.n
+    mask = ctx.floor(delta)
+    rows = ctx.rows
+    dev = rows.phi / ctx.n
     dev -= alpha
     np.abs(dev, out=dev)
     keep = dev < half
-    if (mask := ctx.row_mask(delta)) is not None:
+    if mask is not None:
         keep &= mask
     if not keep.any():
-        avg = ctx.row_phi if mask is None else ctx.row_phi[mask]
-        if avg.size == 0:
-            raise NoCylindersError(
-                f"Lyapunov floor {delta:g} excludes every word")
-        avg = avg / ctx.n
+        avg = (rows.phi if mask is None else rows.phi[mask]) / ctx.n
         nearest = float(avg[np.argmin(np.abs(avg - alpha))])
         raise AlphaUnreachableError(
             alpha, half, nearest, (float(np.min(avg)), float(np.max(avg))))
-    count = ctx.row_count[keep]
-    s, evals = _moran_root(ctx.row_ell[keep], count, opts.moran_tol)
+    # copy once, through window and floor together, only what Moran sums read
+    count = rows.count[keep]
+    s, evals = Rows(rows.ell[keep], None, count).moran_root(opts.moran_tol)
     return UpperBoundResult(s_n=s, cover_size=int(count.sum()),
                             moran_evals=evals, half_width=half, rho=rho,
                             delta=delta, n=ctx.n)
@@ -417,93 +515,6 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
 # ---------------------------------------------------------------------------
 # variational lower route
 # ---------------------------------------------------------------------------
-
-class _Gibbs(NamedTuple):
-    """Stats of the word weights exp(-t*ell + q*phi - shift) / z."""
-
-    shift: float
-    z: float
-    entropy: float
-    e_ell: float
-    e_phi: float
-    variance: float
-
-
-def _gibbs_stats(ell, phi, count, t, q, w, tmp) -> _Gibbs:
-    """Gibbs stats over rows of ``count`` words each, in two reused buffers.
-
-    ``w`` ends up holding the row weights count * exp(-t*ell + q*phi - shift)
-    and ``tmp`` is scratch; both have the length of the rows.
-    """
-    np.multiply(ell, -t, out=w)
-    np.multiply(phi, q, out=tmp)
-    w += tmp
-    shift = float(w.max())
-    w -= shift
-    np.exp(w, out=w)
-    w *= count
-    z = float(w.sum())
-    e_phi = float(w @ phi) / z
-    e_ell = float(w @ ell) / z
-    entropy = shift + math.log(z) + t * e_ell - q * e_phi
-    np.subtract(phi, e_phi, out=tmp)
-    np.square(tmp, out=tmp)
-    variance = float(w @ tmp) / z
-    return _Gibbs(shift, z, entropy, e_ell, e_phi, variance)
-
-
-def _solve_q(ell, phi, count, t, target, tol, max_iter=80):
-    """Find q with the Gibbs mean of phi equal to target (monotone in q).
-
-    Newton steps from q = 0 with bisection fallback inside the bracket
-    [-cap, cap]; |q| is capped so the exponent stays within floating range.
-    A cap end is evaluated only when a step, or the bisection fallback,
-    heads for that end while it still bounds the bracket: if the target lies
-    beyond the Gibbs mean there, the multiplier clamps at the cap (logged;
-    the caller checks the residual), otherwise the fallback bisects.  The
-    midpoint uses only the bracket's value, so a probe never moves an
-    iterate.  Returns q, its stats and the number of Gibbs evaluations.
-    """
-    scale = max(float(np.max(np.abs(phi))), 1e-12)
-    cap = _Q_EXP_LIMIT / scale
-    buffers = np.empty((2, ell.size))
-    evals = 0
-
-    def stats(q):
-        nonlocal evals
-        evals += 1
-        return _gibbs_stats(ell, phi, count, t, q, *buffers)
-
-    lo, hi = -cap, cap
-    unprobed = {lo, hi}
-    q = 0.0
-    for _ in range(max_iter):
-        gibbs = stats(q)
-        residual = gibbs.e_phi - target
-        if abs(residual) <= tol:
-            return q, gibbs, evals
-        if residual > 0:
-            hi = q
-        else:
-            lo = q
-        variance = gibbs.variance
-        step = q - residual / variance if variance > 1e-300 else None
-        if step is None or not lo < step < hi:
-            end = lo if residual > 0 else hi
-            if end in unprobed:
-                unprobed.discard(end)
-                gibbs = stats(end)
-                if (target <= gibbs.e_phi if residual > 0
-                        else target >= gibbs.e_phi):
-                    _debug("multiplier clamped at q=%.17g: target %.17g lies "
-                           "beyond the Gibbs mean %.17g there (t=%.17g)",
-                           end, target, gibbs.e_phi, t)
-                    return end, gibbs, evals
-            step = 0.5 * (lo + hi)
-        q = step
-    gibbs = stats(q)
-    return q, gibbs, evals
-
 
 def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
                 opts: SolverOptions | None = None,
@@ -525,16 +536,9 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     opts = ctx.opts
     n = ctx.n
     logd = ctx.table.log_diameters  # DegenerateCylinderError on a zero width
-    ell, phi, count = ctx.row_ell, ctx.row_phi, ctx.row_count
-    if float(np.min(ell)) <= 0.0:
-        raise NotContractingError(
-            "some cylinder diameter is >= 1; increase the depth n")
-    delta = opts.delta if opts.delta is not None else 0.0
-    if (mask := ctx.row_mask(delta)) is not None:
-        if not mask.any():
-            raise NoCylindersError(
-                f"Lyapunov floor {delta:g} excludes every word")
-        ell, phi, count = ell[mask], phi[mask], count[mask]
+    mask = ctx.floor(opts.delta)
+    rows = ctx.rows if mask is None else ctx.rows.where(mask)
+    phi = rows.phi
     target = n * alpha
     lo_avg = float(np.min(phi)) / n
     hi_avg = float(np.max(phi)) / n
@@ -545,24 +549,22 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     boundary = at_hi or alpha <= lo_avg + opts.boundary_tol
     if boundary:
         e_phi = float(np.max(phi) if at_hi else np.min(phi))
-        sel = np.abs(phi - e_phi) <= _TIE_TOL
-        words = float(count[sel].sum())
-        entropy = math.log(words)
-        e_ell = float(count[sel] @ ell[sel]) / words
-        t, q, iterations, gibbs_evals = entropy / e_ell, None, 0, 0
+        # the uniform measure on the extreme words is the Gibbs measure of
+        # their rows at t = q = 0
+        ties = rows.where(np.abs(phi - e_phi) <= _TIE_TOL)
+        gibbs = ties.gibbs(0.0, 0.0, *np.empty((2, ties.ell.size)))
+        t, q, iterations, gibbs_evals = gibbs.entropy / gibbs.e_ell, None, 0, 0
         logw = np.where(np.abs(ctx.phi - e_phi) <= _TIE_TOL, 0.0, -np.inf)
-        z = words
     else:
         q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
         t = 0.0
         gibbs_evals = 0
         for iterations in range(1, opts.max_iter + 1):
-            q, gibbs, evals = _solve_q(ell, phi, count, t, target, q_tol)
+            q, gibbs, evals = rows.solve_q(t, target, q_tol)
             gibbs_evals += evals
             _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
                    iterations, t, q, evals)
-            entropy, e_ell, e_phi = gibbs.entropy, gibbs.e_ell, gibbs.e_phi
-            ratio = entropy / e_ell
+            ratio = gibbs.entropy / gibbs.e_ell
             if ratio - t <= opts.t_tol:
                 break
             t = ratio
@@ -570,6 +572,7 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
             raise SolverError(
                 f"Dinkelbach iteration did not settle to {opts.t_tol:g} "
                 f"within {opts.max_iter} steps")
+        e_phi = gibbs.e_phi
         if abs(e_phi - target) > 10.0 * q_tol:
             raise SolverError(
                 f"constraint residual {abs(e_phi - target):g} after "
@@ -578,12 +581,12 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
         logw = q * ctx.phi
         logw += t * logd  # -t * ell, bit for bit
         logw -= gibbs.shift
-        z = gibbs.z
+    entropy, e_ell = gibbs.entropy, gibbs.e_ell
     # the per-word measure: the rows' weights, spread back over their words
     if mask is not None:
-        logw[ctx.lam < delta] = -np.inf
+        logw[ctx.lam < opts.delta] = -np.inf
     p = np.exp(logw, out=logw)
-    p /= z
+    p /= gibbs.z
     return LowerBoundResult(
         dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
         lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,

@@ -213,6 +213,20 @@ def test_main_validate_to_file(tmp_path):
     assert out.read_text().startswith("n,s_n,reference,abs_error")
 
 
+def test_validate_without_rows_fails(capsys):
+    # a table with only a header is an error, not a result
+    for argv in (["markov", "--n", "0"], ["moran", "--n", "1"],
+                 ["moran", "--n", "-3"], ["besicovitch", "--n", "1"]):
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == ""
+    with pytest.raises(ConfigError):
+        run_suite("moran", 1)
+    assert main(["validate", "markov", "--n", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,enumerated_rate,exact_rate,abs_error"
+    assert len(lines) == 2 and lines[1].startswith("1,")
+
+
 def test_main_run_and_dim(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(make_config(tmp_path)))

@@ -16,8 +16,8 @@ from mfspec.geometry import (CylinderTable, example2_system, fold,
                              linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import coordinate, first_symbol, indicator_branch
-from mfspec.spectrum import (DepthContext, SolverOptions, _gibbs_stats,
-                             _moran_root, _solve_q, _window_midpoints,
+from mfspec.spectrum import (DepthContext, Rows, SolverOptions,
+                             _window_midpoints,
                              alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
                              parabolic_interval, upper_bound)
@@ -75,7 +75,7 @@ def test_moran_empty_filter():
 
 def test_moran_root_rejects_uncontracted():
     with pytest.raises(NotContractingError):
-        _moran_root(-np.log([0.5, 1.0]), np.ones(2), 1e-10)
+        Rows(-np.log([0.5, 1.0]), None, np.ones(2)).moran_root(1e-10)
 
 
 def _mp_moran_root(ell, count):
@@ -107,7 +107,7 @@ _MORAN_ROWS = st.integers(1, 50).flatmap(lambda k: st.tuples(
 @given(_MORAN_ROWS)
 def test_moran_root_matches_mpmath(rows):
     ell, count = (np.array(v, dtype=float) for v in rows)
-    s, evals = _moran_root(ell, count, 1e-10)
+    s, evals = Rows(ell, None, count).moran_root(1e-10)
     ref = _mp_moran_root(ell, count)
     assert abs(s - ref) <= 1e-14 * ref
     assert evals <= 10
@@ -139,12 +139,12 @@ def test_upper_single_row_cover_counts_its_words():
     n = 8
     ctx = DepthContext(HALVES, COIN, SolverOptions(n=n, rho=1.0 / (4 * n)))
     res = upper_bound(HALVES, COIN, 0.5, context=ctx)
-    kept = np.abs(ctx.row_phi / n - 0.5) < res.half_width
+    kept = np.abs(ctx.rows.phi / n - 0.5) < res.half_width
     assert kept.sum() == 1
-    assert res.cover_size == ctx.row_count[kept][0] == 70
+    assert res.cover_size == ctx.rows.count[kept][0] == 70
     expected = math.log(70) / (n * math.log(2))
     assert res.s_n == pytest.approx(expected, abs=1e-13)
-    assert _moran_root(ctx.row_ell[kept], ctx.row_count[kept], 1e-10)[0] \
+    assert ctx.rows.where(kept).moran_root(1e-10)[0] \
         == pytest.approx(expected, abs=1e-13)
 
 
@@ -293,7 +293,7 @@ def _eager_solve_q(ell, phi, count, t, target, tol, max_iter=80):
     def stats(q):
         nonlocal evals
         evals += 1
-        return _gibbs_stats(ell, phi, count, t, q, *buffers)
+        return Rows(ell, phi, count).gibbs(t, q, *buffers)
 
     lo, hi = -cap, cap
     gibbs = stats(lo)
@@ -349,8 +349,8 @@ def test_lazy_cap_probes_match_eager_probes(rows, clamp, u):
     tol = 1e-9 * float(np.max(np.abs(phi)))
     cap = 700.0 / float(np.max(np.abs(phi)))
     buffers = np.empty((2, ell.size))
-    low = _gibbs_stats(ell, phi, count, t, -cap, *buffers).e_phi
-    high = _gibbs_stats(ell, phi, count, t, cap, *buffers).e_phi
+    low = Rows(ell, phi, count).gibbs(t, -cap, *buffers).e_phi
+    high = Rows(ell, phi, count).gibbs(t, cap, *buffers).e_phi
     if clamp:
         # the cap 700 / max|phi| leaves room beyond its Gibbs mean only for
         # large |phi|; elsewhere the gap is below 10 tol and assume() drops it
@@ -362,7 +362,8 @@ def test_lazy_cap_probes_match_eager_probes(rows, clamp, u):
         target = low + (0.01 + 0.98 * u) * (high - low)
         assume(min(target - low, high - target) > 10 * tol)
     q, gibbs, evals, ends = _eager_solve_q(ell, phi, count, t, target, tol)
-    got_q, got_gibbs, got_evals = _solve_q(ell, phi, count, t, target, tol)
+    got_q, got_gibbs, got_evals = Rows(ell, phi, count).solve_q(
+        t, target, tol)
     assert got_q == q and got_gibbs == gibbs
     if clamp:
         assert q == (-cap if side else cap)
@@ -577,9 +578,9 @@ def test_rows_match_per_word_reference(case, data):
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     opts = SolverOptions(n=n, delta=delta, moran_tol=1e-13)
     ctx = DepthContext(system, potential, opts)
-    assert np.array_equal(np.unique(ctx.row_ell / n), np.unique(ctx.lam))
+    assert np.array_equal(np.unique(ctx.rows.ell / n), np.unique(ctx.lam))
     if delta is not None:
-        assert ctx.row_count[ctx.row_mask(delta)].sum() == \
+        assert ctx.rows.count[ctx.floor(delta)].sum() == \
             (ctx.lam >= delta).sum()
     kept = ctx.phi if delta is None else ctx.phi[ctx.lam >= delta]
     lo, hi = float(np.min(kept)) / n, float(np.max(kept)) / n
