@@ -335,7 +335,7 @@ class CylinderTable:
         v = np.asarray(values, dtype=float)
         return [np.repeat(v, self.m ** (k - 1)) for k in range(1, self.depth + 1)]
 
-    @cached_property
+    @property
     def g_arrays(self) -> list[np.ndarray]:
         """Geometric-potential values per depth.
 
@@ -383,11 +383,7 @@ class CylinderTable:
             s = values[k - 1] + np.tile(s, self.m)
         return s
 
-    @cached_property
-    def birkhoff_g(self) -> np.ndarray:
-        return self.birkhoff(self.g_arrays)
-
-    @cached_property
+    @property
     def log_diameters(self) -> np.ndarray:
         d = self.diameters()
         if np.any(d <= 0.0):
@@ -395,16 +391,17 @@ class CylinderTable:
             raise DegenerateCylinderError(word_label(self.word(idx)))
         return np.log(d)
 
-    @cached_property
+    @property
     def lambda_array(self) -> np.ndarray:
         """lambda_n over all depth-n words."""
         return -self.log_diameters / self.depth
 
     @cached_property
     def lemma1_gap_value(self) -> float:
-        """Exhaustive sup over depth-n words of |lambda_n - A_n g|."""
+        """Exhaustive sup over depth-n words of |lambda_n - A_n g|; the
+        per-word arrays it reads are formed for this call and not kept."""
         return float(np.max(np.abs(self.lambda_array -
-                                   self.birkhoff_g / self.depth)))
+                                   self.birkhoff(self.g_arrays) / self.depth)))
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,

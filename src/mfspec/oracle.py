@@ -1,10 +1,9 @@
 """Independent closed-form and brute-force references for the estimators.
 
 Everything here is deliberately small and self-contained: closed formulas,
-scalar root finding and simplex grid search only.  This module must never
-import the spectrum estimators, so acceptance tests always compare two
-independent code paths.  It is the only module that uses scipy, which it
-imports inside the functions that need it.
+scalar root finding by plain bisection (``_bisect``) and simplex grid search
+only.  This module must never import the spectrum estimators, so acceptance
+tests always compare two independent code paths; it needs numpy alone.
 """
 
 from __future__ import annotations
@@ -21,6 +20,21 @@ from .potentials import PotentialSpec, induced_word_function
 from .symbolic import MarkovChainSpec, birkhoff_sum
 
 _MAX_GRID_POINTS = 5_000_000
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in [lo, hi], where f(lo) and f(hi) differ in sign: the
+    bracket is halved until f vanishes at its midpoint or no double lies
+    strictly inside it."""
+    lo_positive = f(lo) > 0.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi and (value := f(mid)) != 0.0:
+        if (value > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass(frozen=True)
@@ -47,9 +61,8 @@ def besicovitch_spectrum(spec: BesicovitchSpec, alpha: float) -> float:
 
     The maximizer is the exponential family p_i(q) proportional to
     exp(q c_i); q is located by bracketed root finding on the strictly
-    increasing mean map, to 1e-12.
+    increasing mean map (``_bisect``).
     """
-    from scipy.optimize import brentq
     c = np.asarray(spec.values, dtype=float)
     lo, hi = float(np.min(c)), float(np.max(c))
     if not lo - 1e-12 <= alpha <= hi + 1e-12:
@@ -81,7 +94,7 @@ def besicovitch_spectrum(spec: BesicovitchSpec, alpha: float) -> float:
         span *= 2.0
         if span > 1e9:
             raise InfeasibleAlphaError(alpha, (lo, hi))
-    q = brentq(mean_gap, -span, span, xtol=1e-12, rtol=8.9e-16)
+    q = _bisect(mean_gap, -span, span)
     h, _ = entropy_at(q)
     return h / log_contraction
 
@@ -89,9 +102,7 @@ def besicovitch_spectrum(spec: BesicovitchSpec, alpha: float) -> float:
 def similarity_dimension(expansions) -> float:
     """Root s in [0, 2] of Moran's equation sum_i b_i^-s = 1: the dimension
     of the self-similar set with contraction ratios 1/b_i."""
-    from scipy.optimize import brentq
-    return brentq(lambda s: sum(b**-s for b in expansions) - 1.0, 0.0, 2.0,
-                  xtol=1e-14, rtol=8.9e-16)
+    return _bisect(lambda s: sum(b**-s for b in expansions) - 1.0, 0.0, 2.0)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
-                     InvalidScheduleError, MfspecError, NoCylindersError,
-                     NotContractingError, SolverError)
+from .errors import (AlphaUnreachableError, DegenerateCylinderError,
+                     InfeasibleAlphaError, InvalidScheduleError, MfspecError,
+                     NoCylindersError, NotContractingError, SolverError)
 from .geometry import (CylinderTable, IfsSystem, Interval, fold,
                        neg_log_derivative)
 from .potentials import PotentialSpec, potential_arrays, variation_slack
-from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word
+from .symbolic import (DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word,
+                       word_label)
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -183,12 +184,13 @@ class Rows(NamedTuple):
     Row i stands for ``count[i]`` cylinders of minus log-diameter ``ell[i]``
     and Birkhoff sum ``phi[i]``.  ``log_z`` alone forms the weights of
     Z(t, q) = sum count * exp(-t*ell + q*phi): the Gibbs statistics are its
-    derivatives, and a Moran root solves Z(s, 0) = 1 without ``phi``.
+    derivatives, and a Moran root solves Z(s, 0) = 1 without ``phi``.  A
+    scalar count of 1 makes the weights those of one word per row.
     """
 
     ell: np.ndarray
     phi: np.ndarray | None
-    count: np.ndarray
+    count: np.ndarray | float
 
     def where(self, mask: np.ndarray) -> Rows:
         return Rows(self.ell[mask], self.phi[mask], self.count[mask])
@@ -346,16 +348,16 @@ def moran_dimension(system: IfsSystem, n: int,
 class DepthContext:
     """Depth-n data shared by both estimator routes.
 
-    ``phi`` (Birkhoff sums), ``ell`` (minus log-diameters) and ``lam``
-    (lambda_n) are per word, in slot order.  Both routes run over ``rows``
-    instead: words whose cylinder width and Birkhoff sum are bit-equal share
-    one row, and everything the routes compute (the partition sum
-    ``Rows.log_z`` behind the Gibbs and Moran solvers, the cover window, the
-    Lyapunov ``floor``) depends on a word only through that pair, so the
-    grouping is exact.  It pays for linear systems with word-local
-    potentials (linear [1/2, 1/2] at n=18: 2^18 words, 19 rows); on
-    Manneville-Pomeau no two words merge and it costs one sort.  Only the
-    block measure ``lower_bound`` returns is built per word.
+    ``rows`` is the only depth-n state: words whose cylinder width and
+    Birkhoff sum are bit-equal share one row, and everything the routes
+    compute (the partition sum ``Rows.log_z`` behind the Gibbs and Moran
+    solvers, the cover window, the Lyapunov ``floor``, the block measure's
+    weights) depends on a word only through that pair, so the grouping is
+    exact.  ``word_row`` maps each word, in slot order, to its row; it is
+    the one way back from rows to words, and ``rows.count`` is its bincount.
+    Grouping pays for linear systems with word-local potentials (linear
+    [1/2, 1/2] at n=18: 2^18 words, 19 rows); on Manneville-Pomeau no two
+    words merge and it costs one sort.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -365,34 +367,29 @@ class DepthContext:
         self.potential = potential
         self.n = self.opts.n
         self.table = CylinderTable(system, self.n, self.opts.word_cap)
-        self.phi = self.table.birkhoff(potential_arrays(self.table, potential))
+        phi = self.table.birkhoff(potential_arrays(self.table, potential))
         self.slack = variation_slack(self.table, potential)
         width = self.table.diameters()
-        order = np.lexsort((self.phi, width))
+        order = np.lexsort((phi, width))
         width = width[order]
-        phi = self.phi[order]
-        del order
+        phi = phi[order]
         new = np.empty(width.size, dtype=bool)
         new[0] = True
         np.not_equal(width[1:], width[:-1], out=new[1:])
         new[1:] |= phi[1:] != phi[:-1]
-        starts = np.flatnonzero(new)
-        del new
-        phi = phi[starts]
-        ell = width[starts]
-        np.log(ell, out=ell)
-        np.negative(ell, out=ell)
-        count = np.empty(starts.size)
-        np.subtract(starts[1:], starts[:-1], out=count[:-1])
-        count[-1] = width.size - starts[-1]
-        self.rows = Rows(ell, phi, count)
+        ell, phi = -np.log(width[new]), phi[new]
+        del width
+        row = np.cumsum(new, dtype=np.int32)
+        row -= 1
+        self.word_row = np.empty_like(row)
+        self.word_row[order] = row
+        self.rows = Rows(ell, phi, np.bincount(row).astype(float))
         _debug("depth %d: %d words in %d (width, phi) rows", self.n,
-               width.size, starts.size)
+               row.size, ell.size)
 
     def floor(self, delta: float | None) -> np.ndarray | None:
-        """Rows with lambda_n >= delta (``rows.ell / n`` is bit-equal to
-        ``lam`` on the row's words); None if no floor, ``NoCylindersError``
-        if it keeps no row."""
+        """Rows with lambda_n = ell / n >= delta; None if no floor,
+        ``NoCylindersError`` if it keeps no row."""
         if not delta:
             return None
         mask = self.rows.ell / self.n >= delta
@@ -400,14 +397,6 @@ class DepthContext:
             raise NoCylindersError(
                 f"Lyapunov floor {delta:g} excludes every word")
         return mask
-
-    @cached_property
-    def ell(self) -> np.ndarray:
-        return -self.table.log_diameters
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        return self.table.lambda_array
 
     @cached_property
     def lemma1_gap(self) -> float:
@@ -493,10 +482,7 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     delta = ctx.cover_delta
     mask = ctx.floor(delta)
     rows = ctx.rows
-    dev = rows.phi / ctx.n
-    dev -= alpha
-    np.abs(dev, out=dev)
-    keep = dev < half
+    keep = np.abs(rows.phi / ctx.n - alpha) < half
     if mask is not None:
         keep &= mask
     if not keep.any():
@@ -527,15 +513,18 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     potential sum hits n * alpha, and t moves to that measure's ratio H/L.
     The ratios increase, and every iterate is a feasible measure.  At a
     boundary alpha the constraint forces support on the extreme words and the
-    uniform measure over them is returned.  The iteration runs over the
-    context's (width, phi) rows; the returned per-word measure is built once
-    from the final t, q and normaliser, so feasibility and the Gibbs form can
-    be re-verified independently.
+    uniform measure over them is returned.  Everything runs over the
+    context's (width, phi) rows: the floor, the tie set and the final word
+    weight exp(q*phi - t*ell - shift) / z are formed once per row, and the
+    returned per-word measure gathers them through ``ctx.word_row``, so
+    feasibility and the Gibbs form can be re-verified independently.
     """
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
     n = ctx.n
-    logd = ctx.table.log_diameters  # DegenerateCylinderError on a zero width
+    if not ctx.rows.ell[0] < math.inf:  # a zero width sorts into row 0
+        slot = int(np.argmin(ctx.rows.ell[ctx.word_row] < math.inf))
+        raise DegenerateCylinderError(word_label(ctx.table.word(slot)))
     mask = ctx.floor(opts.delta)
     rows = ctx.rows if mask is None else ctx.rows.where(mask)
     phi = rows.phi
@@ -551,10 +540,11 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
         e_phi = float(np.max(phi) if at_hi else np.min(phi))
         # the uniform measure on the extreme words is the Gibbs measure of
         # their rows at t = q = 0
-        ties = rows.where(np.abs(phi - e_phi) <= _TIE_TOL)
+        tie = np.abs(phi - e_phi) <= _TIE_TOL
+        ties = rows.where(tie)
         gibbs = ties.gibbs(0.0, 0.0, *np.empty((2, ties.ell.size)))
         t, q, iterations, gibbs_evals = gibbs.entropy / gibbs.e_ell, None, 0, 0
-        logw = np.where(np.abs(ctx.phi - e_phi) <= _TIE_TOL, 0.0, -np.inf)
+        row_p = np.where(tie, 1.0 / gibbs.z, 0.0)
     else:
         q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
         t = 0.0
@@ -578,21 +568,20 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
                 f"constraint residual {abs(e_phi - target):g} after "
                 f"multiplier capping; alpha={alpha:g} is too close to the "
                 f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
-        logw = q * ctx.phi
-        logw += t * logd  # -t * ell, bit for bit
-        logw -= gibbs.shift
+        # one word's weight per row: log_z with unit counts, same shift
+        row_p, tmp = np.empty((2, phi.size))
+        Rows(rows.ell, phi, 1.0).log_z(t, q, row_p, tmp)
+        row_p /= gibbs.z
+    if mask is not None:  # the floored rows weigh nothing
+        kept, row_p = row_p, np.zeros(mask.size)
+        row_p[mask] = kept
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
-    # the per-word measure: the rows' weights, spread back over their words
-    if mask is not None:
-        logw[ctx.lam < opts.delta] = -np.inf
-    p = np.exp(logw, out=logw)
-    p /= gibbs.z
     return LowerBoundResult(
         dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
         lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,
         gibbs_evals=gibbs_evals, n=n, boundary=boundary,
         lemma1_gap=ctx.lemma1_gap,
-        measure=BlockMeasure(m=system.m, n=n, p=p))
+        measure=BlockMeasure(m=system.m, n=n, p=row_p.take(ctx.word_row)))
 
 
 # ---------------------------------------------------------------------------

@@ -246,16 +246,19 @@ def test_main_reports_fatal_errors(tmp_path):
 
 
 def test_cli_and_shipped_systems_load_without_scipy():
-    # scipy serves only the oracles: importing the CLI and building every
-    # shipped system must not pull in scipy.optimize
+    # scipy serves only the tests: importing the CLI, building every shipped
+    # system and running every validation suite must not load any of it
     code = (
         "import sys\n"
-        "from mfspec.cli import SystemConfig, build_system\n"
+        "from mfspec.cli import SystemConfig, build_system, run_suite\n"
         "for cfg in (SystemConfig('linear', ratios=(0.5, 0.5)),\n"
         "            SystemConfig('example2'),\n"
         "            SystemConfig('manneville_pomeau', beta=0.5)):\n"
         "    build_system(cfg)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n")
+        "for suite in ('besicovitch', 'markov', 'moran'):\n"
+        "    run_suite(suite, 10)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, f'scipy loaded: {loaded}'\n")
     src = str(Path(mfspec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

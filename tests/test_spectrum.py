@@ -15,7 +15,8 @@ from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
 from mfspec.geometry import (CylinderTable, example2_system, fold,
                              linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
-from mfspec.potentials import coordinate, first_symbol, indicator_branch
+from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
+                               potential_arrays)
 from mfspec.spectrum import (DepthContext, Rows, SolverOptions,
                              _window_midpoints,
                              alternating_sampler,
@@ -32,6 +33,11 @@ COIN_SPEC = BesicovitchSpec(m=2, ratio=0.5, values=(1.0, 0.0))
 
 MIXED_ROOT = brentq(lambda s: 2.0**-s + 3.0**-s - 1.0, 0.0, 2.0,
                     xtol=1e-14, rtol=8.9e-16)
+
+
+def _word_phi(ctx):
+    """Birkhoff sums of every depth-n word, in slot order."""
+    return ctx.table.birkhoff(potential_arrays(ctx.table, ctx.potential))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +173,11 @@ def test_upper_unreachable_alpha():
     # under a Lyapunov floor the nearest average and the range are those of
     # the words the floor keeps: the all-0 word (lambda_8 ~ 0.35) is dropped
     ctx = DepthContext(MP, coordinate(), SolverOptions(n=8, delta=0.5))
-    avg = ctx.phi[ctx.lam >= 0.5] / 8
+    phi = _word_phi(ctx)
+    avg = phi[ctx.table.lambda_array >= 0.5] / 8
     with pytest.raises(AlphaUnreachableError) as err:
         upper_bound(MP, coordinate(), -1.0, context=ctx)
-    assert err.value.nearest == np.min(avg) > np.min(ctx.phi / 8)
+    assert err.value.nearest == np.min(avg) > np.min(phi / 8)
     assert err.value.achievable == (np.min(avg), np.max(avg))
 
 
@@ -405,13 +412,15 @@ def test_lower_delta_floor_masks_the_measure():
     opts = SolverOptions(n=8, delta=0.5)
     res = lower_bound(MP, coordinate(), 0.4, opts)
     ctx = DepthContext(MP, coordinate(), opts)
-    keep = ctx.lam >= opts.delta
+    keep = ctx.table.lambda_array >= opts.delta
     assert not keep.all()
     p = res.measure.p
     assert np.all(p[~keep] == 0.0)
-    assert p @ ctx.phi == pytest.approx(8 * res.alpha_achieved, rel=1e-12)
+    assert p @ _word_phi(ctx) == pytest.approx(8 * res.alpha_achieved,
+                                               rel=1e-12)
     entropy = -np.sum(p[keep] * np.log(p[keep]))
-    assert entropy / (p @ ctx.ell) == pytest.approx(res.dim, abs=1e-9)
+    assert entropy / (p @ -ctx.table.log_diameters) == pytest.approx(
+        res.dim, abs=1e-9)
 
 
 def test_lower_reports_contraction_gap():
@@ -474,8 +483,8 @@ def _ref_solve_q(ell, phi, t, target, tol, max_iter=80):
 def _ref_lower(ctx, alpha):
     """lower_bound over every word: (dim, iterations, boundary, p)."""
     opts, n = ctx.opts, ctx.n
-    phi, ell = ctx.phi, ctx.ell
-    mask = ctx.lam >= opts.delta if opts.delta else None
+    phi, ell = _word_phi(ctx), -ctx.table.log_diameters
+    mask = ctx.table.lambda_array >= opts.delta if opts.delta else None
     if mask is not None:
         if not mask.any():
             raise NoCylindersError("floor excludes every word")
@@ -512,9 +521,9 @@ def _ref_lower(ctx, alpha):
 def _ref_upper(ctx, alpha):
     """upper_bound over every word: (s_n, cover_size)."""
     half = 2.0 * ctx.rho + ctx.slack
-    keep = np.abs(ctx.phi / ctx.n - alpha) < half
+    keep = np.abs(_word_phi(ctx) / ctx.n - alpha) < half
     if ctx.cover_delta > 0.0:
-        keep &= ctx.lam >= ctx.cover_delta
+        keep &= ctx.table.lambda_array >= ctx.cover_delta
     if not keep.any():
         raise AlphaUnreachableError(alpha, half, 0.0, (0.0, 0.0))
     logd = np.log(ctx.table.diameters()[keep])
@@ -578,11 +587,17 @@ def test_rows_match_per_word_reference(case, data):
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     opts = SolverOptions(n=n, delta=delta, moran_tol=1e-13)
     ctx = DepthContext(system, potential, opts)
-    assert np.array_equal(np.unique(ctx.rows.ell / n), np.unique(ctx.lam))
+    phi, lam = _word_phi(ctx), ctx.table.lambda_array
+    assert np.array_equal(np.unique(ctx.rows.ell / n), np.unique(lam))
+    # every word's row carries the word's own width and sum, bit for bit
+    assert np.array_equal(ctx.rows.ell[ctx.word_row],
+                          -ctx.table.log_diameters)
+    assert np.array_equal(ctx.rows.phi[ctx.word_row], phi)
+    assert np.array_equal(np.bincount(ctx.word_row), ctx.rows.count)
     if delta is not None:
         assert ctx.rows.count[ctx.floor(delta)].sum() == \
-            (ctx.lam >= delta).sum()
-    kept = ctx.phi if delta is None else ctx.phi[ctx.lam >= delta]
+            (lam >= delta).sum()
+    kept = phi if delta is None else phi[lam >= delta]
     lo, hi = float(np.min(kept)) / n, float(np.max(kept)) / n
     u = data.draw(st.floats(0.02, 0.98)
                   | st.sampled_from([-0.05, 0.0, 1.0, 1.05]))
@@ -608,6 +623,41 @@ def test_rows_match_per_word_reference(case, data):
         assert not isinstance(got, type), got
         assert got.s_n == pytest.approx(ref[0], abs=1e-12)
         assert got.cover_size == ref[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_case(), st.data())
+def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
+    # the measure gathered through word_row equals the Gibbs weights formed
+    # word by word, exp(q*phi - t*ell - shift) / z, bit for bit
+    system, potential, n = case
+    floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
+    delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
+    ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
+    phi, logd = _word_phi(ctx), ctx.table.log_diameters
+    lam = ctx.table.lambda_array
+    keep = lam >= delta if delta else np.ones(phi.size, dtype=bool)
+    lo, hi = float(np.min(phi[keep])) / n, float(np.max(phi[keep])) / n
+    u = data.draw(st.floats(0.02, 0.98) | st.sampled_from([0.0, 1.0]))
+    alpha = lo + u * (hi - lo)
+    res = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    assume(not isinstance(res, type))
+
+    if res.boundary:
+        at_hi = alpha >= hi - ctx.opts.boundary_tol
+        e_phi = float(np.max(phi[keep]) if at_hi else np.min(phi[keep]))
+        tie = keep & (np.abs(phi - e_phi) <= 1e-9)
+        p = np.where(tie, 1.0 / float(tie.sum()), 0.0)
+    else:
+        mask = ctx.floor(delta)
+        rows = ctx.rows if mask is None else ctx.rows.where(mask)
+        shift, z = rows.log_z(res.t, res.q, *np.empty((2, rows.ell.size)))
+        logw = res.q * phi
+        logw += res.t * logd
+        logw -= shift
+        logw[~keep] = -np.inf
+        p = np.exp(logw) / z
+    assert np.array_equal(res.measure.p, p)
 
 
 # ---------------------------------------------------------------------------
