@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,33 +263,45 @@ def project(system: IfsSystem, w: Word) -> tuple[float, float]:
 # exhaustive cylinder tables
 # ---------------------------------------------------------------------------
 
+def cylinder_levels(system: IfsSystem, depth: int):
+    """Yield (lo, width) of the depth-k cylinders for k = 1..depth: slot
+    a*m^(k-1) + j is branch a's ``image_of`` slot j of depth k-1 (depth 0 is
+    [0,1]), the step ``fold`` takes.  Each level overwrites the buffers the
+    yielded views share in place, block 0 (which overlaps the last) last."""
+    m = system.m
+    lo, width = np.empty(m**depth), np.empty(m**depth)
+    lo[0], width[0] = 0.0, 1.0
+    for size in (m**k for k in range(depth)):
+        for a in reversed(range(m)):
+            block = slice(a * size, (a + 1) * size)
+            lo[block], width[block] = system.branches[a].image_of(
+                lo[:size], width[:size])
+        yield lo[:m * size], width[:m * size]
+
+
+def _add_level(sums: np.ndarray, size: int, m: int, block: Callable) -> None:
+    """Birkhoff sums one level deeper in place, S(a w) = v(a w) + S(w), from
+    S in ``sums[:size]`` and v in ``block(a)``; block 0 overlaps S: last."""
+    for a in reversed(range(m)):
+        np.add(block(a), sums[:size], out=sums[a * size:(a + 1) * size])
+
+
 class CylinderTable:
     """All cylinder intervals of a system up to a given depth.
 
-    Slot ``i`` at depth k holds the word whose base-m encoding is ``i`` with
-    the first symbol most significant, i.e. lexicographic order.  Built by
-    prepending symbols: the depth-k block for leading symbol a is branch a's
-    ``image_of`` the depth-(k-1) table (depth 0 is [0,1]), the step ``fold``
-    takes, so every slot equals the fold of its word and construction is
-    O(m^depth) vectorized branch applications.  All downstream sums over
-    these arrays use numpy's pairwise summation, so results are
-    reproducible bit-for-bit.
+    Slot ``i`` at depth k holds the word whose base-m encoding is ``i``, first
+    symbol most significant (lexicographic order).  Each level is a copy of
+    one from ``cylinder_levels``, so every slot equals the fold of its word;
+    sums over them are numpy pairwise sums, reproducible bit-for-bit.
     """
 
     def __init__(self, system: IfsSystem, depth: int,
                  cap: int = DEFAULT_WORD_CAP):
-        if depth < 1:
-            raise ValueError("table depth must be >= 1")
         system.alphabet.check_cap(depth, cap)
         self.system = system
         self.depth = depth
-        lo, width = np.zeros(1), np.ones(1)
-        self._lo, self._width = [], []
-        for _ in range(depth):
-            images = [b.image_of(lo, width) for b in system.branches]
-            lo, width = (np.concatenate(part) for part in zip(*images))
-            self._lo.append(lo)
-            self._width.append(width)
+        self._lo, self._width = zip(*[(lo.copy(), width.copy()) for lo, width
+                                      in cylinder_levels(system, depth)])
 
     @property
     def m(self) -> int:
@@ -309,9 +320,6 @@ class CylinderTable:
         k = self.depth if k is None else k
         return self._width[k - 1]
 
-    def max_diameter(self, k: int) -> float:
-        return float(np.max(self.diameters(k)))
-
     def word(self, idx: int, k: int | None = None) -> Word:
         """Decode a slot index back into its word."""
         return slot_words(self.m, self.depth if k is None else k, [idx])[0]
@@ -323,65 +331,14 @@ class CylinderTable:
         """All words at depth k in slot order."""
         return self.system.alphabet.words(self.depth if k is None else k)
 
-    # -- per-depth value arrays -------------------------------------------
-
-    def value_arrays(self, func: Callable) -> list[np.ndarray]:
-        """func applied to all cylinder midpoints, one array per depth."""
-        return [np.asarray(func(self.mid(k)), dtype=float)
-                for k in range(1, self.depth + 1)]
-
-    def first_symbol_arrays(self, values: Sequence[float]) -> list[np.ndarray]:
-        """Per-depth arrays of a function that depends on the first symbol only."""
-        v = np.asarray(values, dtype=float)
-        return [np.repeat(v, self.m ** (k - 1)) for k in range(1, self.depth + 1)]
-
-    @property
-    def g_arrays(self) -> list[np.ndarray]:
-        """Geometric-potential values per depth.
-
-        Depth-k slot a*m^(k-1)+j evaluates branch a's log-derivative at the
-        midpoint of the depth-(k-1) suffix cylinder j; at depth 1 the suffix
-        cylinder is all of [0,1] and the midpoint 0.5 is used.
-        """
-        sys_ = self.system
-        out = [np.array([-math.log(float(b.derivative(0.5)))
-                         for b in sys_.branches])]
-        for k in range(2, self.depth + 1):
-            pm = self.mid(k - 1)
-            out.append(np.concatenate(
-                [-np.log(np.asarray(b.derivative(pm), dtype=float))
-                 for b in sys_.branches]))
-        return out
-
-    def g_oscillation(self, k: int) -> float:
-        """Max oscillation of any branch log-derivative over depth-(k-1) cylinders.
-
-        Endpoint differences are exact for monotone branch derivatives (true
-        for every shipped family); this is the declared error bound of the
-        geometric potential at word length k.
-        """
-        if k == 1:
-            los = np.zeros(1)
-            his = np.ones(1)
-        else:
-            los, his = self.lo(k - 1), self.hi(k - 1)
-        worst = 0.0
-        for b in self.system.branches:
-            dlo = np.log(np.asarray(b.derivative(los), dtype=float))
-            dhi = np.log(np.asarray(b.derivative(his), dtype=float))
-            worst = max(worst, float(np.max(np.abs(dhi - dlo))))
-        return worst
-
     def birkhoff(self, values: list[np.ndarray]) -> np.ndarray:
-        """Birkhoff sums over all depth-n words from per-depth value arrays.
-
-        S_k(w) = v_k(w) + S_{k-1}(suffix of w); with the lexicographic slot
-        encoding the suffix array is just the depth-(k-1) array tiled m times.
-        """
-        s = values[0]
-        for k in range(2, self.depth + 1):
-            s = values[k - 1] + np.tile(s, self.m)
-        return s
+        """Birkhoff sums over all depth-n words from per-depth value arrays."""
+        sums = np.empty(self.m**self.depth)
+        sums[:self.m] = values[0]
+        for v in values[1:]:
+            v = v.reshape(self.m, -1)
+            _add_level(sums, v.shape[1], self.m, v.__getitem__)
+        return sums
 
     @property
     def log_diameters(self) -> np.ndarray:
@@ -396,25 +353,65 @@ class CylinderTable:
         """lambda_n over all depth-n words."""
         return -self.log_diameters / self.depth
 
-    @cached_property
-    def lemma1_gap_value(self) -> float:
-        """Exhaustive sup over depth-n words of |lambda_n - A_n g|; the
-        per-word arrays it reads are formed for this call and not kept."""
-        return float(np.max(np.abs(self.lambda_array -
-                                   self.birkhoff(self.g_arrays) / self.depth)))
+
+def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
+              values: Sequence[float] | None = None,
+              func: Callable | None = None, gap: bool = False) -> tuple:
+    """One pass over the cylinder levels 1..n, keeping only the current one.
+
+    Returns (width, phi, gap, max_diameters): depth-n widths and Birkhoff
+    sums of ``values`` per first symbol or ``func`` at midpoints (None if
+    neither) in slot order, sup |lambda_n - A_n g| if ``gap`` (g: branch
+    -log-derivatives at 0.5, then at suffix midpoints) and the largest width
+    per depth.  The cap is checked before allocating; a zero depth-n width
+    raises ``DegenerateCylinderError`` (lowest slot) before any log.
+    """
+    system.alphabet.check_cap(n, cap)
+    m, branches = system.m, system.branches
+    phi = None if values is None and func is None else np.empty(m**n)
+    if gap:
+        g = np.empty(m**n)
+        g[:m] = [-math.log(float(b.derivative(0.5))) for b in branches]
+    max_diameters = []
+    for k, (lo, width) in enumerate(cylinder_levels(system, n), start=1):
+        size = width.size // m  # words one level up
+        max_diameters.append(float(np.max(width)))
+        if func is not None or (gap and k < n):
+            mid = lo + 0.5 * width
+        if phi is not None:
+            level = values if func is None else np.asarray(
+                func(mid), dtype=float).reshape(m, size)
+            if k == 1:
+                phi[:m] = np.ravel(level)
+            else:
+                _add_level(phi, size, m, level.__getitem__)
+        if gap and k < n:
+            _add_level(g, m * size, m, lambda a: -np.log(np.asarray(
+                branches[a].derivative(mid), dtype=float)))
+        mid = level = None
+    if np.any(width <= 0.0):
+        slot = int(np.argmax(width <= 0.0))
+        raise DegenerateCylinderError(word_label(slot_words(m, n, [slot])[0]))
+    if not gap:
+        return width, phi, None, max_diameters
+    lam = np.negative(np.log(width, out=lo), out=lo)  # -log(width)/n - g/n
+    lam /= n
+    g /= n
+    lam -= g
+    return width, phi, float(np.max(np.abs(lam, out=lam))), max_diameters
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
                seed: int = 0, cap: int = DEFAULT_WORD_CAP) -> float:
     """Sup over depth-n words of |lambda_n(w) - A_n g(w)|.
 
-    ``sample=None`` enumerates all m^n words (cap-guarded) and returns the
-    true word-level sup; otherwise that many pseudo-random words are drawn
-    with the fixed seed.  Vanishes identically for linear systems and decays
-    with n when branch derivatives are continuous.
+    ``sample=None`` enumerates all m^n words (cap-guarded, ``top_level``)
+    and returns the true word-level sup; otherwise that many pseudo-random
+    words are drawn with the fixed seed.  Vanishes identically for linear
+    systems and decays with n when branch derivatives are continuous.
     """
     if sample is None:
-        return CylinderTable(system, n, cap).lemma1_gap_value
+        return top_level(system, n, cap, gap=True)[2]
     rng = np.random.default_rng(seed)
     words = rng.integers(0, system.m, size=(sample, n))
     # before symbol w_j is applied the fold holds the suffix cylinder whose
@@ -437,11 +434,20 @@ def geometric_potential(system: IfsSystem, depth: int,
     """The geometric potential as a word function with declared error bounds.
 
     Words of length 1 are evaluated at the midpoint of [0,1] (the suffix
-    cylinder of an empty suffix); error bounds come from branch-derivative
-    oscillations over suffix cylinders enumerated up to ``depth``.
+    cylinder of an empty suffix).  The bound at length k is the largest
+    oscillation of a branch log-derivative over a depth-(k-1) cylinder, by
+    endpoint differences (exact for monotone derivatives, as shipped).
     """
-    table = CylinderTable(system, depth, cap)
-    bounds = [table.g_oscillation(k) for k in range(1, depth + 1)]
+    system.alphabet.check_cap(depth, cap)
+
+    def oscillation(lo, hi) -> float:
+        return max([0.0] + [float(np.max(np.abs(
+            np.log(np.asarray(b.derivative(hi), dtype=float))
+            - np.log(np.asarray(b.derivative(lo), dtype=float)))))
+            for b in system.branches])
+
+    bounds = [oscillation(np.zeros(1), np.ones(1))] + [oscillation(
+        lo, lo + width) for lo, width in cylinder_levels(system, depth - 1)]
 
     def evaluate(w: Word) -> float:
         if len(w) == 1:

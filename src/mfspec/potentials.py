@@ -9,13 +9,13 @@ exact at every depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import CylinderTable, IfsSystem, cylinder_interval
+from .geometry import (CylinderTable, IfsSystem, cylinder_interval,
+                       cylinder_levels)
 from .symbolic import DEFAULT_WORD_CAP, Word, WordFunction
 
 
@@ -123,9 +123,9 @@ def induced_word_function(system: IfsSystem, spec: PotentialSpec, depth: int,
         return WordFunction(evaluate=evaluate, error_bound=lambda k: 0.0,
                             name=spec.name)
 
-    table = CylinderTable(system, depth, cap)
-    bounds = [0.5 * spec.lipschitz * table.max_diameter(k)
-              for k in range(1, depth + 1)]
+    system.alphabet.check_cap(depth, cap)
+    bounds = [0.5 * spec.lipschitz * float(np.max(width))
+              for _, width in cylinder_levels(system, depth)]
     func = spec.func
 
     def evaluate(w: Word) -> float:
@@ -142,16 +142,10 @@ def induced_word_function(system: IfsSystem, spec: PotentialSpec, depth: int,
 
 def potential_arrays(table: CylinderTable,
                      spec: PotentialSpec) -> list[np.ndarray]:
-    """Per-depth arrays of induced values over an exhaustive cylinder table."""
+    """Per-depth arrays of induced values over an exhaustive cylinder table:
+    the value of the first symbol, or ``func`` at the cylinder midpoints."""
+    depths = range(1, table.depth + 1)
     if spec.word_local:
-        return table.first_symbol_arrays(spec.symbol_values(table.m))
-    return table.value_arrays(spec.func)
-
-
-def variation_slack(table: CylinderTable, spec: PotentialSpec) -> float:
-    """Bound on |word-level depth-n Birkhoff average - true average|."""
-    if spec.word_local:
-        return 0.0
-    n = table.depth
-    return 0.5 * spec.lipschitz * math.fsum(
-        table.max_diameter(k) for k in range(1, n + 1)) / n
+        v = np.asarray(spec.symbol_values(table.m), dtype=float)
+        return [np.repeat(v, table.m ** (k - 1)) for k in depths]
+    return [np.asarray(spec.func(table.mid(k)), dtype=float) for k in depths]

@@ -33,14 +33,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (AlphaUnreachableError, DegenerateCylinderError,
-                     InfeasibleAlphaError, InvalidScheduleError, MfspecError,
-                     NoCylindersError, NotContractingError, SolverError)
+from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
+                     InvalidScheduleError, MfspecError, NoCylindersError,
+                     NotContractingError, SolverError)
+# CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (CylinderTable, IfsSystem, Interval, fold,
-                       neg_log_derivative)
-from .potentials import PotentialSpec, potential_arrays, variation_slack
-from .symbolic import (DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word,
-                       word_label)
+                       neg_log_derivative, top_level)
+from .potentials import PotentialSpec, potential_arrays
+from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -332,11 +332,10 @@ def moran_dimension(system: IfsSystem, n: int,
 
     With no filter this estimates the attractor dimension.
     """
-    table = CylinderTable(system, n, cap)
-    d = table.diameters()
+    d = top_level(system, n, cap)[0]
     if word_filter is not None:
-        keep = np.fromiter((bool(word_filter(w)) for w in table.words()),
-                           dtype=bool, count=d.size)
+        keep = np.fromiter((bool(word_filter(w)) for w in
+                            system.alphabet.words(n)), bool, d.size)
         d = d[keep]
     return Rows(-np.log(d), None, np.ones(d.size)).moran_root(tol)[0]
 
@@ -357,7 +356,8 @@ class DepthContext:
     the one way back from rows to words, and ``rows.count`` is its bincount.
     Grouping pays for linear systems with word-local potentials (linear
     [1/2, 1/2] at n=18: 2^18 words, 19 rows); on Manneville-Pomeau no two
-    words merge and it costs one sort.
+    words merge and it costs one sort.  Widths, sums, ``lemma1_gap`` and
+    ``slack`` come from one ``top_level`` pass, which keeps one level.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -366,10 +366,13 @@ class DepthContext:
         self.system = system
         self.potential = potential
         self.n = self.opts.n
-        self.table = CylinderTable(system, self.n, self.opts.word_cap)
-        phi = self.table.birkhoff(potential_arrays(self.table, potential))
-        self.slack = variation_slack(self.table, potential)
-        width = self.table.diameters()
+        values = (potential.symbol_values(system.m) if potential.word_local
+                  else None)
+        width, phi, self.lemma1_gap, diameters = top_level(
+            system, self.n, self.opts.word_cap, values, potential.func,
+            gap=True)
+        self.slack = 0.0 if potential.word_local else (
+            0.5 * potential.lipschitz * math.fsum(diameters) / self.n)
         order = np.lexsort((phi, width))
         width = width[order]
         phi = phi[order]
@@ -397,10 +400,6 @@ class DepthContext:
             raise NoCylindersError(
                 f"Lyapunov floor {delta:g} excludes every word")
         return mask
-
-    @cached_property
-    def lemma1_gap(self) -> float:
-        return self.table.lemma1_gap_value
 
     @cached_property
     def attractor_root(self) -> tuple[float, int]:
@@ -522,9 +521,6 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     ctx = context or DepthContext(system, potential, opts)
     opts = ctx.opts
     n = ctx.n
-    if not ctx.rows.ell[0] < math.inf:  # a zero width sorts into row 0
-        slot = int(np.argmin(ctx.rows.ell[ctx.word_row] < math.inf))
-        raise DegenerateCylinderError(word_label(ctx.table.word(slot)))
     mask = ctx.floor(opts.delta)
     rows = ctx.rows if mask is None else ctx.rows.where(mask)
     phi = rows.phi
@@ -596,6 +592,8 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     Points inside the indifferent-fixed-point interval are flagged and get
     the unfiltered attractor estimate for both columns.  Estimator errors are
     per point: a failed point carries its message and the sweep continues.
+    A zero depth-n width (``DegenerateCylinderError``) and an invalid ``rho``
+    are sweep-level preconditions, raised before any point is computed.
     """
     ctx = DepthContext(system, potential, opts)
     interval = parabolic_interval(system, potential)

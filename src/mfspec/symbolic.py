@@ -62,6 +62,8 @@ class Alphabet:
         return self.m**n
 
     def check_cap(self, n: int, cap: int = DEFAULT_WORD_CAP) -> None:
+        if n < 1:
+            raise ValueError(f"word length must be >= 1, got {n}")
         if self.word_count(n) > cap:
             raise EnumerationLimitError(self.m, n, cap)
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from mfspec.errors import (AlphaUnreachableError, InfeasibleAlphaError,
+from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
+                           EnumerationLimitError, InfeasibleAlphaError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
-from mfspec.geometry import (CylinderTable, example2_system, fold,
+from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
+                             example2_system, fold, lemma1_gap,
                              linear_system, manneville_pomeau_system)
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
-                               potential_arrays)
+                               polynomial, potential_arrays)
 from mfspec.spectrum import (DepthContext, Rows, SolverOptions,
                              _window_midpoints,
                              alternating_sampler,
@@ -28,6 +31,7 @@ HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
 EX2 = example2_system()
 MP = manneville_pomeau_system(0.5)
+MP2 = manneville_pomeau_system(2.0)
 COIN = first_symbol([1.0, 0.0])
 COIN_SPEC = BesicovitchSpec(m=2, ratio=0.5, values=(1.0, 0.0))
 
@@ -37,7 +41,8 @@ MIXED_ROOT = brentq(lambda s: 2.0**-s + 3.0**-s - 1.0, 0.0, 2.0,
 
 def _word_phi(ctx):
     """Birkhoff sums of every depth-n word, in slot order."""
-    return ctx.table.birkhoff(potential_arrays(ctx.table, ctx.potential))
+    table = CylinderTable(ctx.system, ctx.n)
+    return table.birkhoff(potential_arrays(table, ctx.potential))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +179,7 @@ def test_upper_unreachable_alpha():
     # the words the floor keeps: the all-0 word (lambda_8 ~ 0.35) is dropped
     ctx = DepthContext(MP, coordinate(), SolverOptions(n=8, delta=0.5))
     phi = _word_phi(ctx)
-    avg = phi[ctx.table.lambda_array >= 0.5] / 8
+    avg = phi[CylinderTable(ctx.system, ctx.n).lambda_array >= 0.5] / 8
     with pytest.raises(AlphaUnreachableError) as err:
         upper_bound(MP, coordinate(), -1.0, context=ctx)
     assert err.value.nearest == np.min(avg) > np.min(phi / 8)
@@ -412,14 +417,15 @@ def test_lower_delta_floor_masks_the_measure():
     opts = SolverOptions(n=8, delta=0.5)
     res = lower_bound(MP, coordinate(), 0.4, opts)
     ctx = DepthContext(MP, coordinate(), opts)
-    keep = ctx.table.lambda_array >= opts.delta
+    table = CylinderTable(ctx.system, ctx.n)
+    keep = table.lambda_array >= opts.delta
     assert not keep.all()
     p = res.measure.p
     assert np.all(p[~keep] == 0.0)
     assert p @ _word_phi(ctx) == pytest.approx(8 * res.alpha_achieved,
                                                rel=1e-12)
     entropy = -np.sum(p[keep] * np.log(p[keep]))
-    assert entropy / (p @ -ctx.table.log_diameters) == pytest.approx(
+    assert entropy / (p @ -table.log_diameters) == pytest.approx(
         res.dim, abs=1e-9)
 
 
@@ -483,8 +489,9 @@ def _ref_solve_q(ell, phi, t, target, tol, max_iter=80):
 def _ref_lower(ctx, alpha):
     """lower_bound over every word: (dim, iterations, boundary, p)."""
     opts, n = ctx.opts, ctx.n
-    phi, ell = _word_phi(ctx), -ctx.table.log_diameters
-    mask = ctx.table.lambda_array >= opts.delta if opts.delta else None
+    table = CylinderTable(ctx.system, ctx.n)
+    phi, ell = _word_phi(ctx), -table.log_diameters
+    mask = table.lambda_array >= opts.delta if opts.delta else None
     if mask is not None:
         if not mask.any():
             raise NoCylindersError("floor excludes every word")
@@ -522,11 +529,12 @@ def _ref_upper(ctx, alpha):
     """upper_bound over every word: (s_n, cover_size)."""
     half = 2.0 * ctx.rho + ctx.slack
     keep = np.abs(_word_phi(ctx) / ctx.n - alpha) < half
+    table = CylinderTable(ctx.system, ctx.n)
     if ctx.cover_delta > 0.0:
-        keep &= ctx.table.lambda_array >= ctx.cover_delta
+        keep &= table.lambda_array >= ctx.cover_delta
     if not keep.any():
         raise AlphaUnreachableError(alpha, half, 0.0, (0.0, 0.0))
-    logd = np.log(ctx.table.diameters()[keep])
+    logd = np.log(table.diameters()[keep])
     if keep.sum() == 1:
         return 0.0, 1
 
@@ -587,11 +595,12 @@ def test_rows_match_per_word_reference(case, data):
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     opts = SolverOptions(n=n, delta=delta, moran_tol=1e-13)
     ctx = DepthContext(system, potential, opts)
-    phi, lam = _word_phi(ctx), ctx.table.lambda_array
+    table = CylinderTable(ctx.system, ctx.n)
+    phi, lam = _word_phi(ctx), table.lambda_array
     assert np.array_equal(np.unique(ctx.rows.ell / n), np.unique(lam))
     # every word's row carries the word's own width and sum, bit for bit
     assert np.array_equal(ctx.rows.ell[ctx.word_row],
-                          -ctx.table.log_diameters)
+                          -table.log_diameters)
     assert np.array_equal(ctx.rows.phi[ctx.word_row], phi)
     assert np.array_equal(np.bincount(ctx.word_row), ctx.rows.count)
     if delta is not None:
@@ -634,8 +643,9 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
     floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
-    phi, logd = _word_phi(ctx), ctx.table.log_diameters
-    lam = ctx.table.lambda_array
+    table = CylinderTable(ctx.system, ctx.n)
+    phi, logd = _word_phi(ctx), table.log_diameters
+    lam = table.lambda_array
     keep = lam >= delta if delta else np.ones(phi.size, dtype=bool)
     lo, hi = float(np.min(phi[keep])) / n, float(np.max(phi[keep])) / n
     u = data.draw(st.floats(0.02, 0.98) | st.sampled_from([0.0, 1.0]))
@@ -658,6 +668,146 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
         logw[~keep] = -np.inf
         p = np.exp(logw) / z
     assert np.array_equal(res.measure.p, p)
+
+
+# ---------------------------------------------------------------------------
+# the one-level pass against a stored table
+# ---------------------------------------------------------------------------
+
+def _ref_context(system, potential, n):
+    """(rows, word_row, lemma1_gap, slack) formed from a stored table.
+
+    The Birkhoff sums tile the suffix sums, the geometric potential is
+    evaluated level by level at the stored midpoints, and words are grouped
+    on (width, phi) with a dict, the lowest slot keeping its pair.
+    """
+    table = CylinderTable(system, n)
+    m = system.m
+
+    def birkhoff(levels):
+        s = levels[0]
+        for v in levels[1:]:
+            s = v + np.tile(s, m)
+        return s
+
+    g = [np.array([-math.log(float(b.derivative(0.5)))
+                   for b in system.branches])]
+    g += [np.concatenate([-np.log(np.asarray(b.derivative(table.mid(k)),
+                                             dtype=float))
+                          for b in system.branches]) for k in range(1, n)]
+    gap = float(np.max(np.abs(table.lambda_array - birkhoff(g) / n)))
+    slack = 0.0 if potential.word_local else (
+        0.5 * potential.lipschitz
+        * math.fsum(float(np.max(table.diameters(k)))
+                    for k in range(1, n + 1)) / n)
+    width = table.diameters()
+    phi = birkhoff(potential_arrays(table, potential))
+    first = {}
+    for key in zip(width.tolist(), phi.tolist()):
+        first.setdefault(key, key)
+    keys = sorted(first.values())
+    row_of = {key: i for i, key in enumerate(keys)}
+    word_row = np.array([row_of[first[key]] for key in
+                         zip(width.tolist(), phi.tolist())], dtype=np.int32)
+    rows = Rows(-np.log(np.array([k[0] for k in keys])),
+                np.array([k[1] for k in keys]),
+                np.bincount(word_row).astype(float))
+    return rows, word_row, gap, slack
+
+
+@st.composite
+def _pass_case(draw):
+    kind = draw(st.sampled_from(["linear", "example2", "mp"]))
+    if kind == "linear":
+        m = draw(st.integers(2, 4))
+        equal = draw(st.booleans())
+        raw = [1.0] * m if equal else draw(
+            st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        total = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.3, 1.0))
+        system = linear_system([total * r / sum(raw) for r in raw])
+    else:
+        system = EX2 if kind == "example2" else draw(
+            st.sampled_from([MP, MP2]))
+    m = system.m
+    values = draw(st.lists(_ROW_VALUES, min_size=m, max_size=m))
+    coefficients = draw(st.lists(st.floats(-2.0, 2.0), min_size=1,
+                                 max_size=3))
+    potential = draw(st.sampled_from(
+        [first_symbol(values), indicator_branch(m - 1), coordinate(),
+         polynomial(coefficients)]))
+    n = draw(st.integers(2, {2: 8, 3: 6, 4: 5}[m]))
+    return system, potential, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pass_case())
+def test_one_level_pass_matches_stored_table(case):
+    system, potential, n = case
+    ctx = DepthContext(system, potential, SolverOptions(n=n))
+    rows, word_row, gap, slack = _ref_context(system, potential, n)
+    for got, ref in zip(ctx.rows, rows):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(ctx.word_row, word_row)
+    assert ctx.word_row.dtype == np.int32
+    assert ctx.lemma1_gap == gap
+    assert ctx.slack == slack
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate while ``fn`` runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_depth_context_keeps_one_level():
+    # a table of every level took 8.5 word arrays here, 10 with the gap
+    n = 16
+    DepthContext(HALVES, COIN, SolverOptions(n=4))
+    peak = _traced_peak(lambda: DepthContext(HALVES, COIN,
+                                             SolverOptions(n=n)))
+    assert peak <= 6.5 * 8 * 2**n
+
+
+def test_word_cap_is_checked_before_allocating():
+    # one level at n=18 would take 2 MB
+    opts = SolverOptions(n=18, word_cap=2**17)
+
+    def build():
+        with pytest.raises(EnumerationLimitError):
+            DepthContext(HALVES, COIN, opts)
+
+    assert _traced_peak(build) < 1_000_000
+
+
+def test_zero_width_cylinder_fails_the_sweep_before_any_log():
+    # the second branch collapses every width below 0.2 to 0: at n=4 the
+    # lowest slot with a zero width is word 1211 (suffix 211: 0.4^2 < 0.2)
+    def collapsing(lo, width):
+        return np.where(np.asarray(width) < 0.2, 0.0, 0.6 * width)
+
+    system = IfsSystem(branches=(
+        Branch(map=lambda x: 0.4 * np.asarray(x, dtype=float),
+               derivative=lambda x: np.full_like(
+                   np.asarray(x, dtype=float), 0.4),
+               map_width=lambda lo, width: 0.4 * width),
+        Branch(map=lambda x: 0.4 + 0.6 * np.asarray(x, dtype=float),
+               derivative=lambda x: np.full_like(
+                   np.asarray(x, dtype=float), 0.6),
+               map_width=collapsing)))
+    opts = SolverOptions(n=4, rho=0.3)
+    with pytest.raises(DegenerateCylinderError, match="word 1211 "):
+        full_spectrum(system, COIN, [0.3, 0.5], opts)
+    with pytest.raises(DegenerateCylinderError, match="word 1211 "):
+        lemma1_gap(system, 4)
 
 
 # ---------------------------------------------------------------------------
