@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from . import oracle
 from .errors import ConfigError, MfspecError
@@ -29,11 +30,9 @@ from .symbolic import MarkovChainSpec, abramov_stats, block_marginal
 
 TABLE_COLUMNS = ("alpha", "lower", "upper", "flag", "n", "rho", "delta",
                  "lemma1_gap", "iterations", "error")
+DIAG_KEYS = ("alpha", "cover_size", "iterations", "t", "q", "gibbs_evals",
+             "moran_evals", "lemma1_gap", "rho", "delta", "flag", "error")
 
-_SYSTEMS = ("linear", "example2", "manneville_pomeau")
-_POTENTIALS = ("coordinate", "polynomial", "first_symbol", "indicator_branch")
-_COMMANDS = ("spectrum", "dim", "validate")
-_SUITES = ("besicovitch", "markov", "moran")
 _FORMATS = ("csv", "json")
 
 
@@ -67,6 +66,13 @@ class OutputConfig:
     format: str = "csv"
     precision: int = 12
 
+    def __post_init__(self):
+        if self.format not in _FORMATS:
+            raise ConfigError(
+                f"output format must be one of {', '.join(_FORMATS)}")
+        if not 1 <= self.precision <= 17:
+            raise ConfigError("output precision must be between 1 and 17")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,7 +87,43 @@ class RunConfig:
 # strict schema parsing
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
+class _Builtin(NamedTuple):
+    """Keys one builtin name takes, and what it builds."""
+
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    build: Callable | None = None
+
+
+# section -> builtin name -> schema; every other field of the section's
+# config class must be absent or null
+_SCHEMA = {
+    "system": {
+        "linear": _Builtin(("ratios",), ("offsets",),
+                           lambda c: linear_system(c.ratios, c.offsets)),
+        "example2": _Builtin(build=lambda c: example2_system()),
+        "manneville_pomeau": _Builtin(
+            ("beta",), build=lambda c: manneville_pomeau_system(c.beta)),
+    },
+    "potential": {
+        "coordinate": _Builtin(build=lambda c: coordinate()),
+        "polynomial": _Builtin(("coefficients",),
+                               build=lambda c: polynomial(c.coefficients)),
+        "first_symbol": _Builtin(("values",),
+                                 build=lambda c: first_symbol(c.values)),
+        "indicator_branch": _Builtin(
+            ("branch",), build=lambda c: indicator_branch(c.branch)),
+    },
+    "command": {
+        "spectrum": _Builtin(("alphas",)),
+        "dim": _Builtin(optional=("alpha",)),
+        "validate": _Builtin(("suite",)),
+    },
+}
+
+# JSON kind of each field annotation, with "| None" stripped
+_KINDS = {"int": "int", "float": "number", "str": "string",
+          "tuple[float, ...]": "number_list"}
 
 
 def _require_object(value, section: str) -> dict:
@@ -90,7 +132,7 @@ def _require_object(value, section: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], section: str) -> None:
+def _check_keys(obj: dict, allowed, section: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(
@@ -98,12 +140,13 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], section: str) -> None:
                 f"{', '.join(allowed)}")
 
 
-def _get(obj: dict, key: str, kind: str, section: str, default=_MISSING):
-    if key not in obj or obj[key] is None:
-        if default is _MISSING:
-            raise ConfigError(f"missing key '{key}' in '{section}'")
+def _get(obj: dict, field, section: str, default=None):
+    """``obj[field.name]`` checked against the field's annotation; an absent
+    or null key gives ``default``."""
+    value = obj.get(field.name)
+    if value is None:
         return default
-    value = obj[key]
+    key, kind = field.name, _KINDS[field.type.removesuffix(" | None")]
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"key '{key}' in '{section}' must be a number")
@@ -116,124 +159,56 @@ def _get(obj: dict, key: str, kind: str, section: str, default=_MISSING):
         if not isinstance(value, str):
             raise ConfigError(f"key '{key}' in '{section}' must be a string")
         return value
-    if kind == "number_list":
-        if (not isinstance(value, list) or not value
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
+    if (not isinstance(value, list) or not value
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in value)):
+        raise ConfigError(
+            f"key '{key}' in '{section}' must be a nonempty number list")
+    return tuple(float(v) for v in value)
+
+
+def _parse_named(obj, section: str, cls):
+    """A ``cls`` for a section block whose ``name`` picks a ``_SCHEMA`` entry.
+
+    The name's required keys must be present; a key outside its required
+    and optional keys is unknown, except that a null field of ``cls`` (as
+    ``serialize_config`` writes one) reads as absent.
+    """
+    obj = _require_object(obj, section)
+    known = {f.name: f for f in fields(cls)}
+    name = _get(obj, known.pop("name"), section)
+    if name is None:
+        raise ConfigError(f"missing key 'name' in '{section}'")
+    builtins = _SCHEMA[section]
+    if name not in builtins:
+        raise ConfigError(f"unknown {section} '{name}'; builtins: "
+                          f"{', '.join(builtins)}")
+    spec = builtins[name]
+    allowed = ("name", *spec.required, *spec.optional)
+    for key, value in obj.items():
+        if key not in allowed and (value is not None or key not in known):
             raise ConfigError(
-                f"key '{key}' in '{section}' must be a nonempty number list")
-        return tuple(float(v) for v in value)
-    raise AssertionError(kind)
+                f"unknown key '{key}' in {section} '{name}'; allowed keys: "
+                f"{', '.join(allowed)}")
+    for key in spec.required:
+        if obj.get(key) is None:
+            raise ConfigError(f"{section} '{name}' requires '{key}'")
+    return cls(name=name, **{key: _get(obj, f, section)
+                             for key, f in known.items()})
 
 
-def _parse_system(obj) -> SystemConfig:
-    obj = _require_object(obj, "system")
-    _check_keys(obj, ("name", "ratios", "offsets", "beta"), "system")
-    name = _get(obj, "name", "string", "system")
-    if name not in _SYSTEMS:
-        raise ConfigError(
-            f"unknown system '{name}'; builtins: {', '.join(_SYSTEMS)}")
-    ratios = _get(obj, "ratios", "number_list", "system", None)
-    offsets = _get(obj, "offsets", "number_list", "system", None)
-    beta = _get(obj, "beta", "number", "system", None)
-    if name == "linear" and ratios is None:
-        raise ConfigError("system 'linear' requires 'ratios'")
-    if name == "manneville_pomeau" and beta is None:
-        raise ConfigError("system 'manneville_pomeau' requires 'beta'")
-    if name != "linear" and (ratios is not None or offsets is not None):
-        raise ConfigError(f"system '{name}' takes no 'ratios'/'offsets'")
-    if name != "manneville_pomeau" and beta is not None:
-        raise ConfigError(f"system '{name}' takes no 'beta'")
-    return SystemConfig(name=name, ratios=ratios, offsets=offsets, beta=beta)
-
-
-def _parse_potential(obj) -> PotentialConfig:
-    obj = _require_object(obj, "potential")
-    _check_keys(obj, ("name", "values", "coefficients", "branch"), "potential")
-    name = _get(obj, "name", "string", "potential")
-    if name not in _POTENTIALS:
-        raise ConfigError(
-            f"unknown potential '{name}'; builtins: {', '.join(_POTENTIALS)}")
-    values = _get(obj, "values", "number_list", "potential", None)
-    coeffs = _get(obj, "coefficients", "number_list", "potential", None)
-    branch = _get(obj, "branch", "int", "potential", None)
-    if name == "first_symbol" and values is None:
-        raise ConfigError("potential 'first_symbol' requires 'values'")
-    if name == "polynomial" and coeffs is None:
-        raise ConfigError("potential 'polynomial' requires 'coefficients'")
-    if name == "indicator_branch" and branch is None:
-        raise ConfigError("potential 'indicator_branch' requires 'branch'")
-    extras = {"first_symbol": ("coefficients", "branch"),
-              "polynomial": ("values", "branch"),
-              "indicator_branch": ("values", "coefficients"),
-              "coordinate": ("values", "coefficients", "branch")}[name]
-    for key in extras:
-        if obj.get(key) is not None:
-            raise ConfigError(f"potential '{name}' takes no '{key}'")
-    return PotentialConfig(name=name, values=values, coefficients=coeffs,
-                           branch=branch)
-
-
-def _parse_command(obj) -> CommandConfig:
-    obj = _require_object(obj, "command")
-    _check_keys(obj, ("name", "alphas", "alpha", "suite"), "command")
-    name = _get(obj, "name", "string", "command")
-    if name not in _COMMANDS:
-        raise ConfigError(
-            f"unknown command '{name}'; available: {', '.join(_COMMANDS)}")
-    alphas = _get(obj, "alphas", "number_list", "command", None)
-    alpha = _get(obj, "alpha", "number", "command", None)
-    suite = _get(obj, "suite", "string", "command", None)
-    if name == "spectrum" and alphas is None:
-        raise ConfigError("command 'spectrum' requires 'alphas'")
-    if name == "validate":
-        if suite is None:
-            raise ConfigError("command 'validate' requires 'suite'")
-        if suite not in _SUITES:
-            raise ConfigError(
-                f"unknown suite '{suite}'; available: {', '.join(_SUITES)}")
-    if name != "spectrum" and alphas is not None:
-        raise ConfigError(f"command '{name}' takes no 'alphas'")
-    if name != "dim" and alpha is not None:
-        raise ConfigError(f"command '{name}' takes no 'alpha'")
-    if name != "validate" and suite is not None:
-        raise ConfigError(f"command '{name}' takes no 'suite'")
-    return CommandConfig(name=name, alphas=alphas, alpha=alpha, suite=suite)
-
-
-_SOLVER_KEYS = {f.name: "int" if f.type in (int, "int") else "number"
-                for f in fields(SolverOptions)}
-
-
-def _parse_solver(obj) -> SolverOptions:
+def _parse_plain(obj, section: str, cls):
+    """A ``cls`` for an optional section whose keys are all ``cls`` fields."""
     if obj is None:
-        return SolverOptions()
-    obj = _require_object(obj, "solver")
-    _check_keys(obj, tuple(_SOLVER_KEYS), "solver")
-    kwargs = {}
-    defaults = SolverOptions()
-    for key, kind in _SOLVER_KEYS.items():
-        kwargs[key] = _get(obj, key, kind, "solver", getattr(defaults, key))
+        return cls()
+    obj = _require_object(obj, section)
+    _check_keys(obj, [f.name for f in fields(cls)], section)
+    defaults = cls()
     try:
-        return SolverOptions(**kwargs)
+        return cls(**{f.name: _get(obj, f, section, getattr(defaults, f.name))
+                      for f in fields(cls)})
     except ValueError as exc:
-        raise ConfigError(f"invalid solver options: {exc}") from exc
-
-
-def _parse_output(obj) -> OutputConfig:
-    if obj is None:
-        return OutputConfig()
-    obj = _require_object(obj, "output")
-    _check_keys(obj, ("path", "format", "precision"), "output")
-    fmt = _get(obj, "format", "string", "output", "csv")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"output format must be one of {', '.join(_FORMATS)}")
-    precision = _get(obj, "precision", "int", "output", 12)
-    if not 1 <= precision <= 17:
-        raise ConfigError("output precision must be between 1 and 17")
-    return OutputConfig(path=_get(obj, "path", "string", "output",
-                                  "mfspec_out.csv"),
-                        format=fmt, precision=precision)
+        raise ConfigError(f"invalid {section} options: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -248,29 +223,22 @@ def parse_config(text: str) -> RunConfig:
     for key in ("system", "potential", "command"):
         if key not in raw:
             raise ConfigError(f"missing top-level key '{key}'")
+    system = _parse_named(raw["system"], "system", SystemConfig)
+    potential = _parse_named(raw["potential"], "potential", PotentialConfig)
+    command = _parse_named(raw["command"], "command", CommandConfig)
+    if command.suite is not None and command.suite not in _SUITE_RUNNERS:
+        raise ConfigError(f"unknown suite '{command.suite}'; available: "
+                          f"{', '.join(_SUITE_RUNNERS)}")
     return RunConfig(
-        system=_parse_system(raw["system"]),
-        potential=_parse_potential(raw["potential"]),
-        command=_parse_command(raw["command"]),
-        solver=_parse_solver(raw.get("solver")),
-        output=_parse_output(raw.get("output")),
+        system=system, potential=potential, command=command,
+        solver=_parse_plain(raw.get("solver"), "solver", SolverOptions),
+        output=_parse_plain(raw.get("output"), "output", OutputConfig),
     )
 
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON for a config; parse_config inverts it exactly."""
-    def scrub(d):
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in d.items()}
-
-    payload = {
-        "system": scrub(asdict(config.system)),
-        "potential": scrub(asdict(config.potential)),
-        "command": scrub(asdict(config.command)),
-        "solver": scrub(asdict(config.solver)),
-        "output": scrub(asdict(config.output)),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(asdict(config), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +247,13 @@ def serialize_config(config: RunConfig) -> str:
 
 def build_system(cfg: SystemConfig) -> IfsSystem:
     try:
-        if cfg.name == "linear":
-            return linear_system(cfg.ratios, cfg.offsets)
-        if cfg.name == "example2":
-            return example2_system()
-        return manneville_pomeau_system(cfg.beta)
+        return _SCHEMA["system"][cfg.name].build(cfg)
     except ValueError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
 
 
 def build_potential(cfg: PotentialConfig) -> PotentialSpec:
-    if cfg.name == "coordinate":
-        return coordinate()
-    if cfg.name == "polynomial":
-        return polynomial(cfg.coefficients)
-    if cfg.name == "first_symbol":
-        return first_symbol(cfg.values)
-    return indicator_branch(cfg.branch)
+    return _SCHEMA["potential"][cfg.name].build(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +272,11 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _point_row(point: SpectrumPoint) -> dict:
-    return {
-        "alpha": point.alpha, "lower": point.lower, "upper": point.upper,
-        "flag": point.in_parabolic_interval, "n": point.n, "rho": point.rho,
-        "delta": point.delta, "lemma1_gap": point.lemma1_gap,
-        "iterations": point.iterations, "error": point.error,
-    }
+def _project(point: SpectrumPoint, keys) -> dict:
+    """The table row (``TABLE_COLUMNS``) or sidecar point (``DIAG_KEYS``) of
+    a point; ``flag`` is ``in_parabolic_interval``."""
+    return {k: getattr(point, "in_parabolic_interval" if k == "flag" else k)
+            for k in keys}
 
 
 def render_table(columns, rows, fmt: str, precision: int) -> str:
@@ -397,7 +353,7 @@ _SUITE_RUNNERS = {"besicovitch": _suite_besicovitch, "markov": _suite_markov,
 def run_suite(suite: str, n: int):
     if suite not in _SUITE_RUNNERS:
         raise ConfigError(
-            f"unknown suite '{suite}'; available: {', '.join(_SUITES)}")
+            f"unknown suite '{suite}'; available: {', '.join(_SUITE_RUNNERS)}")
     columns, rows = _SUITE_RUNNERS[suite](n)
     if not rows:
         raise ConfigError(f"suite '{suite}' has no rows at depth n={n}")
@@ -407,15 +363,6 @@ def run_suite(suite: str, n: int):
 # ---------------------------------------------------------------------------
 # command execution
 # ---------------------------------------------------------------------------
-
-def _attractor_row(system, potential, opts: SolverOptions) -> dict:
-    ctx = DepthContext(system, potential, opts)
-    return {
-        "alpha": None, "lower": None, "upper": ctx.attractor_dimension,
-        "flag": None, "n": opts.n, "rho": None, "delta": None,
-        "lemma1_gap": ctx.lemma1_gap, "iterations": None, "error": None,
-    }
-
 
 def run(config: RunConfig) -> int:
     """Execute a config: write the table artifact plus a diagnostics sidecar.
@@ -430,28 +377,23 @@ def run(config: RunConfig) -> int:
     if command.name == "validate":
         columns, rows = run_suite(command.suite, config.solver.n)
         diagnostics["suite"] = command.suite
-        exit_code = 2 if any(r.get("error") for r in rows) else 0
     else:
         system = build_system(config.system)
         potential = build_potential(config.potential)
         if command.name == "dim" and command.alpha is None:
-            columns = TABLE_COLUMNS
-            rows = [_attractor_row(system, potential, config.solver)]
-            exit_code = 0
+            ctx = DepthContext(system, potential, config.solver)
+            points = [SpectrumPoint(
+                alpha=None, lower=None, upper=ctx.attractor_dimension,
+                in_parabolic_interval=None, n=ctx.n,
+                lemma1_gap=ctx.lemma1_gap)]
         else:
             grid = command.alphas if command.name == "spectrum" \
                 else (command.alpha,)
             points = full_spectrum(system, potential, grid, config.solver)
-            columns = TABLE_COLUMNS
-            rows = [_point_row(p) for p in points]
-            diagnostics["points"] = [
-                {"alpha": p.alpha, "cover_size": p.cover_size,
-                 "iterations": p.iterations, "t": p.t, "q": p.q,
-                 "gibbs_evals": p.gibbs_evals, "moran_evals": p.moran_evals,
-                 "lemma1_gap": p.lemma1_gap, "rho": p.rho, "delta": p.delta,
-                 "flag": p.in_parabolic_interval, "error": p.error}
-                for p in points]
-            exit_code = 2 if any(p.error for p in points) else 0
+            diagnostics["points"] = [_project(p, DIAG_KEYS) for p in points]
+        columns = TABLE_COLUMNS
+        rows = [_project(p, columns) for p in points]
+    exit_code = 2 if any(r.get("error") for r in rows) else 0
 
     table = render_table(columns, rows, out.format, out.precision)
     with open(out.path, "w", newline="") as fh:
@@ -488,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     p_dim.add_argument("config", help="path to a JSON run config")
 
     p_val = sub.add_parser("validate", help="run an oracle-comparison suite")
-    p_val.add_argument("suite", choices=_SUITES)
+    p_val.add_argument("suite", choices=tuple(_SUITE_RUNNERS))
     p_val.add_argument("--n", type=int, default=10, help="working depth")
     p_val.add_argument("--output", default=None,
                        help="write the table here instead of stdout")

@@ -51,8 +51,8 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,11 +40,25 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
 from .geometry import (CylinderTable, IfsSystem, Interval, fold,
                        neg_log_derivative, top_level)
 from .potentials import PotentialSpec, potential_arrays
-from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure, Word
+from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure
 
 _Q_EXP_LIMIT = 700.0
+_Q_MAX_ITER = 80
 _TIE_TOL = 1e-9
 _SCHEDULE_TOL = 1e-12
+
+
+# The lower route stops its Dinkelbach iteration once a step raises the
+# ratio by at most T_TOL and raises SolverError after MAX_ITER steps; the
+# multiplier solve meets the constraint to ALPHA_TOL per symbol, and a level
+# value within BOUNDARY_TOL of the achievable edge is a boundary value.
+T_TOL = 1e-8
+ALPHA_TOL = 1e-9
+BOUNDARY_TOL = 1e-9
+MAX_ITER = 200
+# Moran root stop: the default of SolverOptions.moran_tol, and the one
+# moran_dimension uses
+MORAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,38 +69,30 @@ class SolverOptions:
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
     Lyapunov floor excluding words with lambda_n below it (None means no
     floor, except that parabolic systems apply a small default floor to the
-    cover route, ``DepthContext.cover_delta``).  The lower route stops its
-    Dinkelbach iteration once a step raises the ratio by at most ``t_tol``
-    and raises ``SolverError`` after ``max_iter`` steps.  Moran roots (the
-    cover route and the attractor estimate) stop once a safeguarded Newton
-    step is at most ``moran_tol`` (``Rows.moran_root``).  ``seed`` is a
-    no-op: every estimator is deterministic and none reads it; it is kept so
-    that configs carrying a ``seed`` key stay valid and round-trip.
+    cover route, ``DepthContext.cover_delta``).  Moran roots (the cover route
+    and the attractor estimate) stop once a safeguarded Newton step is at
+    most ``moran_tol`` (``Rows.moran_root``).  ``word_cap`` bounds the number
+    of depth-n words.  ``seed`` is a no-op: every estimator is deterministic
+    and none reads it; it is kept so that configs carrying a ``seed`` key
+    stay valid and round-trip.
     """
 
     n: int = 10
     rho: float | None = None
     delta: float | None = None
-    t_tol: float = 1e-8
-    alpha_tol: float = 1e-9
-    moran_tol: float = 1e-10
-    boundary_tol: float = 1e-9
-    max_iter: int = 200
+    moran_tol: float = MORAN_TOL
     word_cap: int = DEFAULT_WORD_CAP
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("solver depth n must be >= 2")
-        for name in ("t_tol", "alpha_tol", "moran_tol", "boundary_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.moran_tol <= 0:
+            raise ValueError("moran_tol must be positive")
         if self.rho is not None and self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.delta is not None and self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,12 +128,12 @@ class UpperBoundResult:
 
 @dataclass(frozen=True)
 class SpectrumPoint:
-    """One row of a spectrum table."""
+    """One row of a spectrum table (the attractor row has no alpha or flag)."""
 
-    alpha: float
+    alpha: float | None
     lower: float | None
     upper: float | None
-    in_parabolic_interval: bool
+    in_parabolic_interval: bool | None
     n: int
     rho: float | None = None
     delta: float | None = None
@@ -223,7 +229,7 @@ class Rows(NamedTuple):
         variance = float(w @ tmp) / z
         return _Gibbs(shift, z, entropy, e_ell, e_phi, variance)
 
-    def solve_q(self, t, target, tol, max_iter=80):
+    def solve_q(self, t, target, tol):
         """Find q with the Gibbs mean of phi equal to target (monotone in q).
 
         Newton steps from q = 0 with bisection fallback inside the bracket
@@ -249,7 +255,7 @@ class Rows(NamedTuple):
         lo, hi = -cap, cap
         unprobed = {lo, hi}
         q = 0.0
-        for _ in range(max_iter):
+        for _ in range(_Q_MAX_ITER):
             gibbs = stats(q)
             residual = gibbs.e_phi - target
             if abs(residual) <= tol:
@@ -326,18 +332,10 @@ class Rows(NamedTuple):
 
 
 def moran_dimension(system: IfsSystem, n: int,
-                    word_filter: Callable[[Word], bool] | None = None,
-                    cap: int = DEFAULT_WORD_CAP, tol: float = 1e-10) -> float:
-    """Moran exponent of the depth-n cylinders passing ``word_filter``.
-
-    With no filter this estimates the attractor dimension.
-    """
+                    cap: int = DEFAULT_WORD_CAP) -> float:
+    """Moran exponent of every depth-n cylinder: the attractor estimate."""
     d = top_level(system, n, cap)[0]
-    if word_filter is not None:
-        keep = np.fromiter((bool(word_filter(w)) for w in
-                            system.alphabet.words(n)), bool, d.size)
-        d = d[keep]
-    return Rows(-np.log(d), None, np.ones(d.size)).moran_root(tol)[0]
+    return Rows(-np.log(d), None, np.ones(d.size)).moran_root(MORAN_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +525,11 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     target = n * alpha
     lo_avg = float(np.min(phi)) / n
     hi_avg = float(np.max(phi)) / n
-    if alpha < lo_avg - opts.boundary_tol or alpha > hi_avg + opts.boundary_tol:
+    if alpha < lo_avg - BOUNDARY_TOL or alpha > hi_avg + BOUNDARY_TOL:
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
 
-    at_hi = alpha >= hi_avg - opts.boundary_tol
-    boundary = at_hi or alpha <= lo_avg + opts.boundary_tol
+    at_hi = alpha >= hi_avg - BOUNDARY_TOL
+    boundary = at_hi or alpha <= lo_avg + BOUNDARY_TOL
     if boundary:
         e_phi = float(np.max(phi) if at_hi else np.min(phi))
         # the uniform measure on the extreme words is the Gibbs measure of
@@ -542,22 +540,22 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
         t, q, iterations, gibbs_evals = gibbs.entropy / gibbs.e_ell, None, 0, 0
         row_p = np.where(tie, 1.0 / gibbs.z, 0.0)
     else:
-        q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
+        q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
         t = 0.0
         gibbs_evals = 0
-        for iterations in range(1, opts.max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             q, gibbs, evals = rows.solve_q(t, target, q_tol)
             gibbs_evals += evals
             _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
                    iterations, t, q, evals)
             ratio = gibbs.entropy / gibbs.e_ell
-            if ratio - t <= opts.t_tol:
+            if ratio - t <= T_TOL:
                 break
             t = ratio
         else:
             raise SolverError(
-                f"Dinkelbach iteration did not settle to {opts.t_tol:g} "
-                f"within {opts.max_iter} steps")
+                f"Dinkelbach iteration did not settle to {T_TOL:g} "
+                f"within {MAX_ITER} steps")
         e_phi = gibbs.e_phi
         if abs(e_phi - target) > 10.0 * q_tol:
             raise SolverError(

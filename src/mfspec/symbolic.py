@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -140,12 +138,6 @@ class BlockMeasure:
     def support(self) -> list[Word]:
         slots = np.flatnonzero(self.p > WEIGHT_FLOOR)
         return slot_words(self.m, self.n, slots)
-
-    @cached_property
-    def weights(self) -> Mapping[Word, float]:
-        """Read-only word-keyed view of ``p``, built on first access."""
-        words = slot_words(self.m, self.n, np.arange(self.p.size))
-        return MappingProxyType(dict(zip(words, self.p.tolist())))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,8 @@ def test_criterion_06_brute_force_equivalence():
         exponents = res.t * logd + res.q * phi
         logz = math.log(np.sum(np.exp(exponents - exponents.max()))) \
             + exponents.max()
-        weights = np.array([res.measure.weights[w] for w in table.words()])
+        weights = res.measure.p[[np.ravel_multi_index(w, (2, 2))
+                                 for w in table.words()]]
         residual = float(np.max(np.abs(np.log(weights) - (exponents - logz))))
         ok = ok and residual <= 1e-8
     report(6, "grid-search equivalence and Gibbs form at n=2", ok)

@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mfspec
-from mfspec.cli import (CommandConfig, PotentialConfig, SystemConfig,
+from mfspec.cli import (_SCHEMA, CommandConfig, PotentialConfig, SystemConfig,
                         main, parse_config, run, run_suite, serialize_config)
 from mfspec.errors import ConfigError
 
@@ -82,6 +85,65 @@ def test_missing_and_mismatched_sections(tmp_path):
     raw = make_config(tmp_path, command={"name": "validate"})
     with pytest.raises(ConfigError, match="suite"):
         parse_config(json.dumps(raw))
+
+
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-10**6, 10**6))
+_NUMBER_LIST = st.lists(_NUMBER, min_size=1, max_size=4)
+# a valid value for every key of a named section
+_VALUES = {"ratios": _NUMBER_LIST, "offsets": _NUMBER_LIST, "beta": _NUMBER,
+           "values": _NUMBER_LIST, "coefficients": _NUMBER_LIST,
+           "branch": st.integers(-10**9, 10**9), "alphas": _NUMBER_LIST,
+           "alpha": _NUMBER,
+           "suite": st.sampled_from(["besicovitch", "markov", "moran"])}
+_CLASSES = {"system": SystemConfig, "potential": PotentialConfig,
+            "command": CommandConfig}
+_JSON_SCALARS = (st.none() | st.booleans() | _NUMBER | st.text(max_size=5)
+                 | _NUMBER_LIST)
+
+
+def _raises_naming(raw, key):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("section,name", [
+    (section, name) for section in _CLASSES for name in _SCHEMA[section]])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_schema_table_accepts_exactly_its_keys(section, name, data):
+    tmp_path = Path("unwritten")  # parsing writes nothing
+    spec = _SCHEMA[section][name]
+    allowed = {"name", *spec.required, *spec.optional}
+    block = {"name": name,
+             **{key: data.draw(_VALUES[key]) for key in spec.required}}
+    for extra in ({}, {key: data.draw(_VALUES[key]) for key in spec.optional}):
+        cfg = parse_config(json.dumps(
+            make_config(tmp_path, **{section: {**block, **extra}})))
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    # another builtin's key with a value, or any key that is no field
+    others = sorted(f.name for f in fields(_CLASSES[section])
+                    if f.name not in allowed)
+    key = data.draw(st.text(min_size=1, max_size=8).filter(
+        lambda k: k not in allowed and k not in others))
+    value = data.draw(_JSON_SCALARS)
+    if others and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(others))
+        value = data.draw(_VALUES[key])
+    _raises_naming(make_config(tmp_path, **{section: {**block, key: value}}),
+                   key)
+
+    if spec.required:
+        key = data.draw(st.sampled_from(spec.required))
+        short = {k: v for k, v in block.items() if k != key}
+        _raises_naming(make_config(tmp_path, **{section: short}), key)
+
+    # solver knobs that are fixed constants are unknown keys
+    key = data.draw(st.sampled_from(
+        ["t_tol", "alpha_tol", "boundary_tol", "max_iter"]))
+    _raises_naming(make_config(tmp_path,
+                               solver={"n": 8, key: data.draw(_NUMBER)}), key)
 
 
 def test_serialize_round_trip(tmp_path):
@@ -198,7 +260,7 @@ def test_single_alpha_dim_row(tmp_path):
 
 
 def test_validate_suites_exist():
-    for suite, tol in (("besicovitch", 0.08), ("markov", 1e-10),
+    for suite, tol in (("besicovitch", 1e-8), ("markov", 1e-10),
                        ("moran", 1e-13)):
         columns, rows = run_suite(suite, 8)
         assert rows

@@ -20,12 +20,14 @@ from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
                                polynomial, potential_arrays)
-from mfspec.spectrum import (DepthContext, Rows, SolverOptions,
+from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER, MORAN_TOL,
+                             T_TOL, DepthContext, Rows, SolverOptions,
                              _window_midpoints,
                              alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
                              parabolic_interval, upper_bound)
-from mfspec.symbolic import BlockMeasure, MarkovChainSpec, block_marginal
+from mfspec.symbolic import (BlockMeasure, MarkovChainSpec, block_marginal,
+                             slot_words)
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -67,21 +69,28 @@ def test_moran_depth_invariance_and_reference():
     assert values[0] == pytest.approx(MIXED_ROOT, abs=1e-6)
 
 
+def _moran_of_words(system, n, words):
+    """Moran root over the depth-n cylinders of the given words."""
+    slots = np.array([np.ravel_multi_index(w, (system.m,) * n) for w in words],
+                     dtype=int)
+    ell = -CylinderTable(system, n).log_diameters[slots]
+    return Rows(ell, None, np.ones(ell.size)).moran_root(MORAN_TOL)[0]
+
+
 def test_moran_constant_word_filter():
     for n in (3, 5):
-        s = moran_dimension(HALVES, n,
-                            word_filter=lambda w: len(set(w)) == 1)
+        s = _moran_of_words(HALVES, n, [(0,) * n, (1,) * n])
         assert s == pytest.approx(1.0 / n, abs=1e-9)
 
 
 def test_moran_single_cylinder_is_zero():
-    s = moran_dimension(HALVES, 4, word_filter=lambda w: w == (0, 0, 0, 0))
+    s = _moran_of_words(HALVES, 4, [(0, 0, 0, 0)])
     assert s == 0.0
 
 
 def test_moran_empty_filter():
     with pytest.raises(NoCylindersError):
-        moran_dimension(HALVES, 3, word_filter=lambda w: False)
+        _moran_of_words(HALVES, 3, [])
 
 
 def test_moran_root_rejects_uncontracted():
@@ -246,7 +255,8 @@ def test_lower_feasibility_and_gibbs_form():
     n = nu.n
     # constraint satisfied by the returned measure
     mean = sum(p * sum(1.0 for s in w if s == 0)
-               for w, p in nu.weights.items())
+               for w, p in zip(slot_words(2, n, np.arange(nu.p.size)),
+                               nu.p.tolist()))
     assert mean == pytest.approx(n * 0.35, abs=1e-6)
     # log nu(w) = t log D(w) + q phi(w) - log Z on the support
     table = CylinderTable(HALVES, n)
@@ -255,7 +265,8 @@ def test_lower_feasibility_and_gibbs_form():
     exponents = res.t * logd + res.q * phi
     logz = np.log(np.sum(np.exp(exponents - exponents.max()))) \
         + exponents.max()
-    weights = np.array([nu.weights[w] for w in table.words()])
+    weights = nu.p[[np.ravel_multi_index(w, (2,) * n)
+                    for w in table.words()]]
     residual = np.max(np.abs(np.log(weights) - (exponents - logz)))
     assert residual <= 1e-8
 
@@ -265,7 +276,8 @@ def test_lower_certifies_its_own_ratio():
     nu = res.measure
     table = CylinderTable(MP, 8)
     ell = -np.log(table.diameters())
-    weights = np.array([nu.weights[w] for w in table.words()])
+    weights = nu.p[[np.ravel_multi_index(w, (2,) * 8)
+                    for w in table.words()]]
     entropy = -np.sum(weights[weights > 0] * np.log(weights[weights > 0]))
     assert entropy / np.dot(weights, ell) == pytest.approx(res.dim, abs=1e-9)
 
@@ -497,23 +509,23 @@ def _ref_lower(ctx, alpha):
             raise NoCylindersError("floor excludes every word")
         phi, ell = phi[mask], ell[mask]
     lo_avg, hi_avg = float(np.min(phi)) / n, float(np.max(phi)) / n
-    tol = opts.boundary_tol
+    tol = BOUNDARY_TOL
     if alpha < lo_avg - tol or alpha > hi_avg + tol:
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
-    at_hi = alpha >= hi_avg - opts.boundary_tol
-    boundary = at_hi or alpha <= lo_avg + opts.boundary_tol
+    at_hi = alpha >= hi_avg - BOUNDARY_TOL
+    boundary = at_hi or alpha <= lo_avg + BOUNDARY_TOL
     if boundary:
         e_phi = float(np.max(phi) if at_hi else np.min(phi))
         sel = np.abs(phi - e_phi) <= 1e-9
         p = np.where(sel, 1.0 / sel.sum(), 0.0)
         entropy, e_ell, iterations = math.log(sel.sum()), ell[sel].mean(), 0
     else:
-        q_tol = n * opts.alpha_tol * max(1.0, abs(alpha))
+        q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
         t = 0.0
-        for iterations in range(1, opts.max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             _, (p, entropy, e_ell, e_phi, _) = _ref_solve_q(
                 ell, phi, t, n * alpha, q_tol)
-            if entropy / e_ell - t <= opts.t_tol:
+            if entropy / e_ell - t <= T_TOL:
                 break
             t = entropy / e_ell
         if abs(e_phi - n * alpha) > 10.0 * q_tol:
@@ -583,9 +595,10 @@ def _row_case(draw):
     return system, potential, n
 
 
-# the Moran bisection runs to 1e-13 here: at the default 1e-10 two sums that
-# differ in the last bit can settle a dyadic root (1.0 for a tiling cover) on
-# opposite sides, and the two answers differ by the resolution, not the rows
+# moran_tol=1e-13 sets the resolution of _ref_upper's bisection reference,
+# which the s_n comparison below needs finer than 1e-12: at the default 1e-10
+# the bisection answer is known only to about 1e-10, and the comparison would
+# measure that resolution, not the rows
 @settings(max_examples=120, deadline=None)
 @given(_row_case(), st.data())
 def test_rows_match_per_word_reference(case, data):
@@ -654,7 +667,7 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
     assume(not isinstance(res, type))
 
     if res.boundary:
-        at_hi = alpha >= hi - ctx.opts.boundary_tol
+        at_hi = alpha >= hi - BOUNDARY_TOL
         e_phi = float(np.max(phi[keep]) if at_hi else np.min(phi[keep]))
         tie = keep & (np.abs(phi - e_phi) <= 1e-9)
         p = np.where(tie, 1.0 / float(tie.sum()), 0.0)

@@ -10,7 +10,7 @@ from mfspec.geometry import geometric_potential, linear_system
 from mfspec.potentials import first_symbol, induced_word_function
 from mfspec.symbolic import (Alphabet, BlockMeasure, MarkovChainSpec,
                              WordFunction, abramov_stats, birkhoff_sum,
-                             block_marginal, shannon_entropy,
+                             block_marginal, shannon_entropy, slot_words,
                              variation_bound, word_label)
 
 # hand-evaluated -(0.3 ln 0.3 + 0.7 ln 0.7)
@@ -73,7 +73,7 @@ def test_measure_validation():
 def test_marginal_iid_is_product():
     chain = MarkovChainSpec.iid([0.25, 0.75])
     nu = block_marginal(chain, 2)
-    for (a, b), p in nu.weights.items():
+    for (a, b), p in zip(slot_words(2, 2, np.arange(4)), nu.p.tolist()):
         assert p == pytest.approx([0.25, 0.75][a] * [0.25, 0.75][b], abs=1e-15)
 
 
@@ -82,17 +82,19 @@ def test_marginal_permutation_support():
     P = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     chain = MarkovChainSpec(transition=P, initial=[1 / 3] * 3)
     nu = block_marginal(chain, 3)
-    support = {w: p for w, p in nu.weights.items() if p > 0}
+    support = {w: p for w, p in zip(slot_words(3, 3, np.arange(27)),
+                                    nu.p.tolist()) if p > 0}
     assert len(support) == 3
     assert all(p == pytest.approx(1 / 3) for p in support.values())
 
 
 def test_marginal_hand_multiplied():
     nu = block_marginal(CHAIN, 2)
-    assert nu.weights[(0, 0)] == pytest.approx(0.6, abs=1e-14)
-    assert nu.weights[(0, 1)] == pytest.approx(1 / 15, abs=1e-14)
-    assert nu.weights[(1, 0)] == pytest.approx(1 / 15, abs=1e-14)
-    assert nu.weights[(1, 1)] == pytest.approx(4 / 15, abs=1e-14)
+    p = nu.p.reshape(2, 2)  # slot order: first symbol most significant
+    assert p[0, 0] == pytest.approx(0.6, abs=1e-14)
+    assert p[0, 1] == pytest.approx(1 / 15, abs=1e-14)
+    assert p[1, 0] == pytest.approx(1 / 15, abs=1e-14)
+    assert p[1, 1] == pytest.approx(4 / 15, abs=1e-14)
 
 
 def test_marginal_consistency_under_extension():
@@ -100,8 +102,10 @@ def test_marginal_consistency_under_extension():
     for n in (1, 2, 4):
         short = block_marginal(CHAIN, n)
         long = block_marginal(CHAIN, n + 1)
-        for w, p in short.weights.items():
-            tail = math.fsum(long.weights[w + (a,)] for a in range(2))
+        for w, p in zip(slot_words(2, n, np.arange(2**n)), short.p.tolist()):
+            tail = math.fsum(
+                long.p[np.ravel_multi_index(w + (a,), (2,) * (n + 1))]
+                for a in range(2))
             assert tail == pytest.approx(p, abs=1e-12)
 
 
