@@ -140,7 +140,7 @@ class IfsSystem:
         # uniform decay is assumed, not certified.
         d1 = max(b.image.diameter for b in self.branches)
         if self.m**depth <= 65536:
-            widths = CylinderTable(self, depth).diameters()
+            *_, (_, widths) = cylinder_levels(self, depth)
         else:
             rng = np.random.default_rng(0)
             words = rng.integers(0, self.m, size=(samples, depth))

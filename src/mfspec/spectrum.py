@@ -48,17 +48,15 @@ _TIE_TOL = 1e-9
 _SCHEDULE_TOL = 1e-12
 
 
-# The lower route stops its Dinkelbach iteration once a step raises the
-# ratio by at most T_TOL and raises SolverError after MAX_ITER steps; the
-# multiplier solve meets the constraint to ALPHA_TOL per symbol, and a level
-# value within BOUNDARY_TOL of the achievable edge is a boundary value.
+# The outer iteration stops once a step gains at most T_TOL (lower route) or
+# MORAN_TOL (Moran roots) and fails after MAX_ITER steps; the multiplier solve
+# meets the constraint to ALPHA_TOL per symbol, and a level value within
+# BOUNDARY_TOL of the achievable edge is a boundary value.
 T_TOL = 1e-8
+MORAN_TOL = 1e-10
 ALPHA_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 MAX_ITER = 200
-# Moran root stop: the default of SolverOptions.moran_tol, and the one
-# moran_dimension uses
-MORAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,26 +67,21 @@ class SolverOptions:
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
     Lyapunov floor excluding words with lambda_n below it (None means no
     floor, except that parabolic systems apply a small default floor to the
-    cover route, ``DepthContext.cover_delta``).  Moran roots (the cover route
-    and the attractor estimate) stop once a safeguarded Newton step is at
-    most ``moran_tol`` (``Rows.moran_root``).  ``word_cap`` bounds the number
-    of depth-n words.  ``seed`` is a no-op: every estimator is deterministic
-    and none reads it; it is kept so that configs carrying a ``seed`` key
-    stay valid and round-trip.
+    cover route, ``DepthContext.cover_delta``).  ``word_cap`` bounds the
+    number of depth-n words.  ``seed`` is a no-op: every estimator is
+    deterministic and none reads it; it is kept so that configs carrying a
+    ``seed`` key stay valid and round-trip.
     """
 
     n: int = 10
     rho: float | None = None
     delta: float | None = None
-    moran_tol: float = MORAN_TOL
     word_cap: int = DEFAULT_WORD_CAP
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("solver depth n must be >= 2")
-        if self.moran_tol <= 0:
-            raise ValueError("moran_tol must be positive")
         if self.rho is not None and self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.delta is not None and self.delta < 0:
@@ -169,6 +162,22 @@ def _debug(msg: str, *args) -> None:
     logging.getLogger(__name__).debug(msg, *args)
 
 
+def _ratio_iteration(step, t: float, tol: float,
+                     name: str) -> tuple[float, float, int]:
+    """t <- step(t), the ratio H/L of the measure maximizing H - t*L, until
+    a step gains at most ``tol``: Dinkelbach's iteration under the lower
+    route's constraint, Newton's on log Z(t, 0) = 0 without it (q = 0).
+    From below both climb, so a step rounding turns back also stops it.
+    Returns the last point stepped from, its step and the step count."""
+    for steps in range(1, MAX_ITER + 1):
+        nxt = step(t)
+        if nxt - t <= tol:
+            return t, nxt, steps
+        t = nxt
+    raise SolverError(
+        f"{name} did not settle to {tol:g} within {MAX_ITER} steps")
+
+
 # ---------------------------------------------------------------------------
 # partition function over (width, phi) rows
 # ---------------------------------------------------------------------------
@@ -198,8 +207,9 @@ class Rows(NamedTuple):
     phi: np.ndarray | None
     count: np.ndarray | float
 
-    def where(self, mask: np.ndarray) -> Rows:
-        return Rows(self.ell[mask], self.phi[mask], self.count[mask])
+    def where(self, mask: np.ndarray | None) -> Rows:
+        return self if mask is None else Rows(  # None: no floor
+            self.ell[mask], self.phi[mask], self.count[mask])
 
     def log_z(self, t, q, w, tmp=None) -> tuple[float, float]:
         """Max-shifted partition sum: ``(shift, z)`` with log Z = shift + log z.
@@ -282,19 +292,15 @@ class Rows(NamedTuple):
         gibbs = stats(q)
         return q, gibbs, evals
 
-    def moran_root(self, tol: float) -> tuple[float, int]:
+    def moran_root(self) -> tuple[float, int]:
         """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took.
 
-        f(s) = log Z(s, 0) is convex and decreasing with f'(s) = -E_s[ell];
-        its root lies in [log C / max ell, log C / min ell] for the total
-        count C >= 1 (a single cylinder, or cylinders of one width, close the
-        bracket).  Newton starts at the left end, where f >= 0, and climbs
-        onto the root; every evaluation narrows the bracket, and a step
-        longer than ``tol`` that leaves it is replaced by bisection.  The
-        iteration stops once a step is at most ``tol``, or no double lies
-        strictly inside the bracket, and returns the point that step reaches:
-        after a bisection step that short the root is within ``tol``, after a
-        Newton step within about its square.
+        The lower route's iteration at q = 0, from log C / max ell for the
+        total count C >= 1: the ratio H/L at s is Newton's step
+        s + f(s) / E_s[ell] on f(s) = log Z(s, 0), kept in that form since
+        the ratio form rounds differently.  The step that stops it is taken,
+        so the root is within about MORAN_TOL squared.  Cylinders of one
+        width take no sum: the start is their root.
         """
         ell = self.ell
         if ell.size == 0:
@@ -304,28 +310,16 @@ class Rows(NamedTuple):
             raise NotContractingError(
                 "some cylinder diameter is >= 1; increase the depth n")
         log_c = math.log(float(self.count.sum()))
-        lo = s = log_c / float(np.max(ell))
-        hi = log_c / ell_min
-        w = np.empty_like(ell)
+        s = log_c / float(np.max(ell))
         evals = 0
-        while lo < hi:
-            evals += 1
-            shift, z = self.log_z(s, 0.0, w)
-            f = shift + math.log(z)
-            if f > 0.0:
-                lo = s
-            elif f < 0.0:
-                hi = s
-            else:
-                break
-            step = s + f * z / float(w @ ell)
-            # a short step is taken even where rounding puts it on a bracket end
-            if abs(step - s) > tol and not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            done = abs(step - s) <= tol or not lo < step < hi
-            s = step
-            if done:
-                break
+        if s < log_c / ell_min:
+            w = np.empty_like(ell)
+
+            def newton(s):
+                shift, z = self.log_z(s, 0.0, w)
+                return s + (shift + math.log(z)) * z / float(w @ ell)
+
+            _, s, evals = _ratio_iteration(newton, s, MORAN_TOL, "Moran root")
         _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
                evals)
         return s, evals
@@ -335,7 +329,7 @@ def moran_dimension(system: IfsSystem, n: int,
                     cap: int = DEFAULT_WORD_CAP) -> float:
     """Moran exponent of every depth-n cylinder: the attractor estimate."""
     d = top_level(system, n, cap)[0]
-    return Rows(-np.log(d), None, np.ones(d.size)).moran_root(MORAN_TOL)[0]
+    return Rows(-np.log(d), None, np.ones(d.size)).moran_root()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +396,7 @@ class DepthContext:
     @cached_property
     def attractor_root(self) -> tuple[float, int]:
         """Moran root of every row and the partition sums it took."""
-        return self.rows.moran_root(self.opts.moran_tol)
+        return self.rows.moran_root()
 
     @property
     def attractor_dimension(self) -> float:
@@ -431,6 +425,19 @@ class DepthContext:
             return self.opts.delta
         return 1e-3 * math.log(self.system.m) if self.system.has_parabolic \
             else 0.0
+
+
+def _context(system: IfsSystem, potential: PotentialSpec,
+             opts: SolverOptions | None,
+             context: DepthContext | None) -> DepthContext:
+    """A new context, or ``context`` if built for these very arguments."""
+    if context is None:
+        return DepthContext(system, potential, opts)
+    if context.system is not system or context.potential is not potential:
+        raise ValueError("context was built for another system or potential")
+    if opts is not None and opts != context.opts:
+        raise ValueError(f"opts differ from the context's {context.opts}")
+    return context
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +477,9 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     rows, and ``moran_evals`` counts its partition sums.  An empty window
     raises ``AlphaUnreachableError`` with the nearest word average and the
     range of averages among the words the floor keeps (``NoCylindersError``
-    if it keeps none).
+    if it keeps none).  A foreign ``context`` raises ValueError.
     """
-    ctx = context or DepthContext(system, potential, opts)
-    opts = ctx.opts
+    ctx = _context(system, potential, opts, context)
     rho = ctx.rho
     half = 2.0 * rho + ctx.slack
     delta = ctx.cover_delta
@@ -483,13 +489,13 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     if mask is not None:
         keep &= mask
     if not keep.any():
-        avg = (rows.phi if mask is None else rows.phi[mask]) / ctx.n
+        avg = rows.where(mask).phi / ctx.n
         nearest = float(avg[np.argmin(np.abs(avg - alpha))])
         raise AlphaUnreachableError(
             alpha, half, nearest, (float(np.min(avg)), float(np.max(avg))))
     # copy once, through window and floor together, only what Moran sums read
     count = rows.count[keep]
-    s, evals = Rows(rows.ell[keep], None, count).moran_root(opts.moran_tol)
+    s, evals = Rows(rows.ell[keep], None, count).moran_root()
     return UpperBoundResult(s_n=s, cover_size=int(count.sum()),
                             moran_evals=evals, half_width=half, rho=rho,
                             delta=delta, n=ctx.n)
@@ -514,13 +520,13 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     context's (width, phi) rows: the floor, the tie set and the final word
     weight exp(q*phi - t*ell - shift) / z are formed once per row, and the
     returned per-word measure gathers them through ``ctx.word_row``, so
-    feasibility and the Gibbs form can be re-verified independently.
+    feasibility and the Gibbs form can be re-verified independently.  A
+    foreign ``context`` raises ValueError.
     """
-    ctx = context or DepthContext(system, potential, opts)
-    opts = ctx.opts
+    ctx = _context(system, potential, opts, context)
     n = ctx.n
-    mask = ctx.floor(opts.delta)
-    rows = ctx.rows if mask is None else ctx.rows.where(mask)
+    mask = ctx.floor(ctx.opts.delta)
+    rows = ctx.rows.where(mask)
     phi = rows.phi
     target = n * alpha
     lo_avg = float(np.min(phi)) / n
@@ -541,21 +547,19 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
         row_p = np.where(tie, 1.0 / gibbs.z, 0.0)
     else:
         q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
-        t = 0.0
-        gibbs_evals = 0
-        for iterations in range(1, MAX_ITER + 1):
-            q, gibbs, evals = rows.solve_q(t, target, q_tol)
-            gibbs_evals += evals
+        solves = []  # (q, Gibbs stats, evaluations) at each t stepped from
+
+        def dinkelbach(t):
+            solves.append(rows.solve_q(t, target, q_tol))
+            q, gibbs, evals = solves[-1]
             _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
-                   iterations, t, q, evals)
-            ratio = gibbs.entropy / gibbs.e_ell
-            if ratio - t <= T_TOL:
-                break
-            t = ratio
-        else:
-            raise SolverError(
-                f"Dinkelbach iteration did not settle to {T_TOL:g} "
-                f"within {MAX_ITER} steps")
+                   len(solves), t, q, evals)
+            return gibbs.entropy / gibbs.e_ell
+
+        t, _, iterations = _ratio_iteration(dinkelbach, 0.0, T_TOL,
+                                            "Dinkelbach iteration")
+        q, gibbs, _ = solves[-1]
+        gibbs_evals = sum(evals for *_, evals in solves)
         e_phi = gibbs.e_phi
         if abs(e_phi - target) > 10.0 * q_tol:
             raise SolverError(
@@ -604,28 +608,23 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                 alpha=alpha, lower=s, upper=s, in_parabolic_interval=True,
                 n=ctx.n, rho=rho, delta=0.0, lemma1_gap=ctx.lemma1_gap,
                 moran_evals=ctx.attractor_root[1])
-        lower = upper = None
-        t = q = None
-        iterations = cover = gibbs_evals = moran_evals = None
-        errors = []
+        point, errors = {"lower": None, "upper": None}, []
         try:
             lb = lower_bound(system, potential, alpha, context=ctx)
-            lower, t, q, iterations = lb.dim, lb.t, lb.q, lb.iterations
-            gibbs_evals = lb.gibbs_evals
+            point.update(lower=lb.dim, t=lb.t, q=lb.q,
+                         iterations=lb.iterations, gibbs_evals=lb.gibbs_evals)
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:
             ub = upper_bound(system, potential, alpha, context=ctx)
-            upper, cover, moran_evals = ub.s_n, ub.cover_size, ub.moran_evals
+            point.update(upper=ub.s_n, cover_size=ub.cover_size,
+                         moran_evals=ub.moran_evals)
         except MfspecError as exc:
             errors.append(f"upper: {exc}")
         return SpectrumPoint(
-            alpha=alpha, lower=lower, upper=upper,
-            in_parabolic_interval=False, n=ctx.n, rho=rho,
+            alpha=alpha, in_parabolic_interval=False, n=ctx.n, rho=rho,
             delta=ctx.cover_delta, lemma1_gap=ctx.lemma1_gap,
-            iterations=iterations, t=t, q=q, cover_size=cover,
-            gibbs_evals=gibbs_evals, moran_evals=moran_evals,
-            error="; ".join(errors) or None)
+            error="; ".join(errors) or None, **point)
 
     return [compute(a) for a in sorted(float(a) for a in alphas)]
 

@@ -141,7 +141,7 @@ def test_schema_table_accepts_exactly_its_keys(section, name, data):
 
     # solver knobs that are fixed constants are unknown keys
     key = data.draw(st.sampled_from(
-        ["t_tol", "alpha_tol", "boundary_tol", "max_iter"]))
+        ["t_tol", "moran_tol", "alpha_tol", "boundary_tol", "max_iter"]))
     _raises_naming(make_config(tmp_path,
                                solver={"n": 8, key: data.draw(_NUMBER)}), key)
 

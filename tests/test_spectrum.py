@@ -20,8 +20,8 @@ from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
 from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
                                polynomial, potential_arrays)
-from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER, MORAN_TOL,
-                             T_TOL, DepthContext, Rows, SolverOptions,
+from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER, T_TOL,
+                             DepthContext, Rows, SolverOptions,
                              _window_midpoints,
                              alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
@@ -74,7 +74,7 @@ def _moran_of_words(system, n, words):
     slots = np.array([np.ravel_multi_index(w, (system.m,) * n) for w in words],
                      dtype=int)
     ell = -CylinderTable(system, n).log_diameters[slots]
-    return Rows(ell, None, np.ones(ell.size)).moran_root(MORAN_TOL)[0]
+    return Rows(ell, None, np.ones(ell.size)).moran_root()[0]
 
 
 def test_moran_constant_word_filter():
@@ -95,7 +95,7 @@ def test_moran_empty_filter():
 
 def test_moran_root_rejects_uncontracted():
     with pytest.raises(NotContractingError):
-        Rows(-np.log([0.5, 1.0]), None, np.ones(2)).moran_root(1e-10)
+        Rows(-np.log([0.5, 1.0]), None, np.ones(2)).moran_root()
 
 
 def _mp_moran_root(ell, count):
@@ -127,7 +127,7 @@ _MORAN_ROWS = st.integers(1, 50).flatmap(lambda k: st.tuples(
 @given(_MORAN_ROWS)
 def test_moran_root_matches_mpmath(rows):
     ell, count = (np.array(v, dtype=float) for v in rows)
-    s, evals = Rows(ell, None, count).moran_root(1e-10)
+    s, evals = Rows(ell, None, count).moran_root()
     ref = _mp_moran_root(ell, count)
     assert abs(s - ref) <= 1e-14 * ref
     assert evals <= 10
@@ -164,7 +164,7 @@ def test_upper_single_row_cover_counts_its_words():
     assert res.cover_size == ctx.rows.count[kept][0] == 70
     expected = math.log(70) / (n * math.log(2))
     assert res.s_n == pytest.approx(expected, abs=1e-13)
-    assert ctx.rows.where(kept).moran_root(1e-10)[0] \
+    assert ctx.rows.where(kept).moran_root()[0] \
         == pytest.approx(expected, abs=1e-13)
 
 
@@ -190,7 +190,7 @@ def test_upper_unreachable_alpha():
     phi = _word_phi(ctx)
     avg = phi[CylinderTable(ctx.system, ctx.n).lambda_array >= 0.5] / 8
     with pytest.raises(AlphaUnreachableError) as err:
-        upper_bound(MP, coordinate(), -1.0, context=ctx)
+        upper_bound(MP, ctx.potential, -1.0, context=ctx)
     assert err.value.nearest == np.min(avg) > np.min(phi / 8)
     assert err.value.achievable == (np.min(avg), np.max(avg))
 
@@ -447,6 +447,27 @@ def test_lower_reports_contraction_gap():
     assert res.lemma1_gap == pytest.approx(lemma1_gap(MP, 6), abs=1e-14)
 
 
+def test_foreign_context_is_rejected():
+    # a context answers only for the objects and options it was built with;
+    # a foreign one used to be read silently (linear [1/2, 1/2] got MP's
+    # 0.93293 for its 0.88129, and n=6 options ran at the context's n=10)
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=10))
+    for route in (lower_bound, upper_bound):
+        for system, potential in ((HALVES, COIN), (MP, coordinate()),
+                                  (MP2, ctx.potential)):
+            with pytest.raises(ValueError, match="another system"):
+                route(system, potential, 0.3, SolverOptions(n=10), context=ctx)
+        with pytest.raises(ValueError, match="differ from the context"):
+            route(MP, ctx.potential, 0.3, SolverOptions(n=6), context=ctx)
+    # its own objects, with equal or omitted options, are accepted
+    opts = SolverOptions(n=10)
+    for given_opts in (None, opts):
+        assert lower_bound(MP, ctx.potential, 0.3, given_opts, ctx).dim \
+            == lower_bound(MP, ctx.potential, 0.3, opts).dim
+        assert upper_bound(MP, ctx.potential, 0.3, given_opts, ctx) \
+            == upper_bound(MP, ctx.potential, 0.3, opts)
+
+
 def test_lower_beats_brute_force():
     from mfspec.oracle import brute_force_ratio
     opts = SolverOptions(n=2)
@@ -537,6 +558,11 @@ def _ref_lower(ctx, alpha):
     return entropy / e_ell, iterations, boundary, p
 
 
+# resolution of _ref_upper's bisection: the s_n comparison below needs it
+# finer than 1e-12
+_REF_MORAN_RESOLUTION = 1e-13
+
+
 def _ref_upper(ctx, alpha):
     """upper_bound over every word: (s_n, cover_size)."""
     half = 2.0 * ctx.rho + ctx.slack
@@ -556,7 +582,7 @@ def _ref_upper(ctx, alpha):
     lo, hi = 0.0, 1.0
     while total(hi) > 1.0:
         hi *= 2.0
-    while hi - lo > ctx.opts.moran_tol:
+    while hi - lo > _REF_MORAN_RESOLUTION:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if total(mid) > 1.0 else (lo, mid)
     return 0.5 * (lo + hi), int(keep.sum())
@@ -595,10 +621,9 @@ def _row_case(draw):
     return system, potential, n
 
 
-# moran_tol=1e-13 sets the resolution of _ref_upper's bisection reference,
-# which the s_n comparison below needs finer than 1e-12: at the default 1e-10
-# the bisection answer is known only to about 1e-10, and the comparison would
-# measure that resolution, not the rows
+# _ref_upper bisects to _REF_MORAN_RESOLUTION, so the s_n comparison below
+# measures the rows, not the reference's resolution; upper_bound's Newton root
+# at MORAN_TOL is within 1e-14 relative (test_moran_root_matches_mpmath)
 @settings(max_examples=120, deadline=None)
 @given(_row_case(), st.data())
 def test_rows_match_per_word_reference(case, data):
@@ -606,7 +631,7 @@ def test_rows_match_per_word_reference(case, data):
     # each floor above the smallest rate masks some words
     floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
-    opts = SolverOptions(n=n, delta=delta, moran_tol=1e-13)
+    opts = SolverOptions(n=n, delta=delta)
     ctx = DepthContext(system, potential, opts)
     table = CylinderTable(ctx.system, ctx.n)
     phi, lam = _word_phi(ctx), table.lambda_array
@@ -681,6 +706,29 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
         logw[~keep] = -np.inf
         p = np.exp(logw) / z
     assert np.array_equal(res.measure.p, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_case(), st.data())
+def test_lower_at_most_unconstrained_root(case, data):
+    # dropping the constraint can only raise the sup of H/L, so lower never
+    # exceeds the Moran root of the rows the floor keeps; at the root's own
+    # Gibbs mean the two are one program, and the same iteration gives both
+    system, potential, n = case
+    floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
+    delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
+    ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
+    rows = ctx.rows.where(ctx.floor(delta))
+    root = rows.moran_root()[0]
+    lo, hi = float(np.min(rows.phi)) / n, float(np.max(rows.phi)) / n
+    free = rows.gibbs(root, 0.0, *np.empty((2, rows.ell.size))).e_phi / n
+    alpha = data.draw(st.just(free) | st.floats(0.0, 1.0).map(
+        lambda u: lo + u * (hi - lo)))
+    res = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    assume(not isinstance(res, type))
+    assert res.dim <= root + 1e-12
+    if alpha == free and not res.boundary:
+        assert res.dim == pytest.approx(root, abs=T_TOL)
 
 
 # ---------------------------------------------------------------------------
