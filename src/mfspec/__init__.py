@@ -26,9 +26,9 @@ from .spectrum import (DepthContext, LowerBoundResult, SamplerCheckpoint,
                        alternating_sampler, full_spectrum, lower_bound,
                        moran_dimension, parabolic_interval, upper_bound)
 from .symbolic import (AbramovStats, Alphabet, BlockMeasure, MarkovChainSpec,
-                       Word, WordFunction, abramov_stats, birkhoff_average,
-                       birkhoff_sum, block_marginal, shannon_entropy,
-                       variation_bound, word_label)
+                       Word, WordFunction, abramov_stats, birkhoff_sum,
+                       block_marginal, shannon_entropy, variation_bound,
+                       word_label)
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,8 @@ class EnumerationLimitError(MfspecError):
         self.m, self.n, self.cap = m, n, cap
         super().__init__(
             f"enumerating {m}^{n} words exceeds the cap of {cap}; "
-            f"raise the cap or lower the depth"
+            f"lower the depth (the solver's word_cap sets the cap of the "
+            f"depth-n state)"
         )
 
 

@@ -295,9 +295,8 @@ class CylinderTable:
     sums over them are numpy pairwise sums, reproducible bit-for-bit.
     """
 
-    def __init__(self, system: IfsSystem, depth: int,
-                 cap: int = DEFAULT_WORD_CAP):
-        system.alphabet.check_cap(depth, cap)
+    def __init__(self, system: IfsSystem, depth: int):
+        system.alphabet.check_cap(depth)
         self.system = system
         self.depth = depth
         self._lo, self._width = zip(*[(lo.copy(), width.copy()) for lo, width
@@ -323,9 +322,6 @@ class CylinderTable:
     def word(self, idx: int, k: int | None = None) -> Word:
         """Decode a slot index back into its word."""
         return slot_words(self.m, self.depth if k is None else k, [idx])[0]
-
-    def index(self, w: Word) -> int:
-        return int(np.ravel_multi_index(tuple(w), (self.m,) * len(w)))
 
     def words(self, k: int | None = None):
         """All words at depth k in slot order."""
@@ -402,7 +398,7 @@ def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
-               seed: int = 0, cap: int = DEFAULT_WORD_CAP) -> float:
+               seed: int = 0) -> float:
     """Sup over depth-n words of |lambda_n(w) - A_n g(w)|.
 
     ``sample=None`` enumerates all m^n words (cap-guarded, ``top_level``)
@@ -411,7 +407,7 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     systems and decays with n when branch derivatives are continuous.
     """
     if sample is None:
-        return top_level(system, n, cap, gap=True)[2]
+        return top_level(system, n, gap=True)[2]
     rng = np.random.default_rng(seed)
     words = rng.integers(0, system.m, size=(sample, n))
     # before symbol w_j is applied the fold holds the suffix cylinder whose
@@ -429,8 +425,7 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     return float(np.max(np.abs(lam - gsum / n)))
 
 
-def geometric_potential(system: IfsSystem, depth: int,
-                        cap: int = DEFAULT_WORD_CAP) -> WordFunction:
+def geometric_potential(system: IfsSystem, depth: int) -> WordFunction:
     """The geometric potential as a word function with declared error bounds.
 
     Words of length 1 are evaluated at the midpoint of [0,1] (the suffix
@@ -438,7 +433,7 @@ def geometric_potential(system: IfsSystem, depth: int,
     oscillation of a branch log-derivative over a depth-(k-1) cylinder, by
     endpoint differences (exact for monotone derivatives, as shipped).
     """
-    system.alphabet.check_cap(depth, cap)
+    system.alphabet.check_cap(depth)
 
     def oscillation(lo, hi) -> float:
         return max([0.0] + [float(np.max(np.abs(

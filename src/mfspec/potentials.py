@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import (CylinderTable, IfsSystem, cylinder_interval,
                        cylinder_levels)
-from .symbolic import DEFAULT_WORD_CAP, Word, WordFunction
+from .symbolic import Word, WordFunction
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,6 @@ class PotentialSpec:
                          for i in range(m))
         raise ValueError(f"potential {self.name!r} is not word-local")
 
-    def fixed_point_value(self, system: IfsSystem, symbol: int) -> float:
-        """Value of the induced function along the constant-``symbol`` word.
-
-        For word-local potentials this is the symbol value; otherwise F at
-        the branch fixed point (declared for parabolic branches, located by
-        deep iteration for contracting ones).
-        """
-        if self.word_local:
-            return self.symbol_values(system.m)[symbol]
-        branch = system.branches[symbol]
-        if branch.fixed_point is not None:
-            x = branch.fixed_point
-        else:
-            x = cylinder_interval(system, (symbol,) * 64).midpoint
-        return float(self.func(x))
-
 
 def coordinate() -> PotentialSpec:
     """F(x) = x."""
@@ -110,8 +94,8 @@ def indicator_branch(index: int) -> PotentialSpec:
     return PotentialSpec(name="indicator_branch", branch_index=int(index))
 
 
-def induced_word_function(system: IfsSystem, spec: PotentialSpec, depth: int,
-                          cap: int = DEFAULT_WORD_CAP) -> WordFunction:
+def induced_word_function(system: IfsSystem, spec: PotentialSpec,
+                          depth: int) -> WordFunction:
     """Word-level form of the induced sequence function, with error bounds
     enumerated up to ``depth``."""
     if spec.word_local:
@@ -123,7 +107,7 @@ def induced_word_function(system: IfsSystem, spec: PotentialSpec, depth: int,
         return WordFunction(evaluate=evaluate, error_bound=lambda k: 0.0,
                             name=spec.name)
 
-    system.alphabet.check_cap(depth, cap)
+    system.alphabet.check_cap(depth)
     bounds = [0.5 * spec.lipschitz * float(np.max(width))
               for _, width in cylinder_levels(system, depth)]
     func = spec.func

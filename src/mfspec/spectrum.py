@@ -8,14 +8,20 @@ Two routes are combined per level value alpha:
   family in (log-diameter, potential sum), so the inner problem is a 1-D
   monotone root find, and the outer fractional program is solved by
   Dinkelbach's iteration t <- entropy/length of the last inner maximizer.
-  The returned value is the entropy/length ratio of an explicitly
-  constructed feasible measure, hence a certified finite-depth value, with
-  the depth-n contraction-rate gap attached.
+  At an end of the achievable range the constraint only confines the
+  measure to the extreme words, and the same iteration runs on them with
+  q held at 0, converging to their Moran root.  The returned value is the
+  entropy/length ratio of an explicitly constructed feasible measure, hence
+  a certified finite-depth value, with the depth-n contraction-rate gap
+  attached.
 
 * a cover upper route: the Moran exponent of the depth-n cylinders whose
   word average falls inside the alpha window, widened to the resolution the
   window actually certifies (twice the window plus the word-approximation
   slack).
+
+Both routes read every depth-n input from one ``DepthContext``: its
+system, potential, options and (width, phi) rows.
 
 Systems with indifferent fixed points get special dispatch: on the interval
 spanned by the potential values at those fixed points, the level-set
@@ -325,10 +331,9 @@ class Rows(NamedTuple):
         return s, evals
 
 
-def moran_dimension(system: IfsSystem, n: int,
-                    cap: int = DEFAULT_WORD_CAP) -> float:
+def moran_dimension(system: IfsSystem, n: int) -> float:
     """Moran exponent of every depth-n cylinder: the attractor estimate."""
-    d = top_level(system, n, cap)[0]
+    d = top_level(system, n)[0]
     return Rows(-np.log(d), None, np.ones(d.size)).moran_root()[0]
 
 
@@ -427,19 +432,6 @@ class DepthContext:
             else 0.0
 
 
-def _context(system: IfsSystem, potential: PotentialSpec,
-             opts: SolverOptions | None,
-             context: DepthContext | None) -> DepthContext:
-    """A new context, or ``context`` if built for these very arguments."""
-    if context is None:
-        return DepthContext(system, potential, opts)
-    if context.system is not system or context.potential is not potential:
-        raise ValueError("context was built for another system or potential")
-    if opts is not None and opts != context.opts:
-        raise ValueError(f"opts differ from the context's {context.opts}")
-    return context
-
-
 # ---------------------------------------------------------------------------
 # parabolic dispatch interval
 # ---------------------------------------------------------------------------
@@ -455,7 +447,11 @@ def parabolic_interval(system: IfsSystem,
     symbols = system.parabolic_symbols
     if not symbols:
         return None
-    vals = [potential.fixed_point_value(system, s) for s in symbols]
+    if potential.word_local:  # the constant word's first-symbol value
+        vals = [potential.symbol_values(system.m)[s] for s in symbols]
+    else:
+        vals = [float(potential.func(system.branches[s].fixed_point))
+                for s in symbols]
     return Interval(min(vals), max(vals))
 
 
@@ -463,9 +459,7 @@ def parabolic_interval(system: IfsSystem,
 # cover upper route
 # ---------------------------------------------------------------------------
 
-def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
-                opts: SolverOptions | None = None,
-                context: DepthContext | None = None) -> UpperBoundResult:
+def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
     """Moran exponent of the cylinders whose word average sits near alpha.
 
     The cover keeps words with |A_n f - alpha| below twice the window rho
@@ -477,9 +471,8 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     rows, and ``moran_evals`` counts its partition sums.  An empty window
     raises ``AlphaUnreachableError`` with the nearest word average and the
     range of averages among the words the floor keeps (``NoCylindersError``
-    if it keeps none).  A foreign ``context`` raises ValueError.
+    if it keeps none).
     """
-    ctx = _context(system, potential, opts, context)
     rho = ctx.rho
     half = 2.0 * rho + ctx.slack
     delta = ctx.cover_delta
@@ -505,9 +498,7 @@ def upper_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
 # variational lower route
 # ---------------------------------------------------------------------------
 
-def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
-                opts: SolverOptions | None = None,
-                context: DepthContext | None = None) -> LowerBoundResult:
+def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     """Best entropy/length ratio over depth-n block measures with mean alpha.
 
     Dinkelbach's iteration drives max H - t*L to zero over the constrained
@@ -515,71 +506,67 @@ def lower_bound(system: IfsSystem, potential: PotentialSpec, alpha: float,
     exponential-family measure with the multiplier q tuned so the mean
     potential sum hits n * alpha, and t moves to that measure's ratio H/L.
     The ratios increase, and every iterate is a feasible measure.  At a
-    boundary alpha the constraint forces support on the extreme words and the
-    uniform measure over them is returned.  Everything runs over the
-    context's (width, phi) rows: the floor, the tie set and the final word
-    weight exp(q*phi - t*ell - shift) / z are formed once per row, and the
-    returned per-word measure gathers them through ``ctx.word_row``, so
-    feasibility and the Gibbs form can be re-verified independently.  A
-    foreign ``context`` raises ValueError.
+    boundary alpha the constraint only confines the measure to the extreme
+    words: their rows join the floor mask and the same iteration runs on
+    them with q held at 0 (reported as None), which climbs to their Moran
+    root.  Everything runs over the context's (width, phi) rows: the floor,
+    the tie set and the final word weight exp(q*phi - t*ell - shift) / z are
+    formed once per row, and the returned per-word measure gathers them
+    through ``ctx.word_row``, so feasibility and the Gibbs form can be
+    re-verified independently.
     """
-    ctx = _context(system, potential, opts, context)
     n = ctx.n
     mask = ctx.floor(ctx.opts.delta)
     rows = ctx.rows.where(mask)
-    phi = rows.phi
     target = n * alpha
-    lo_avg = float(np.min(phi)) / n
-    hi_avg = float(np.max(phi)) / n
+    lo_phi, hi_phi = float(np.min(rows.phi)), float(np.max(rows.phi))
+    lo_avg, hi_avg = lo_phi / n, hi_phi / n
     if alpha < lo_avg - BOUNDARY_TOL or alpha > hi_avg + BOUNDARY_TOL:
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
 
     at_hi = alpha >= hi_avg - BOUNDARY_TOL
     boundary = at_hi or alpha <= lo_avg + BOUNDARY_TOL
-    if boundary:
-        e_phi = float(np.max(phi) if at_hi else np.min(phi))
-        # the uniform measure on the extreme words is the Gibbs measure of
-        # their rows at t = q = 0
-        tie = np.abs(phi - e_phi) <= _TIE_TOL
-        ties = rows.where(tie)
-        gibbs = ties.gibbs(0.0, 0.0, *np.empty((2, ties.ell.size)))
-        t, q, iterations, gibbs_evals = gibbs.entropy / gibbs.e_ell, None, 0, 0
-        row_p = np.where(tie, 1.0 / gibbs.z, 0.0)
-    else:
-        q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
-        solves = []  # (q, Gibbs stats, evaluations) at each t stepped from
+    if boundary:  # only the extreme words meet the constraint
+        tie = np.abs(ctx.rows.phi - (hi_phi if at_hi else lo_phi)) <= _TIE_TOL
+        mask = tie if mask is None else mask & tie
+        rows = ctx.rows.where(mask)
+    q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
+    solves = []  # (q, Gibbs stats, evaluations) at each t stepped from
 
-        def dinkelbach(t):
-            solves.append(rows.solve_q(t, target, q_tol))
-            q, gibbs, evals = solves[-1]
-            _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
-                   len(solves), t, q, evals)
-            return gibbs.entropy / gibbs.e_ell
+    def dinkelbach(t):
+        solves.append(
+            (0.0, rows.gibbs(t, 0.0, *np.empty((2, rows.ell.size))), 1)
+            if boundary else rows.solve_q(t, target, q_tol))
+        q, gibbs, evals = solves[-1]
+        _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
+               len(solves), t, q, evals)
+        return gibbs.entropy / gibbs.e_ell
 
-        t, _, iterations = _ratio_iteration(dinkelbach, 0.0, T_TOL,
-                                            "Dinkelbach iteration")
-        q, gibbs, _ = solves[-1]
-        gibbs_evals = sum(evals for *_, evals in solves)
-        e_phi = gibbs.e_phi
-        if abs(e_phi - target) > 10.0 * q_tol:
-            raise SolverError(
-                f"constraint residual {abs(e_phi - target):g} after "
-                f"multiplier capping; alpha={alpha:g} is too close to the "
-                f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
-        # one word's weight per row: log_z with unit counts, same shift
-        row_p, tmp = np.empty((2, phi.size))
-        Rows(rows.ell, phi, 1.0).log_z(t, q, row_p, tmp)
-        row_p /= gibbs.z
-    if mask is not None:  # the floored rows weigh nothing
+    t, _, iterations = _ratio_iteration(dinkelbach, 0.0, T_TOL,
+                                        "Dinkelbach iteration")
+    q, gibbs, _ = solves[-1]
+    e_phi = gibbs.e_phi
+    if abs(e_phi - target) > 10.0 * q_tol:
+        raise SolverError(
+            f"constraint residual {abs(e_phi - target):g} after "
+            f"multiplier capping; alpha={alpha:g} is too close to the "
+            f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
+    # one word's weight per row: log_z with unit counts, same shift
+    row_p, tmp = np.empty((2, rows.ell.size))
+    Rows(rows.ell, rows.phi, 1.0).log_z(t, q, row_p, tmp)
+    row_p /= gibbs.z
+    if mask is not None:  # the masked rows weigh nothing
         kept, row_p = row_p, np.zeros(mask.size)
         row_p[mask] = kept
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
     return LowerBoundResult(
-        dim=entropy / e_ell, t=t, q=q, alpha_achieved=e_phi / n,
-        lyapunov=e_ell / n, entropy_rate=entropy / n, iterations=iterations,
-        gibbs_evals=gibbs_evals, n=n, boundary=boundary,
-        lemma1_gap=ctx.lemma1_gap,
-        measure=BlockMeasure(m=system.m, n=n, p=row_p.take(ctx.word_row)))
+        dim=entropy / e_ell, t=t, q=None if boundary else q,
+        alpha_achieved=e_phi / n, lyapunov=e_ell / n,
+        entropy_rate=entropy / n, iterations=iterations,
+        gibbs_evals=sum(evals for *_, evals in solves), n=n,
+        boundary=boundary, lemma1_gap=ctx.lemma1_gap,
+        measure=BlockMeasure(m=ctx.system.m, n=n,
+                             p=row_p.take(ctx.word_row)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +597,13 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                 moran_evals=ctx.attractor_root[1])
         point, errors = {"lower": None, "upper": None}, []
         try:
-            lb = lower_bound(system, potential, alpha, context=ctx)
+            lb = lower_bound(ctx, alpha)
             point.update(lower=lb.dim, t=lb.t, q=lb.q,
                          iterations=lb.iterations, gibbs_evals=lb.gibbs_evals)
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:
-            ub = upper_bound(system, potential, alpha, context=ctx)
+            ub = upper_bound(ctx, alpha)
             point.update(upper=ub.s_n, cover_size=ub.cover_size,
                          moran_evals=ub.moran_evals)
         except MfspecError as exc:

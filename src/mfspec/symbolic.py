@@ -65,9 +65,9 @@ class Alphabet:
         if self.word_count(n) > cap:
             raise EnumerationLimitError(self.m, n, cap)
 
-    def words(self, n: int, cap: int = DEFAULT_WORD_CAP) -> Iterator[Word]:
+    def words(self, n: int) -> Iterator[Word]:
         """All length-n words in lexicographic order (first symbol varies slowest)."""
-        self.check_cap(n, cap)
+        self.check_cap(n)
         return itertools.product(range(self.m), repeat=n)
 
     def validate_word(self, w: Word) -> None:
@@ -129,9 +129,8 @@ class BlockMeasure:
         return cls(m=m, n=len(w), p=p)
 
     @classmethod
-    def uniform_full(cls, alphabet: Alphabet, n: int,
-                     cap: int = DEFAULT_WORD_CAP) -> "BlockMeasure":
-        alphabet.check_cap(n, cap)
+    def uniform_full(cls, alphabet: Alphabet, n: int) -> "BlockMeasure":
+        alphabet.check_cap(n)
         count = alphabet.word_count(n)
         return cls(m=alphabet.m, n=n, p=np.full(count, 1.0 / count))
 
@@ -182,16 +181,15 @@ def shannon_entropy(measure: BlockMeasure) -> float:
                      for p in measure.p.tolist() if p > WEIGHT_FLOOR)
 
 
-def block_marginal(chain: MarkovChainSpec, n: int,
-                   cap: int = DEFAULT_WORD_CAP) -> BlockMeasure:
+def block_marginal(chain: MarkovChainSpec, n: int) -> BlockMeasure:
     """Length-n word marginal of a Markov chain.
 
     weight(w_1..w_n) = p_{w_1} * prod_k P_{w_k, w_{k+1}}.  Enumerates all
-    m^n words (guarded by ``cap``), appending one symbol per level so the
-    array is already in slot order.
+    m^n words (at most ``DEFAULT_WORD_CAP``), appending one symbol per
+    level so the array is already in slot order.
     """
     m = chain.m
-    Alphabet(m).check_cap(n, cap)
+    Alphabet(m).check_cap(n)
     weights = chain.initial.copy()
     for k in range(1, n):
         last = np.arange(m**k) % m
@@ -209,10 +207,6 @@ def birkhoff_sum(f: WordFunction, w: Word) -> float:
     """
     w = tuple(w)
     return math.fsum(f.evaluate(w[k:]) for k in range(len(w)))
-
-
-def birkhoff_average(f: WordFunction, w: Word) -> float:
-    return birkhoff_sum(f, w) / len(w)
 
 
 def variation_bound(f: WordFunction, n: int) -> float:

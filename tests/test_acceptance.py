@@ -16,7 +16,7 @@ from mfspec.geometry import (CylinderTable, example2_system,
 from mfspec.oracle import (BesicovitchSpec, besicovitch_spectrum,
                            brute_force_ratio, markov_block_entropy_exact)
 from mfspec.potentials import coordinate, first_symbol, induced_word_function
-from mfspec.spectrum import (SolverOptions, alternating_sampler,
+from mfspec.spectrum import (DepthContext, SolverOptions, alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
                              upper_bound)
 from mfspec.symbolic import (MarkovChainSpec, abramov_stats,
@@ -36,14 +36,14 @@ def report(num, name, ok, detail=""):
 
 def test_criterion_01_besicovitch_agreement():
     quoted = {0.2: 0.7219, 0.3: 0.8813, 0.5: 1.0000}
-    opts = SolverOptions(n=14, rho=0.05)
     start = time.perf_counter()
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=14, rho=0.05))
     checks = []
     for alpha, digits in quoted.items():
         closed = besicovitch_spectrum(COIN_SPEC, alpha)
         checks.append(abs(closed - digits) <= 5e-5)
-        lower = lower_bound(HALVES, COIN, alpha, opts).dim
-        upper = upper_bound(HALVES, COIN, alpha, opts).s_n
+        lower = lower_bound(ctx, alpha).dim
+        upper = upper_bound(ctx, alpha).s_n
         checks.append(abs(lower - closed) <= 1e-8)
         checks.append(abs(upper - closed) <= 0.08)
     elapsed = time.perf_counter() - start
@@ -116,13 +116,13 @@ def test_criterion_05_markov_block_convergence():
 
 def test_criterion_06_brute_force_equivalence():
     import numpy as np
-    opts = SolverOptions(n=2)
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=2))
     table = CylinderTable(HALVES, 2)
     logd = np.log(table.diameters())
     phi = np.array([sum(1.0 for s in w if s == 0) for w in table.words()])
     ok = True
     for alpha in (0.3, 0.5, 0.75):
-        res = lower_bound(HALVES, COIN, alpha, opts)
+        res = lower_bound(ctx, alpha)
         ref = brute_force_ratio(HALVES, COIN, alpha, n=2, grid_step=0.01)
         ok = ok and res.dim >= ref - 0.01
         exponents = res.t * logd + res.q * phi

@@ -1,0 +1,57 @@
+"""The benchmark's tracer against the names and fields it reads.
+
+``perfbench/tracing.py`` wraps public mfspec names (the two estimator
+routes, ``DepthContext``, the CLI entry points) and reads result fields
+such as ``LowerBoundResult.iterations`` and ``UpperBoundResult.cover_size``.
+A rename there breaks the traced benchmark without failing any other
+test, so this one runs the tracer, imported by path, over small versions
+of the benchmark's two solver workloads.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import mfspec
+from mfspec import SolverOptions, cli, coordinate, manneville_pomeau_system
+from mfspec import spectrum
+
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_both_routes(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    routes = (spectrum.lower_bound, spectrum.upper_bound)
+    originals = tracing.install(tracer)
+    try:
+        system = tracing.traced_system(manneville_pomeau_system(0.5), tracer)
+        points = mfspec.full_spectrum(system, coordinate(), [0.0, 0.3],
+                                      SolverOptions(n=6))
+        config = cli.parse_config(json.dumps({
+            "system": {"name": "linear", "ratios": [0.5, 0.5]},
+            "potential": {"name": "first_symbol", "values": [1, 0]},
+            "command": {"name": "spectrum", "alphas": [0.3, 0.5]},
+            "solver": {"n": 8, "rho": 0.05},
+            "output": {"path": str(tmp_path / "besicovitch.csv")},
+        }))
+        code = cli.run(config)
+    finally:
+        tracing.uninstall(originals)
+    assert (spectrum.lower_bound, spectrum.upper_bound) == routes
+    assert code == 0
+    assert [p.error for p in points] == [None, None]
+    counts = tracer.counts[tracer.call]
+    for name in ("spectrum.lower_calls", "spectrum.upper_calls",
+                 "spectrum.cover_words"):
+        assert counts[name] > 0, name
+    spans = {record[0] for record in tracer.spans}
+    assert {"spectrum.context", "spectrum.lower", "spectrum.upper"} <= spans

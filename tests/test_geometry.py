@@ -239,14 +239,14 @@ def test_gap_sampled_mode_bounded_by_exhaustive():
 
 def test_gap_cap_guard():
     with pytest.raises(EnumerationLimitError):
-        lemma1_gap(HALVES, 20, cap=1000)
+        lemma1_gap(HALVES, 25)
 
 
 def test_table_word_roundtrip():
     table = CylinderTable(MIXED, 5)
     for idx in (0, 7, 19, 31):
         w = table.word(idx)
-        assert table.index(w) == idx
+        assert np.ravel_multi_index(w, (2,) * 5) == idx
         iv = cylinder_interval(MIXED, w)
         assert table.lo(5)[idx] == pytest.approx(iv.lo, abs=1e-15)
         assert table.hi(5)[idx] == pytest.approx(iv.hi, abs=1e-15)

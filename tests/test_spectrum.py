@@ -17,7 +17,8 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
 from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
                              example2_system, fold, lemma1_gap,
                              linear_system, manneville_pomeau_system)
-from mfspec.oracle import besicovitch_spectrum, BesicovitchSpec
+from mfspec.oracle import (besicovitch_spectrum, BesicovitchSpec,
+                           similarity_dimension)
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
                                polynomial, potential_arrays)
 from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER, T_TOL,
@@ -138,16 +139,17 @@ def test_moran_root_matches_mpmath(rows):
 # ---------------------------------------------------------------------------
 
 def test_upper_vacuous_window_gives_tiling_dimension():
-    opts = SolverOptions(n=6, rho=0.6)
-    res = upper_bound(HALVES, indicator_branch(0), 0.5, opts)
+    ctx = DepthContext(HALVES, indicator_branch(0),
+                       SolverOptions(n=6, rho=0.6))
+    res = upper_bound(ctx, 0.5)
     assert res.cover_size == 64
     assert res.s_n == pytest.approx(1.0, abs=1e-9)
 
 
 def test_upper_single_word_window():
     n = 8
-    opts = SolverOptions(n=n, rho=1.0 / (2 * n))
-    res = upper_bound(HALVES, COIN, 1.0, opts)
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=n, rho=1.0 / (2 * n)))
+    res = upper_bound(ctx, 1.0)
     assert res.cover_size == 1
     assert res.s_n == 0.0
 
@@ -158,7 +160,7 @@ def test_upper_single_row_cover_counts_its_words():
     # is log 70 / (8 log 2), not the 0 of a single cylinder
     n = 8
     ctx = DepthContext(HALVES, COIN, SolverOptions(n=n, rho=1.0 / (4 * n)))
-    res = upper_bound(HALVES, COIN, 0.5, context=ctx)
+    res = upper_bound(ctx, 0.5)
     kept = np.abs(ctx.rows.phi / n - 0.5) < res.half_width
     assert kept.sum() == 1
     assert res.cover_size == ctx.rows.count[kept][0] == 70
@@ -172,7 +174,8 @@ def test_upper_binomial_window_value():
     # cover keeps |k/n - alpha| < 2 rho (+ zero slack for first-symbol),
     # so the root satisfies 2^(n s) = sum of kept binomials
     n, alpha, rho = 14, 0.3, 0.05
-    res = upper_bound(HALVES, COIN, alpha, SolverOptions(n=n, rho=rho))
+    res = upper_bound(DepthContext(HALVES, COIN, SolverOptions(n=n, rho=rho)),
+                      alpha)
     kept = [k for k in range(n + 1) if abs(k / n - alpha) < 2 * rho]
     expected = math.log(sum(math.comb(n, k) for k in kept)) / (n * math.log(2))
     assert res.cover_size == sum(math.comb(n, k) for k in kept)
@@ -181,7 +184,8 @@ def test_upper_binomial_window_value():
 
 def test_upper_unreachable_alpha():
     with pytest.raises(AlphaUnreachableError) as err:
-        upper_bound(HALVES, COIN, 0.3, SolverOptions(n=4, rho=0.001))
+        upper_bound(DepthContext(HALVES, COIN, SolverOptions(n=4, rho=0.001)),
+                    0.3)
     assert err.value.achievable == (0.0, 1.0)
     assert err.value.nearest == 0.25
     # under a Lyapunov floor the nearest average and the range are those of
@@ -190,7 +194,7 @@ def test_upper_unreachable_alpha():
     phi = _word_phi(ctx)
     avg = phi[CylinderTable(ctx.system, ctx.n).lambda_array >= 0.5] / 8
     with pytest.raises(AlphaUnreachableError) as err:
-        upper_bound(MP, ctx.potential, -1.0, context=ctx)
+        upper_bound(ctx, -1.0)
     assert err.value.nearest == np.min(avg) > np.min(phi / 8)
     assert err.value.achievable == (np.min(avg), np.max(avg))
 
@@ -198,9 +202,10 @@ def test_upper_unreachable_alpha():
 def test_upper_tiling_cover_is_exactly_one():
     # the window keeps all 3^5 words, whose widths (powers of 2) tile [0, 1]:
     # the root is 1, and every printed digit of it must be right
-    opts = SolverOptions(n=5, rho=0.6)
-    res = upper_bound(linear_system([0.5, 0.25, 0.25]),
-                      first_symbol([1.0, 0.0, 0.0]), 0.5, opts)
+    ctx = DepthContext(linear_system([0.5, 0.25, 0.25]),
+                       first_symbol([1.0, 0.0, 0.0]),
+                       SolverOptions(n=5, rho=0.6))
+    res = upper_bound(ctx, 0.5)
     assert res.cover_size == 3**5
     assert abs(res.s_n - 1.0) <= 4 * math.ulp(1.0)
 
@@ -208,16 +213,16 @@ def test_upper_tiling_cover_is_exactly_one():
 def test_upper_parabolic_default_floor_matches_sweep():
     # a direct call and the sweep read the same cover floor from the context
     opts = SolverOptions(n=8)
-    res = upper_bound(MP, coordinate(), 0.3, opts)
+    res = upper_bound(DepthContext(MP, coordinate(), opts), 0.3)
     point, = full_spectrum(MP, coordinate(), [0.3], opts)
     assert res.delta == point.delta == 1e-3 * math.log(2)
     assert res.s_n == point.upper
 
 
 def test_upper_rho_must_exceed_slack():
-    opts = SolverOptions(n=4, rho=1e-6)
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=4, rho=1e-6))
     with pytest.raises(ValueError):
-        upper_bound(MP, coordinate(), 0.5, opts)
+        upper_bound(ctx, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +230,14 @@ def test_upper_rho_must_exceed_slack():
 # ---------------------------------------------------------------------------
 
 def test_lower_symmetric_alpha():
-    res = lower_bound(HALVES, COIN, 0.5, SolverOptions(n=6))
+    res = lower_bound(DepthContext(HALVES, COIN, SolverOptions(n=6)), 0.5)
     assert res.dim == pytest.approx(1.0, abs=1e-6)
     assert res.alpha_achieved == pytest.approx(0.5, abs=1e-9)
     assert res.lyapunov == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_lower_boundary_dirac():
-    res = lower_bound(HALVES, COIN, 1.0, SolverOptions(n=6))
+    res = lower_bound(DepthContext(HALVES, COIN, SolverOptions(n=6)), 1.0)
     assert res.boundary
     assert res.dim == 0.0
     assert res.entropy_rate == 0.0
@@ -240,17 +245,31 @@ def test_lower_boundary_dirac():
     assert support == [(0,) * 6]
 
 
+def test_lower_boundary_is_the_tie_words_moran_root():
+    # only the words over symbols 0 and 1 reach alpha = 1 (alpha = 0 for
+    # [0, 0, 1]); their widths 1/2 and 1/20 make the sup of H/L over them
+    # the Moran root of (2, 20), which the uniform measure on them (0.375804)
+    # falls short of
+    system = linear_system([0.5, 0.05, 0.4])
+    root = similarity_dimension((2, 20))
+    for values, alpha in (([1, 1, 0], 1.0), ([0, 0, 1], 0.0)):
+        ctx = DepthContext(system, first_symbol(values), SolverOptions(n=8))
+        res = lower_bound(ctx, alpha)
+        assert res.boundary and res.q is None
+        assert res.dim == pytest.approx(root, abs=1e-12)
+        assert res.dim <= upper_bound(ctx, alpha).s_n
+
+
 def test_lower_matches_closed_form():
-    opts = SolverOptions(n=14)
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=14))
     for alpha in (0.2, 0.3, 0.5, 0.7):
-        res = lower_bound(HALVES, COIN, alpha, opts)
+        res = lower_bound(ctx, alpha)
         assert res.dim == pytest.approx(besicovitch_spectrum(COIN_SPEC, alpha),
                                         abs=2e-8)
 
 
 def test_lower_feasibility_and_gibbs_form():
-    opts = SolverOptions(n=8)
-    res = lower_bound(HALVES, COIN, 0.35, opts)
+    res = lower_bound(DepthContext(HALVES, COIN, SolverOptions(n=8)), 0.35)
     nu = res.measure
     n = nu.n
     # constraint satisfied by the returned measure
@@ -272,7 +291,7 @@ def test_lower_feasibility_and_gibbs_form():
 
 
 def test_lower_certifies_its_own_ratio():
-    res = lower_bound(MP, coordinate(), 0.45, SolverOptions(n=8))
+    res = lower_bound(DepthContext(MP, coordinate(), SolverOptions(n=8)), 0.45)
     nu = res.measure
     table = CylinderTable(MP, 8)
     ell = -np.log(table.diameters())
@@ -284,7 +303,7 @@ def test_lower_certifies_its_own_ratio():
 
 def test_lower_infeasible_alpha():
     with pytest.raises(InfeasibleAlphaError) as err:
-        lower_bound(HALVES, COIN, 1.5, SolverOptions(n=4))
+        lower_bound(DepthContext(HALVES, COIN, SolverOptions(n=4)), 1.5)
     assert err.value.achievable == (0.0, 1.0)
 
 
@@ -296,7 +315,7 @@ def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
     potential = first_symbol([1000.0, 1e-3, 0.0])
     caplog.set_level(logging.DEBUG, logger="mfspec")
     with pytest.raises(SolverError):
-        lower_bound(system, potential, 1e-6, SolverOptions(n=4))
+        lower_bound(DepthContext(system, potential, SolverOptions(n=4)), 1e-6)
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("depth 4: 81 words in ") for m in messages)
     assert any(m.startswith("Dinkelbach step 1: t=0 ") for m in messages)
@@ -416,9 +435,11 @@ def test_lower_linear_value_is_depth_free_and_fast(case):
     # is a product measure, so the depth-n value does not depend on n; the
     # Dinkelbach iteration reaches it in a handful of steps
     system, potential, alpha = case
-    base = lower_bound(system, potential, alpha, SolverOptions(n=2))
+    base = lower_bound(DepthContext(system, potential, SolverOptions(n=2)),
+                       alpha)
     for n in range(2, 8):
-        res = lower_bound(system, potential, alpha, SolverOptions(n=n))
+        res = lower_bound(DepthContext(system, potential, SolverOptions(n=n)),
+                          alpha)
         assert res.dim == pytest.approx(base.dim, abs=1e-9)
         assert res.iterations <= 8
 
@@ -427,8 +448,8 @@ def test_lower_delta_floor_masks_the_measure():
     # the smallest MP rate at n=8 is ~0.35, so a floor of 0.5 drops a few
     # near-neutral words (0.05 would drop none)
     opts = SolverOptions(n=8, delta=0.5)
-    res = lower_bound(MP, coordinate(), 0.4, opts)
     ctx = DepthContext(MP, coordinate(), opts)
+    res = lower_bound(ctx, 0.4)
     table = CylinderTable(ctx.system, ctx.n)
     keep = table.lambda_array >= opts.delta
     assert not keep.all()
@@ -442,37 +463,16 @@ def test_lower_delta_floor_masks_the_measure():
 
 
 def test_lower_reports_contraction_gap():
-    res = lower_bound(MP, coordinate(), 0.4, SolverOptions(n=6))
+    res = lower_bound(DepthContext(MP, coordinate(), SolverOptions(n=6)), 0.4)
     from mfspec.geometry import lemma1_gap
     assert res.lemma1_gap == pytest.approx(lemma1_gap(MP, 6), abs=1e-14)
 
 
-def test_foreign_context_is_rejected():
-    # a context answers only for the objects and options it was built with;
-    # a foreign one used to be read silently (linear [1/2, 1/2] got MP's
-    # 0.93293 for its 0.88129, and n=6 options ran at the context's n=10)
-    ctx = DepthContext(MP, coordinate(), SolverOptions(n=10))
-    for route in (lower_bound, upper_bound):
-        for system, potential in ((HALVES, COIN), (MP, coordinate()),
-                                  (MP2, ctx.potential)):
-            with pytest.raises(ValueError, match="another system"):
-                route(system, potential, 0.3, SolverOptions(n=10), context=ctx)
-        with pytest.raises(ValueError, match="differ from the context"):
-            route(MP, ctx.potential, 0.3, SolverOptions(n=6), context=ctx)
-    # its own objects, with equal or omitted options, are accepted
-    opts = SolverOptions(n=10)
-    for given_opts in (None, opts):
-        assert lower_bound(MP, ctx.potential, 0.3, given_opts, ctx).dim \
-            == lower_bound(MP, ctx.potential, 0.3, opts).dim
-        assert upper_bound(MP, ctx.potential, 0.3, given_opts, ctx) \
-            == upper_bound(MP, ctx.potential, 0.3, opts)
-
-
 def test_lower_beats_brute_force():
     from mfspec.oracle import brute_force_ratio
-    opts = SolverOptions(n=2)
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=2))
     for alpha in (0.3, 0.5, 0.75):
-        res = lower_bound(HALVES, COIN, alpha, opts)
+        res = lower_bound(ctx, alpha)
         ref = brute_force_ratio(HALVES, COIN, alpha, n=2, grid_step=0.01)
         assert res.dim >= ref - 0.01
 
@@ -520,42 +520,45 @@ def _ref_solve_q(ell, phi, t, target, tol, max_iter=80):
 
 
 def _ref_lower(ctx, alpha):
-    """lower_bound over every word: (dim, iterations, boundary, p)."""
+    """lower_bound over every word: (dim, iterations, boundary, p).
+
+    At a boundary alpha the Dinkelbach steps run on the extreme words alone,
+    with the Gibbs weights at (t, 0).
+    """
     opts, n = ctx.opts, ctx.n
     table = CylinderTable(ctx.system, ctx.n)
     phi, ell = _word_phi(ctx), -table.log_diameters
-    mask = table.lambda_array >= opts.delta if opts.delta else None
-    if mask is not None:
-        if not mask.any():
-            raise NoCylindersError("floor excludes every word")
-        phi, ell = phi[mask], ell[mask]
-    lo_avg, hi_avg = float(np.min(phi)) / n, float(np.max(phi)) / n
+    keep = table.lambda_array >= opts.delta if opts.delta else np.ones(
+        phi.size, dtype=bool)
+    if not keep.any():
+        raise NoCylindersError("floor excludes every word")
+    lo_avg = float(np.min(phi[keep])) / n
+    hi_avg = float(np.max(phi[keep])) / n
     tol = BOUNDARY_TOL
     if alpha < lo_avg - tol or alpha > hi_avg + tol:
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
     at_hi = alpha >= hi_avg - BOUNDARY_TOL
     boundary = at_hi or alpha <= lo_avg + BOUNDARY_TOL
     if boundary:
-        e_phi = float(np.max(phi) if at_hi else np.min(phi))
-        sel = np.abs(phi - e_phi) <= 1e-9
-        p = np.where(sel, 1.0 / sel.sum(), 0.0)
-        entropy, e_ell, iterations = math.log(sel.sum()), ell[sel].mean(), 0
-    else:
-        q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
-        t = 0.0
-        for iterations in range(1, MAX_ITER + 1):
+        edge = np.max(phi[keep]) if at_hi else np.min(phi[keep])
+        keep &= np.abs(phi - edge) <= 1e-9
+    q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
+    t = 0.0
+    for iterations in range(1, MAX_ITER + 1):
+        if boundary:
+            p, entropy, e_ell, e_phi, _ = _ref_gibbs_stats(
+                ell[keep], phi[keep], t, 0.0)
+        else:
             _, (p, entropy, e_ell, e_phi, _) = _ref_solve_q(
-                ell, phi, t, n * alpha, q_tol)
-            if entropy / e_ell - t <= T_TOL:
-                break
-            t = entropy / e_ell
-        if abs(e_phi - n * alpha) > 10.0 * q_tol:
-            raise SolverError("residual after capping")
-    if mask is not None:
-        full = np.zeros(mask.size)
-        full[mask] = p
-        p = full
-    return entropy / e_ell, iterations, boundary, p
+                ell[keep], phi[keep], t, n * alpha, q_tol)
+        if entropy / e_ell - t <= T_TOL:
+            break
+        t = entropy / e_ell
+    if abs(e_phi - n * alpha) > 10.0 * q_tol:
+        raise SolverError("residual after capping")
+    full = np.zeros(keep.size)
+    full[keep] = p
+    return entropy / e_ell, iterations, boundary, full
 
 
 # resolution of _ref_upper's bisection: the s_n comparison below needs it
@@ -651,7 +654,7 @@ def test_rows_match_per_word_reference(case, data):
     alpha = lo + u * (hi - lo)
 
     ref = _outcome(_ref_lower, ctx, alpha)
-    got = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    got = _outcome(lower_bound, ctx, alpha)
     if isinstance(ref, type):
         assert got is ref
     else:
@@ -663,7 +666,7 @@ def test_rows_match_per_word_reference(case, data):
         assert np.max(np.abs(got.measure.p - p)) <= 1e-12
 
     ref = _outcome(_ref_upper, ctx, alpha)
-    got = _outcome(upper_bound, system, potential, alpha, None, ctx)
+    got = _outcome(upper_bound, ctx, alpha)
     if isinstance(ref, type):
         assert got is ref
     else:
@@ -688,23 +691,25 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
     lo, hi = float(np.min(phi[keep])) / n, float(np.max(phi[keep])) / n
     u = data.draw(st.floats(0.02, 0.98) | st.sampled_from([0.0, 1.0]))
     alpha = lo + u * (hi - lo)
-    res = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    res = _outcome(lower_bound, ctx, alpha)
     assume(not isinstance(res, type))
 
+    # at a boundary only the extreme words carry weight, with q = 0
+    mask = ctx.floor(delta)
+    q = 0.0 if res.q is None else res.q
     if res.boundary:
         at_hi = alpha >= hi - BOUNDARY_TOL
         e_phi = float(np.max(phi[keep]) if at_hi else np.min(phi[keep]))
-        tie = keep & (np.abs(phi - e_phi) <= 1e-9)
-        p = np.where(tie, 1.0 / float(tie.sum()), 0.0)
-    else:
-        mask = ctx.floor(delta)
-        rows = ctx.rows if mask is None else ctx.rows.where(mask)
-        shift, z = rows.log_z(res.t, res.q, *np.empty((2, rows.ell.size)))
-        logw = res.q * phi
-        logw += res.t * logd
-        logw -= shift
-        logw[~keep] = -np.inf
-        p = np.exp(logw) / z
+        keep &= np.abs(phi - e_phi) <= 1e-9
+        tie = np.abs(ctx.rows.phi - e_phi) <= 1e-9
+        mask = tie if mask is None else mask & tie
+    rows = ctx.rows.where(mask)
+    shift, z = rows.log_z(res.t, q, *np.empty((2, rows.ell.size)))
+    logw = q * phi
+    logw += res.t * logd
+    logw -= shift
+    logw[~keep] = -np.inf
+    p = np.exp(logw) / z
     assert np.array_equal(res.measure.p, p)
 
 
@@ -724,11 +729,31 @@ def test_lower_at_most_unconstrained_root(case, data):
     free = rows.gibbs(root, 0.0, *np.empty((2, rows.ell.size))).e_phi / n
     alpha = data.draw(st.just(free) | st.floats(0.0, 1.0).map(
         lambda u: lo + u * (hi - lo)))
-    res = _outcome(lower_bound, system, potential, alpha, None, ctx)
+    res = _outcome(lower_bound, ctx, alpha)
     assume(not isinstance(res, type))
     assert res.dim <= root + 1e-12
     if alpha == free and not res.boundary:
         assert res.dim == pytest.approx(root, abs=T_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_case(), st.data())
+def test_lower_at_a_boundary_is_the_tie_rows_moran_root(case, data):
+    # at an end of the achievable range the constraint keeps only the
+    # extreme words, and the sup of H/L over them is their Moran root
+    system, potential, n = case
+    floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
+    delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
+    ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
+    floor = ctx.floor(delta)
+    kept = ctx.rows.where(floor).phi
+    edge = data.draw(st.sampled_from([float(np.min(kept)),
+                                      float(np.max(kept))]))
+    res = lower_bound(ctx, edge / n)
+    tie = np.abs(ctx.rows.phi - edge) <= 1e-9
+    root = ctx.rows.where(tie if floor is None else tie & floor).moran_root()
+    assert res.boundary
+    assert res.dim == pytest.approx(root[0], abs=T_TOL)
 
 
 # ---------------------------------------------------------------------------

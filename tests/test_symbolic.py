@@ -111,7 +111,7 @@ def test_marginal_consistency_under_extension():
 
 def test_marginal_cap():
     with pytest.raises(EnumerationLimitError):
-        block_marginal(CHAIN, 12, cap=1000)
+        block_marginal(CHAIN, 25)
 
 
 def test_chain_validation():
