@@ -30,6 +30,7 @@ from .symbolic import (DEFAULT_WORD_CAP, Alphabet, Word, WordFunction,
 _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
 _NEWTON_MAX_ITER = 100
+_CHUNK = 4096  # words per branch evaluation in a level pass
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,12 @@ class Branch:
     detection is by flag plus a numeric check, never by inference.
 
     ``image_of`` is the one step every cylinder computation takes through a
-    branch: it maps the interval [lo, lo+width] to its image (lo', width'),
-    evaluating ``map`` at lo once.  ``map_width`` optionally gives the image
-    width in a cancellation-free form (e.g. r*width for an affine branch);
-    without it the width is an endpoint difference, whose relative error
-    grows as cylinders shrink far from 0.
+    branch: it maps the interval [lo, lo+width] to its image (lo', width').
+    ``map_width`` optionally gives the image width in a cancellation-free
+    form (e.g. r*width for an affine branch), next to one ``map`` call at
+    lo; without it the width is an endpoint difference, whose relative
+    error grows as cylinders shrink far from 0, and ``map`` is called once
+    on both endpoints stacked.
     """
 
     map: Callable
@@ -79,10 +81,10 @@ class Branch:
     map_width: Callable | None = None
 
     def image_of(self, lo, width):
-        image_lo = self.map(lo)
         if self.map_width is not None:
-            return image_lo, self.map_width(lo, width)
-        return image_lo, self.map(lo + width) - image_lo
+            return self.map(lo), self.map_width(lo, width)
+        image_lo, image_hi = self.map(np.stack([lo, lo + width]))
+        return image_lo, image_hi - image_lo
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
@@ -174,33 +176,52 @@ class IfsSystem:
 # word-level operations
 # ---------------------------------------------------------------------------
 
-def _suffix_cylinders(system: IfsSystem, words: np.ndarray):
-    """Yield the cylinders of ``words[:, j:]`` for j = n-1, ..., 0.
+def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (ints in [0, size)) in ascending order and the
+    index of each key among them, by a dense remap rather than a sort."""
+    used = np.zeros(size, dtype=bool)
+    used[keys] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[keys]
 
-    ``words`` is a (count, n) symbol array.  Each yield is the pair of
-    (lo, width) arrays, updated in place between yields, so the last one
-    holds the cylinders of the whole rows.
+
+def _suffix_cylinders(system: IfsSystem, columns, rows: int):
+    """Step each distinct suffix of ``rows`` words once, right to left.
+
+    ``columns`` yields the words' symbol columns from last to first.  The
+    suffix from column j on is a node, named by its parent (the suffix from
+    j+1 on) and its symbol at j; ``Branch.image_of`` runs once per node.
+    Yields (node, symbol, parent, lo, width) per column: each row's node,
+    and per node its symbol, its parent's index into the previous yield
+    and its cylinder.  Rows sharing a suffix share its node, so trailing
+    runs and repeated rows are stepped once and gathered through ``node``.
     """
-    lo, width = np.zeros(len(words)), np.ones(len(words))
-    for column in reversed(np.asarray(words).T):
+    node, lo, width = np.zeros(rows, dtype=np.intp), np.zeros(1), np.ones(1)
+    for column in columns:
+        keys, node = _distinct(node * system.m + column, lo.size * system.m)
+        parent, symbol = np.divmod(keys, system.m)
+        lo, width = lo[parent], width[parent]
         for a, branch in enumerate(system.branches):
-            sel = column == a
+            sel = symbol == a
             if sel.any():
                 lo[sel], width[sel] = branch.image_of(lo[sel], width[sel])
-        yield lo, width
+        yield node, symbol, parent, lo, width
 
 
 def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
     """Cylinder (lo, width) arrays of the rows of a (count, n) symbol array.
 
     Words are folded through the branches right to left with
-    ``Branch.image_of``, so widths stay cancellation-free where the branch
-    family allows; the results equal the matching ``CylinderTable`` slots.
+    ``Branch.image_of``, once per distinct suffix (``_suffix_cylinders``),
+    so widths stay cancellation-free where the branch family allows; the
+    results equal the matching ``CylinderTable`` slots.
     """
-    lo, width = np.zeros(len(words)), np.ones(len(words))
-    for lo, width in _suffix_cylinders(system, words):
+    words = np.asarray(words)
+    node = np.zeros(len(words), dtype=np.intp)
+    lo, width = np.zeros(1), np.ones(1)
+    for node, _, _, lo, width in _suffix_cylinders(system, reversed(words.T),
+                                                   len(words)):
         pass
-    return lo, width
+    return lo[node], width[node]
 
 
 def neg_log_derivative(system: IfsSystem, symbols: np.ndarray,
@@ -263,27 +284,36 @@ def project(system: IfsSystem, w: Word) -> tuple[float, float]:
 # exhaustive cylinder tables
 # ---------------------------------------------------------------------------
 
+def _parts(size: int):
+    """Consecutive slices of range(size), ``_CHUNK`` entries or fewer."""
+    return (slice(i, min(i + _CHUNK, size)) for i in range(0, size, _CHUNK))
+
+
 def cylinder_levels(system: IfsSystem, depth: int):
     """Yield (lo, width) of the depth-k cylinders for k = 1..depth: slot
     a*m^(k-1) + j is branch a's ``image_of`` slot j of depth k-1 (depth 0 is
     [0,1]), the step ``fold`` takes.  Each level overwrites the buffers the
-    yielded views share in place, block 0 (which overlaps the last) last."""
+    yielded views share in place, block 0 (which overlaps the last) last,
+    one ``_CHUNK`` of words per ``image_of`` call, so a branch's
+    temporaries never grow with the depth."""
     m = system.m
     lo, width = np.empty(m**depth), np.empty(m**depth)
     lo[0], width[0] = 0.0, 1.0
     for size in (m**k for k in range(depth)):
         for a in reversed(range(m)):
-            block = slice(a * size, (a + 1) * size)
-            lo[block], width[block] = system.branches[a].image_of(
-                lo[:size], width[:size])
+            for part in _parts(size):
+                lo[a * size:][part], width[a * size:][part] = \
+                    system.branches[a].image_of(lo[part], width[part])
         yield lo[:m * size], width[:m * size]
 
 
 def _add_level(sums: np.ndarray, size: int, m: int, block: Callable) -> None:
     """Birkhoff sums one level deeper in place, S(a w) = v(a w) + S(w), from
-    S in ``sums[:size]`` and v in ``block(a)``; block 0 overlaps S: last."""
+    S in ``sums[:size]`` and v in ``block(a, part)`` for the ``_parts`` of
+    block a; block 0 overlaps S: last."""
     for a in reversed(range(m)):
-        np.add(block(a), sums[:size], out=sums[a * size:(a + 1) * size])
+        for part in _parts(size):
+            np.add(block(a, part), sums[part], out=sums[a * size:][part])
 
 
 class CylinderTable:
@@ -333,7 +363,7 @@ class CylinderTable:
         sums[:self.m] = values[0]
         for v in values[1:]:
             v = v.reshape(self.m, -1)
-            _add_level(sums, v.shape[1], self.m, v.__getitem__)
+            _add_level(sums, v.shape[1], self.m, lambda a, part: v[a, part])
         return sums
 
     @property
@@ -375,15 +405,16 @@ def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
         if func is not None or (gap and k < n):
             mid = lo + 0.5 * width
         if phi is not None:
-            level = values if func is None else np.asarray(
-                func(mid), dtype=float).reshape(m, size)
+            level = np.asarray(values if func is None else func(mid),
+                               dtype=float).reshape(m, -1)
+            level = np.broadcast_to(level, (m, size))
             if k == 1:
                 phi[:m] = np.ravel(level)
             else:
-                _add_level(phi, size, m, level.__getitem__)
+                _add_level(phi, size, m, lambda a, part: level[a, part])
         if gap and k < n:
-            _add_level(g, m * size, m, lambda a: -np.log(np.asarray(
-                branches[a].derivative(mid), dtype=float)))
+            _add_level(g, m * size, m, lambda a, part: -np.log(np.asarray(
+                branches[a].derivative(mid[part]), dtype=float)))
         mid = level = None
     if np.any(width <= 0.0):
         slot = int(np.argmax(width <= 0.0))
@@ -410,16 +441,15 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
         return top_level(system, n, gap=True)[2]
     rng = np.random.default_rng(seed)
     words = rng.integers(0, system.m, size=(sample, n))
-    # before symbol w_j is applied the fold holds the suffix cylinder whose
-    # midpoint the geometric potential of w_j is evaluated at
-    mid = np.full(sample, 0.5)
-    gsum = np.zeros(sample)
-    for column, (lo, width) in zip(reversed(words.T),
-                                   _suffix_cylinders(system, words)):
-        gsum += neg_log_derivative(system, column, mid)
+    # a suffix node's g sum adds its symbol's term at its parent's midpoint
+    # to its parent's sum, the order a per-word sum takes
+    mid, gsum = np.full(1, 0.5), np.zeros(1)
+    for node, symbol, parent, lo, width in _suffix_cylinders(
+            system, reversed(words.T), sample):
+        gsum = gsum[parent] + neg_log_derivative(system, symbol, mid[parent])
         mid = lo + 0.5 * width
     if np.any(width <= 0.0):
-        bad = int(np.argmax(width <= 0.0))
+        bad = int(np.argmax(width[node] <= 0.0))
         raise DegenerateCylinderError(word_label(tuple(words[bad])))
     lam = -np.log(width) / n
     return float(np.max(np.abs(lam - gsum / n)))

@@ -37,14 +37,13 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
-from .geometry import (CylinderTable, IfsSystem, Interval, fold,
-                       neg_log_derivative, top_level)
+from .geometry import (CylinderTable, IfsSystem, Interval, _distinct,
+                       _suffix_cylinders, neg_log_derivative, top_level)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure
 
@@ -620,34 +619,34 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
 # alternating-block sampler
 # ---------------------------------------------------------------------------
 
-def _window_midpoints(system: IfsSystem, seq: np.ndarray,
-                      depth: int) -> np.ndarray:
-    """Cylinder midpoints of the length-``depth`` windows of ``seq``.
+def _window_midpoints(system: IfsSystem, seq: np.ndarray, depth: int):
+    """Cylinder midpoints of the distinct length-``depth`` windows of ``seq``.
 
-    A window lies inside one run of a symbol exactly when that run, read
-    from the window's start, is at least ``depth`` long; all such windows
-    are the same constant word, folded once per symbol.  Every other window
-    is folded as its own row.  ``fold`` treats rows independently, so the
-    result equals the midpoints of ``fold(system,
-    sliding_window_view(seq, depth))`` bit for bit.
+    Returns (mids, window, nodes): position p's window has midpoint
+    ``mids[window[p]]``, and ``nodes`` suffix nodes were stepped.  A window
+    lies inside one run of a symbol exactly when that run, read from the
+    window's start, is at least ``depth`` long; all such windows are that
+    symbol's constant word, one row per symbol.  Each other window is a row
+    whose column j is ``seq[starts + j]``, read without a 2-D copy, and
+    ``_suffix_cylinders`` steps each distinct suffix of the rows once, so
+    the midpoints equal a per-window ``fold`` bit for bit.
     """
-    windows = sliding_window_view(seq, depth)
-    starts = np.arange(len(windows))
+    starts = np.arange(len(seq) - depth + 1)
     run_starts = np.flatnonzero(np.diff(seq)) + 1
     run_ends = np.append(run_starts, len(seq))[
         np.searchsorted(run_starts, starts, side="right")]
     constant = run_ends - starts >= depth
-
-    def midpoints(words):
-        lo, width = fold(system, words)
-        return lo + 0.5 * width
-
-    mids = np.empty(len(windows))
-    mids[~constant] = midpoints(windows[~constant])
-    heads = seq[:len(windows)]
-    for a in np.unique(heads[constant]):
-        mids[constant & (heads == a)] = midpoints(np.full((1, depth), a))
-    return mids
+    varying, heads = starts[~constant], seq[starts[constant]]
+    symbols = np.unique(heads)
+    nodes = 0
+    for node, _, _, lo, width in _suffix_cylinders(system, (
+            np.append(seq[varying + j], symbols)
+            for j in reversed(range(depth))), varying.size + symbols.size):
+        nodes += lo.size
+    window = np.empty(starts.size, dtype=np.intp)
+    window[varying] = node[:varying.size]
+    window[constant] = node[varying.size:][np.searchsorted(symbols, heads)]
+    return lo + 0.5 * width, window, nodes
 
 
 def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
@@ -670,9 +669,12 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
     Suffixes during evaluation are truncated at ``eval_depth`` (>= 1)
     symbols; the truncation error is bounded by the potential oscillation
     over cylinders of that depth.  A window inside one run of a symbol is
-    that symbol's constant word, so the cost is one fold per window that
-    crosses a symbol change plus one per symbol that has a constant window;
-    the long parabolic blocks add almost nothing.
+    that symbol's constant word, and the other windows share their suffixes
+    (``_window_midpoints``), so the cost is one branch step per distinct
+    suffix, one potential value per distinct window and one derivative per
+    distinct (symbol, next window) pair; the long parabolic blocks add
+    almost nothing.  One ``mfspec.spectrum`` debug record per call gives
+    these counts.
     """
     if symbol not in system.parabolic_symbols:
         raise ValueError(f"symbol {symbol} is not an indifferent branch")
@@ -733,13 +735,20 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
 
     # one full-depth window per position; the padding above guarantees
     # every checkpoint position and its successor have one
-    mids = _window_midpoints(system, seq, eval_depth)
+    mids, window, nodes = _window_midpoints(system, seq, eval_depth)
     if potential.word_local:
         vals = np.asarray(potential.symbol_values(system.m))
-        f_terms = vals[seq[:len(mids)]]
+        f_terms = vals[seq[:window.size]]
     else:
-        f_terms = np.asarray(potential.func(mids), dtype=float)
-    g_terms = neg_log_derivative(system, seq[:len(mids) - 1], mids[1:])
+        f_terms = np.asarray(potential.func(mids), dtype=float)[window]
+    # position p's g term: symbol seq[p] at window p + 1's midpoint
+    m = system.m
+    pairs, pair = _distinct(window[1:] * m + seq[:window.size - 1],
+                            mids.size * m)
+    g_terms = neg_log_derivative(system, pairs % m, mids[pairs // m])[pair]
+    _debug("alternating_sampler: %d positions, %d distinct windows, "
+           "%d suffix nodes stepped, %d distinct g pairs",
+           window.size, mids.size, nodes, pairs.size)
     f_cum = np.cumsum(f_terms)
     g_cum = np.cumsum(g_terms)
     return [

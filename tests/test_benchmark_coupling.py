@@ -4,8 +4,8 @@
 routes, ``DepthContext``, the CLI entry points) and reads result fields
 such as ``LowerBoundResult.iterations`` and ``UpperBoundResult.cover_size``.
 A rename there breaks the traced benchmark without failing any other
-test, so this one runs the tracer, imported by path, over small versions
-of the benchmark's two solver workloads.
+test, so these run the tracer, imported by path, over small versions of
+the benchmark's workloads.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ import json
 from pathlib import Path
 
 import mfspec
-from mfspec import SolverOptions, cli, coordinate, manneville_pomeau_system
+from mfspec import (MarkovChainSpec, SolverOptions, block_marginal, cli,
+                    coordinate, manneville_pomeau_system)
 from mfspec import spectrum
 
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -55,3 +56,24 @@ def test_tracer_counts_both_routes(tmp_path):
         assert counts[name] > 0, name
     spans = {record[0] for record in tracer.spans}
     assert {"spectrum.context", "spectrum.lower", "spectrum.upper"} <= spans
+
+
+def test_tracer_times_the_sampler_and_counts_branch_points():
+    # sampler_stream's call shape at a small horizon, on a traced system
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    chain = MarkovChainSpec(transition=((0.9, 0.1), (0.2, 0.8)),
+                            initial=(2.0 / 3.0, 1.0 / 3.0))
+    ks = list(range(1, 30))
+    originals = tracing.install(tracer)
+    try:
+        system = tracing.traced_system(manneville_pomeau_system(0.5), tracer)
+        points = mfspec.alternating_sampler(
+            system, coordinate(), block_marginal(chain, 2), 0, ks,
+            [1.0 / (k * k) for k in ks], horizon=2000, seed=1, eval_depth=16)
+    finally:
+        tracing.uninstall(originals)
+    assert points
+    assert tracer.counts[tracer.call]["geometry.branch_points"] > 0
+    spans = {record[0] for record in tracer.spans}
+    assert {"spectrum.sampler", "geometry.branch"} <= spans

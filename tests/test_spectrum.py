@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 from scipy.optimize import brentq
 
 from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
@@ -16,11 +17,13 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            NoCylindersError, NotContractingError, SolverError)
 from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
                              example2_system, fold, lemma1_gap,
-                             linear_system, manneville_pomeau_system)
+                             linear_system, manneville_pomeau_system,
+                             neg_log_derivative, top_level)
 from mfspec.oracle import (besicovitch_spectrum, BesicovitchSpec,
                            similarity_dimension)
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
                                polynomial, potential_arrays)
+from mfspec import spectrum
 from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER, T_TOL,
                              DepthContext, Rows, SolverOptions,
                              _window_midpoints,
@@ -691,8 +694,12 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
     lo, hi = float(np.min(phi[keep])) / n, float(np.max(phi[keep])) / n
     u = data.draw(st.floats(0.02, 0.98) | st.sampled_from([0.0, 1.0]))
     alpha = lo + u * (hi - lo)
-    res = _outcome(lower_bound, ctx, alpha)
-    assume(not isinstance(res, type))
+    # only a documented MfspecError outcome is discarded: any other
+    # exception (a measure failing BlockMeasure's sum check) fails the test
+    try:
+        res = lower_bound(ctx, alpha)
+    except MfspecError:
+        reject()
 
     # at a boundary only the extreme words carry weight, with q = 0
     mask = ctx.floor(delta)
@@ -863,6 +870,14 @@ def test_depth_context_keeps_one_level():
     assert peak <= 6.5 * 8 * 2**n
 
 
+def test_mp_pass_evaluates_branches_in_chunks():
+    # whole-block Newton inverses took this pass to 8.0 word arrays
+    n, func = 16, coordinate().func
+    top_level(MP, 4, func=func, gap=True)
+    peak = _traced_peak(lambda: top_level(MP, n, func=func, gap=True))
+    assert peak <= 6.5 * 8 * 2**n
+
+
 def test_word_cap_is_checked_before_allocating():
     # one level at n=18 would take 2 MB
     opts = SolverOptions(n=18, word_cap=2**17)
@@ -990,6 +1005,43 @@ def _clustered_runs(depth):
     return st.lists(length, min_size=1, max_size=12)
 
 
+def _plain_suffixes(system, words):
+    """Per-row cylinders of ``words[:, j:]`` for j = n-1, ..., 0: every row
+    is stepped through ``image_of`` on its own, sharing nothing."""
+    words = np.asarray(words)
+    lo, width = np.zeros(len(words)), np.ones(len(words))
+    for column in reversed(words.T):
+        for a, branch in enumerate(system.branches):
+            sel = column == a
+            if sel.any():
+                lo[sel], width[sel] = branch.image_of(lo[sel], width[sel])
+        yield lo, width
+
+
+def _plain_fold(system, words):
+    lo, width = np.zeros(len(words)), np.ones(len(words))
+    for lo, width in _plain_suffixes(system, words):
+        pass
+    return lo, width
+
+
+def _plain_gap(system, n, sample, seed):
+    """``lemma1_gap(system, n, sample, seed)`` summed row by row."""
+    words = np.random.default_rng(seed).integers(0, system.m,
+                                                 size=(sample, n))
+    mid, gsum = np.full(sample, 0.5), np.zeros(sample)
+    for column, (lo, width) in zip(reversed(words.T),
+                                   _plain_suffixes(system, words)):
+        gsum += neg_log_derivative(system, column, mid)
+        mid = lo + 0.5 * width
+    return float(np.max(np.abs(-np.log(width) / n - gsum / n)))
+
+
+def _distinct_suffixes(windows):
+    return sum(len(np.unique(windows[:, j:], axis=0))
+               for j in range(windows.shape[1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), depth=st.integers(1, 12),
        system=st.sampled_from([MP, EX2, linear_system([0.3, 0.2, 0.4])]))
@@ -1003,9 +1055,128 @@ def test_window_midpoints_match_per_window_fold(data, depth, system):
         symbols.append((symbols[-1] + shift) % system.m)
     seq = np.repeat(np.array(symbols, dtype=np.int64), lengths)
     assume(len(seq) >= depth)
-    lo, width = fold(system, sliding_window_view(seq, depth))
-    assert np.array_equal(_window_midpoints(system, seq, depth),
-                          lo + 0.5 * width)
+    windows = sliding_window_view(seq, depth)
+    lo, width = _plain_fold(system, windows)
+    mids, window, nodes = _window_midpoints(system, seq, depth)
+    assert np.array_equal(mids[window], lo + 0.5 * width)
+    # one midpoint per distinct window, one step per distinct suffix
+    assert mids.size == len(np.unique(windows, axis=0))
+    assert nodes == _distinct_suffixes(windows)
+
+
+_FOLD_SYSTEMS = [EX2, manneville_pomeau_system(0.25), MP, MP2]
+
+
+@st.composite
+def _fold_system(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_FOLD_SYSTEMS))
+    m = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    total = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.3, 1.0))
+    return linear_system([total * r / sum(raw) for r in raw])
+
+
+@st.composite
+def _shared_words(draw, m):
+    """Rows built from symbol runs (long ones included), then extended by
+    duplicates and by rows that take another row's suffix."""
+    n = draw(st.integers(0, 24))
+    run = st.tuples(st.integers(0, m - 1),
+                    st.integers(1, 4) | st.integers(n // 2 + 1, n + 1))
+    base = draw(st.lists(st.lists(run, min_size=1, max_size=6),
+                         min_size=1, max_size=6))
+    rows = [np.resize(np.repeat(*zip(*runs)), n) for runs in base]
+    for i, j, cut in draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1),
+            st.integers(0, n)), max_size=8)):
+        rows.append(np.concatenate([rows[i][:cut], rows[j][cut:]]))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[k] for k in order], dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=_fold_system(), data=st.data())
+def test_suffix_sharing_matches_plain_fold(system, data):
+    # fold, the sampled gap and the window midpoints step each distinct
+    # suffix once; each must equal the row-by-row fold bit for bit
+    words = data.draw(_shared_words(system.m))
+    for got, ref in zip(fold(system, words), _plain_fold(system, words)):
+        assert np.array_equal(got, ref)
+    n = data.draw(st.integers(1, 14))
+    sample = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2**16))
+    assert lemma1_gap(system, n, sample=sample, seed=seed) == \
+        _plain_gap(system, n, sample, seed)
+    seq = words.ravel()
+    depth = data.draw(st.integers(1, 16))
+    assume(len(seq) >= depth)
+    windows = sliding_window_view(seq, depth)
+    lo, width = _plain_fold(system, windows)
+    mids, window, nodes = _window_midpoints(system, seq, depth)
+    assert np.array_equal(mids[window], lo + 0.5 * width)
+    assert nodes == _distinct_suffixes(windows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from([(MP, 0), (manneville_pomeau_system(0.25), 0),
+                             (MP2, 0), (EX2, 0), (EX2, 1)]),
+       potential=st.sampled_from([coordinate(), polynomial([0.3, -1.0, 2.0]),
+                                  first_symbol([1.0, -0.5])]),
+       depth=st.integers(1, 20), horizon=st.integers(50, 3000),
+       seed=st.integers(0, 2**16))
+def test_sampler_terms_match_per_position_evaluation(case, potential, depth,
+                                                     horizon, seed):
+    # the sampler evaluates f per distinct window and g per distinct
+    # (symbol, next window) pair; its averages equal those of f and g
+    # evaluated at every position's own midpoint, bit for bit
+    system, symbol = case
+    seen = {}
+
+    def recorded(system, seq, depth):
+        seen["seq"] = seq
+        seen["out"] = _window_midpoints(system, seq, depth)
+        return seen["out"]
+
+    ks = list(range(1, 40))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_window_midpoints", recorded)
+        points = alternating_sampler(
+            system, potential, block_marginal(CHAIN, 2), symbol, ks,
+            [1.0 / (k * k) for k in ks], horizon=horizon, seed=seed,
+            eval_depth=depth)
+    seq, (mids, window, _) = seen["seq"], seen["out"]
+    per_position = mids[window]
+    if potential.word_local:
+        f_terms = np.asarray(potential.symbol_values(system.m))[
+            seq[:window.size]]
+    else:
+        f_terms = np.asarray(potential.func(per_position), dtype=float)
+    g_terms = neg_log_derivative(system, seq[:window.size - 1],
+                                 per_position[1:])
+    f_cum, g_cum = np.cumsum(f_terms), np.cumsum(g_terms)
+    assert [(p.f_average, p.g_average) for p in points] == [
+        (float(f_cum[p.n - 1] / p.n), float(g_cum[p.n - 1] / p.n))
+        for p in points]
+
+
+def test_sampler_logs_its_distinct_work(caplog):
+    # every window of the all-0 word is the constant word: one distinct
+    # window, 64 suffix nodes (one per column) and one g pair
+    caplog.set_level(logging.DEBUG, logger="mfspec.spectrum")
+    nu = BlockMeasure.dirac((0, 0), 2)
+    points = alternating_sampler(MP, coordinate(), nu, 0, [1] * 40,
+                                 [1.0 / (i + 1) for i in range(40)],
+                                 horizon=4000, seed=1)
+    records = [r for r in caplog.records
+               if r.getMessage().startswith("alternating_sampler: ")]
+    assert len(records) == 1
+    assert records[0].name == "mfspec.spectrum"
+    positions = int(records[0].getMessage().split()[1])
+    assert positions >= points[-1].n + 1
+    assert records[0].getMessage() == (
+        f"alternating_sampler: {positions} positions, 1 distinct windows, "
+        f"64 suffix nodes stepped, 1 distinct g pairs")
 
 
 def test_sampler_degenerate_schedule_tracks_measure_average():
