@@ -4,13 +4,15 @@ Two routes are combined per level value alpha:
 
 * a variational lower route: maximize block entropy over expected log
   cylinder length among depth-n block measures whose mean potential sum is
-  n * alpha.  The maximizer of the linearized objective is an exponential
-  family in (log-diameter, potential sum), so the inner problem is a 1-D
-  monotone root find, and the outer fractional program is solved by
-  Dinkelbach's iteration t <- entropy/length of the last inner maximizer.
-  At an end of the achievable range the constraint only confines the
-  measure to the extreme words, and the same iteration runs on them with
-  q held at 0, converging to their Moran root.  The returned value is the
+  n * alpha.  The maximizer is a Gibbs measure with weights
+  exp(-t*ell + q*phi), so the program is two equations in (t, q): the ratio
+  H/L of the measure equals t, and its mean potential sum equals n * alpha.
+  One safeguarded Newton iteration solves both: t moves to the ratio H/L
+  (Dinkelbach's step, which never passes the unconstrained Moran root), and
+  q takes the q component of the joint Newton step, at most two standard
+  deviations of phi in size.  At an end of the achievable range the
+  constraint only confines the measure to the extreme words, and q = 0
+  there: the value is their Moran root.  The returned value is the
   entropy/length ratio of an explicitly constructed feasible measure, hence
   a certified finite-depth value, with the depth-n contraction-rate gap
   attached.
@@ -48,16 +50,14 @@ from .potentials import PotentialSpec, potential_arrays
 from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure
 
 _Q_EXP_LIMIT = 700.0
-_Q_MAX_ITER = 80
 _TIE_TOL = 1e-9
 _SCHEDULE_TOL = 1e-12
 
 
-# The outer iteration stops once a step gains at most T_TOL (lower route) or
-# MORAN_TOL (Moran roots) and fails after MAX_ITER steps; the multiplier solve
-# meets the constraint to ALPHA_TOL per symbol, and a level value within
-# BOUNDARY_TOL of the achievable edge is a boundary value.
-T_TOL = 1e-8
+# Both iterations stop once a t step is at most MORAN_TOL (the lower route's
+# only when its measure also meets the constraint to ALPHA_TOL per symbol)
+# and fail after MAX_ITER steps; a level value within BOUNDARY_TOL of the
+# achievable edge is a boundary value.
 MORAN_TOL = 1e-10
 ALPHA_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -167,35 +167,21 @@ def _debug(msg: str, *args) -> None:
     logging.getLogger(__name__).debug(msg, *args)
 
 
-def _ratio_iteration(step, t: float, tol: float,
-                     name: str) -> tuple[float, float, int]:
-    """t <- step(t), the ratio H/L of the measure maximizing H - t*L, until
-    a step gains at most ``tol``: Dinkelbach's iteration under the lower
-    route's constraint, Newton's on log Z(t, 0) = 0 without it (q = 0).
-    From below both climb, so a step rounding turns back also stops it.
-    Returns the last point stepped from, its step and the step count."""
-    for steps in range(1, MAX_ITER + 1):
-        nxt = step(t)
-        if nxt - t <= tol:
-            return t, nxt, steps
-        t = nxt
-    raise SolverError(
-        f"{name} did not settle to {tol:g} within {MAX_ITER} steps")
-
-
 # ---------------------------------------------------------------------------
 # partition function over (width, phi) rows
 # ---------------------------------------------------------------------------
 
 class _Gibbs(NamedTuple):
-    """Stats of the word weights exp(-t*ell + q*phi - shift) / z."""
+    """Moments of the word weights exp(-t*ell + q*phi - shift) / z:
+    ``cov`` is Cov(ell, phi) and ``var`` is Var(phi)."""
 
     shift: float
     z: float
     entropy: float
     e_ell: float
     e_phi: float
-    variance: float
+    cov: float
+    var: float
 
 
 class Rows(NamedTuple):
@@ -234,78 +220,33 @@ class Rows(NamedTuple):
         return shift, float(w.sum())
 
     def gibbs(self, t, q, w, tmp) -> _Gibbs:
-        """Gibbs stats at (t, q), in the two buffers ``log_z`` takes."""
-        shift, z = self.log_z(t, q, w, tmp)
-        e_phi = float(w @ self.phi) / z
-        e_ell = float(w @ self.ell) / z
-        entropy = shift + math.log(z) + t * e_ell - q * e_phi
-        np.subtract(self.phi, e_phi, out=tmp)
-        np.square(tmp, out=tmp)
-        variance = float(w @ tmp) / z
-        return _Gibbs(shift, z, entropy, e_ell, e_phi, variance)
+        """Gibbs moments at (t, q) in one pass over the two buffers ``log_z``
+        takes; ``w`` ends up holding the weights times phi - E[phi].
 
-    def solve_q(self, t, target, tol):
-        """Find q with the Gibbs mean of phi equal to target (monotone in q).
-
-        Newton steps from q = 0 with bisection fallback inside the bracket
-        [-cap, cap]; |q| is capped so the exponent stays within floating
-        range.  A cap end is evaluated only when a step, or the bisection
-        fallback, heads for that end while it still bounds the bracket: if
-        the target lies beyond the Gibbs mean there, the multiplier clamps at
-        the cap (logged; the caller checks the residual), otherwise the
-        fallback bisects.  The midpoint uses only the bracket's value, so a
-        probe never moves an iterate.  Returns q, its stats and the number of
-        Gibbs evaluations.
+        phi is centred at its Gibbs mean before the second moments are
+        summed, so Var(phi) and Cov(ell, phi) are sums of centred products
+        and do not cancel, however far the mean is from a target.
         """
-        scale = max(float(np.max(np.abs(self.phi))), 1e-12)
-        cap = _Q_EXP_LIMIT / scale
-        buffers = np.empty((2, self.ell.size))
-        evals = 0
-
-        def stats(q):
-            nonlocal evals
-            evals += 1
-            return self.gibbs(t, q, *buffers)
-
-        lo, hi = -cap, cap
-        unprobed = {lo, hi}
-        q = 0.0
-        for _ in range(_Q_MAX_ITER):
-            gibbs = stats(q)
-            residual = gibbs.e_phi - target
-            if abs(residual) <= tol:
-                return q, gibbs, evals
-            if residual > 0:
-                hi = q
-            else:
-                lo = q
-            variance = gibbs.variance
-            step = q - residual / variance if variance > 1e-300 else None
-            if step is None or not lo < step < hi:
-                end = lo if residual > 0 else hi
-                if end in unprobed:
-                    unprobed.discard(end)
-                    gibbs = stats(end)
-                    if (target <= gibbs.e_phi if residual > 0
-                            else target >= gibbs.e_phi):
-                        _debug("multiplier clamped at q=%.17g: target %.17g "
-                               "lies beyond the Gibbs mean %.17g there "
-                               "(t=%.17g)", end, target, gibbs.e_phi, t)
-                        return end, gibbs, evals
-                step = 0.5 * (lo + hi)
-            q = step
-        gibbs = stats(q)
-        return q, gibbs, evals
+        shift, z = self.log_z(t, q, w, tmp)
+        e_ell = float(w @ self.ell) / z
+        e_phi = float(w @ self.phi) / z
+        np.subtract(self.phi, e_phi, out=tmp)
+        w *= tmp
+        entropy = shift + math.log(z) + t * e_ell - q * e_phi
+        return _Gibbs(shift, z, entropy, e_ell, e_phi,
+                      float(w @ self.ell) / z, float(w @ tmp) / z)
 
     def moran_root(self) -> tuple[float, int]:
         """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took.
 
-        The lower route's iteration at q = 0, from log C / max ell for the
-        total count C >= 1: the ratio H/L at s is Newton's step
-        s + f(s) / E_s[ell] on f(s) = log Z(s, 0), kept in that form since
-        the ratio form rounds differently.  The step that stops it is taken,
-        so the root is within about MORAN_TOL squared.  Cylinders of one
-        width take no sum: the start is their root.
+        Newton's step s + f(s) / E_s[ell] on the convex decreasing
+        f(s) = log Z(s, 0), which is the lower route's ratio step H/L at
+        q = 0, kept in this form since the ratio form rounds differently.
+        From log C / max ell, for the total count C >= 1, it climbs onto the
+        root; it stops once a step gains at most MORAN_TOL (a step rounding
+        turns back too), and that step is taken, so the root is within about
+        MORAN_TOL squared.  Cylinders of one width take no sum: the start is
+        their root.
         """
         ell = self.ell
         if ell.size == 0:
@@ -319,12 +260,14 @@ class Rows(NamedTuple):
         evals = 0
         if s < log_c / ell_min:
             w = np.empty_like(ell)
-
-            def newton(s):
+            for evals in range(1, MAX_ITER + 1):
                 shift, z = self.log_z(s, 0.0, w)
-                return s + (shift + math.log(z)) * z / float(w @ ell)
-
-            _, s, evals = _ratio_iteration(newton, s, MORAN_TOL, "Moran root")
+                s, last = s + (shift + math.log(z)) * z / float(w @ ell), s
+                if s - last <= MORAN_TOL:
+                    break
+            else:
+                raise SolverError(f"Moran root did not settle to "
+                                  f"{MORAN_TOL:g} within {MAX_ITER} steps")
         _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
                evals)
         return s, evals
@@ -497,22 +440,70 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
 # variational lower route
 # ---------------------------------------------------------------------------
 
+def _newton_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
+               tmp: np.ndarray) -> tuple[float, float, _Gibbs, int]:
+    """The Gibbs point (t, q) of ``rows`` with ratio H/L = t and mean
+    potential sum ``target``: the point, its moments and the steps taken.
+
+    Each step evaluates the moments at (t, q) once, from (0, 0).  t moves
+    to the ratio H/L, Dinkelbach's step, which never passes the
+    unconstrained Moran root.  q takes the q component of Newton's step on
+    (log Z - q*target, E[phi] - target) given that t step,
+    dq = (Cov(ell, phi)*dt - (E[phi] - target)) / Var(phi), shortened to
+    |dq| * sqrt(Var(phi)) <= 2 and kept within |q| <= 700 / max|phi|, so
+    the exponent stays in floating range.  Once a point's residual is within
+    ``tol`` and its t step at most MORAN_TOL, that step is taken and the
+    point it reaches is returned: near the fixed point the iteration
+    converges superlinearly, so that step takes t and the measure far
+    inside MORAN_TOL.  It also stops at a point where q sits at the cap and
+    the target lies beyond the Gibbs mean there; that clamp is logged, and
+    the caller's residual check rejects it.
+    """
+    cap = _Q_EXP_LIMIT / max(float(np.max(np.abs(rows.phi))), 1e-12)
+    t = q = 0.0
+    settled = False
+    for steps in range(MAX_ITER + 1):
+        gibbs = rows.gibbs(t, q, w, tmp)
+        if settled:
+            return t, q, gibbs, steps
+        residual = gibbs.e_phi - target
+        ratio = gibbs.entropy / gibbs.e_ell
+        _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
+               t, q, residual)
+        settled = abs(residual) <= tol and abs(ratio - t) <= MORAN_TOL
+        if not settled and abs(q) == cap and q * residual < 0.0:
+            _debug("multiplier clamped at q=%.17g: target %.17g lies beyond "
+                   "the Gibbs mean %.17g there (t=%.17g)", q, target,
+                   gibbs.e_phi, t)
+            return t, q, gibbs, steps
+        dq = gibbs.cov * (ratio - t) - residual
+        if gibbs.var > 0.0:
+            reach = 2.0 / math.sqrt(gibbs.var)
+            dq = min(max(dq / gibbs.var, -reach), reach)
+        elif dq:  # phi is constant under the measure: head for the cap
+            dq = math.copysign(2.0 * cap, dq)
+        t, q = ratio, min(max(q + dq, -cap), cap)
+    raise SolverError(f"(t, q) iteration did not settle within {MAX_ITER} "
+                      f"steps")
+
+
 def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     """Best entropy/length ratio over depth-n block measures with mean alpha.
 
-    Dinkelbach's iteration drives max H - t*L to zero over the constrained
-    simplex: starting from t = 0, each inner problem is solved exactly by the
-    exponential-family measure with the multiplier q tuned so the mean
-    potential sum hits n * alpha, and t moves to that measure's ratio H/L.
-    The ratios increase, and every iterate is a feasible measure.  At a
-    boundary alpha the constraint only confines the measure to the extreme
-    words: their rows join the floor mask and the same iteration runs on
-    them with q held at 0 (reported as None), which climbs to their Moran
-    root.  Everything runs over the context's (width, phi) rows: the floor,
-    the tie set and the final word weight exp(q*phi - t*ell - shift) / z are
-    formed once per row, and the returned per-word measure gathers them
-    through ``ctx.word_row``, so feasibility and the Gibbs form can be
-    re-verified independently.
+    The maximizer is the Gibbs measure exp(-t*ell + q*phi) / Z whose ratio
+    H/L is t and whose mean potential sum is n * alpha; ``_newton_tq``
+    finds (t, q), and ``iterations`` counts its steps.  A point that misses
+    the constraint by more than 10 times its tolerance (a multiplier
+    clamped at its cap) raises ``SolverError``.  At a boundary alpha the
+    constraint only confines the measure to the extreme words: their rows
+    join the floor mask, q is 0 (reported as None), and t is their Moran
+    root, whose Newton steps ``iterations`` counts.  ``gibbs_evals`` is
+    ``iterations`` + 1: one evaluation per step and one at the point
+    returned.  Everything runs over the context's (width, phi) rows: the
+    floor, the tie set and the final word weight
+    exp(q*phi - t*ell - shift) / z are formed once per row, and the
+    returned per-word measure gathers them through ``ctx.word_row``, so
+    feasibility and the Gibbs form can be re-verified independently.
     """
     n = ctx.n
     mask = ctx.floor(ctx.opts.delta)
@@ -530,20 +521,12 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
         mask = tie if mask is None else mask & tie
         rows = ctx.rows.where(mask)
     q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
-    solves = []  # (q, Gibbs stats, evaluations) at each t stepped from
-
-    def dinkelbach(t):
-        solves.append(
-            (0.0, rows.gibbs(t, 0.0, *np.empty((2, rows.ell.size))), 1)
-            if boundary else rows.solve_q(t, target, q_tol))
-        q, gibbs, evals = solves[-1]
-        _debug("Dinkelbach step %d: t=%.17g q=%.17g gibbs_evals=%d",
-               len(solves), t, q, evals)
-        return gibbs.entropy / gibbs.e_ell
-
-    t, _, iterations = _ratio_iteration(dinkelbach, 0.0, T_TOL,
-                                        "Dinkelbach iteration")
-    q, gibbs, _ = solves[-1]
+    w, tmp = np.empty((2, rows.ell.size))
+    if boundary:
+        t, iterations = rows.moran_root()
+        q, gibbs = 0.0, rows.gibbs(t, 0.0, w, tmp)
+    else:
+        t, q, gibbs, iterations = _newton_tq(rows, target, q_tol, w, tmp)
     e_phi = gibbs.e_phi
     if abs(e_phi - target) > 10.0 * q_tol:
         raise SolverError(
@@ -551,21 +534,19 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
             f"multiplier capping; alpha={alpha:g} is too close to the "
             f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
     # one word's weight per row: log_z with unit counts, same shift
-    row_p, tmp = np.empty((2, rows.ell.size))
-    Rows(rows.ell, rows.phi, 1.0).log_z(t, q, row_p, tmp)
-    row_p /= gibbs.z
+    Rows(rows.ell, rows.phi, 1.0).log_z(t, q, w, tmp)
+    w /= gibbs.z
     if mask is not None:  # the masked rows weigh nothing
-        kept, row_p = row_p, np.zeros(mask.size)
-        row_p[mask] = kept
+        kept, w = w, np.zeros(mask.size)
+        w[mask] = kept
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
     return LowerBoundResult(
         dim=entropy / e_ell, t=t, q=None if boundary else q,
         alpha_achieved=e_phi / n, lyapunov=e_ell / n,
         entropy_rate=entropy / n, iterations=iterations,
-        gibbs_evals=sum(evals for *_, evals in solves), n=n,
-        boundary=boundary, lemma1_gap=ctx.lemma1_gap,
-        measure=BlockMeasure(m=ctx.system.m, n=n,
-                             p=row_p.take(ctx.word_row)))
+        gibbs_evals=iterations + 1, n=n, boundary=boundary,
+        lemma1_gap=ctx.lemma1_gap,
+        measure=BlockMeasure(m=ctx.system.m, n=n, p=w.take(ctx.word_row)))
 
 
 # ---------------------------------------------------------------------------
