@@ -69,8 +69,9 @@ class Branch:
     ``map_width`` optionally gives the image width in a cancellation-free
     form (e.g. r*width for an affine branch), next to one ``map`` call at
     lo; without it the width is an endpoint difference, whose relative
-    error grows as cylinders shrink far from 0, and ``map`` is called once
-    on both endpoints stacked.
+    error grows as cylinders shrink far from 0, and ``map`` (elementwise)
+    runs once per distinct endpoint: a right end bit for bit the next left
+    end takes that end's image, so k adjacent cylinders cost k + 1 points.
     """
 
     map: Callable
@@ -83,7 +84,13 @@ class Branch:
     def image_of(self, lo, width):
         if self.map_width is not None:
             return self.map(lo), self.map_width(lo, width)
-        image_lo, image_hi = self.map(np.stack([lo, lo + width]))
+        hi = lo + width
+        own = np.ones(hi.size, dtype=bool)  # as bits: -0.0 is not 0.0
+        own[:-1] = hi[:-1].view(np.int64) != lo[1:].view(np.int64)
+        image = self.map(np.concatenate([lo, hi[own]]))
+        image_lo, image_hi = image[:lo.size], np.empty(lo.size)
+        image_hi[:-1] = image_lo[1:]
+        image_hi[own] = image[lo.size:]
         return image_lo, image_hi - image_lo
 
     def __post_init__(self):

@@ -191,7 +191,7 @@ class Rows(NamedTuple):
     and Birkhoff sum ``phi[i]``.  ``log_z`` alone forms the weights of
     Z(t, q) = sum count * exp(-t*ell + q*phi): the Gibbs statistics are its
     derivatives, and a Moran root solves Z(s, 0) = 1 without ``phi``.  A
-    scalar count of 1 makes the weights those of one word per row.
+    scalar count is 1.0, one word per row: ``log_z`` skips the multiply.
     """
 
     ell: np.ndarray
@@ -200,7 +200,11 @@ class Rows(NamedTuple):
 
     def where(self, mask: np.ndarray | None) -> Rows:
         return self if mask is None else Rows(  # None: no floor
-            self.ell[mask], self.phi[mask], self.count[mask])
+            *(a if np.ndim(a) == 0 else a[mask] for a in self))
+
+    def words(self) -> float:
+        """The number of cylinders the rows stand for."""
+        return float(np.sum(np.broadcast_to(self.count, self.ell.shape)))
 
     def log_z(self, t, q, w, tmp=None) -> tuple[float, float]:
         """Max-shifted partition sum: ``(shift, z)`` with log Z = shift + log z.
@@ -216,7 +220,8 @@ class Rows(NamedTuple):
         shift = float(w.max())
         w -= shift
         np.exp(w, out=w)
-        w *= self.count
+        if np.ndim(self.count) or self.count != 1.0:  # x * 1.0 = x
+            w *= self.count
         return shift, float(w.sum())
 
     def gibbs(self, t, q, w, tmp) -> _Gibbs:
@@ -255,7 +260,7 @@ class Rows(NamedTuple):
         if ell_min <= 0.0:
             raise NotContractingError(
                 "some cylinder diameter is >= 1; increase the depth n")
-        log_c = math.log(float(self.count.sum()))
+        log_c = math.log(self.words())
         s = log_c / float(np.max(ell))
         evals = 0
         if s < log_c / ell_min:
@@ -276,7 +281,7 @@ class Rows(NamedTuple):
 def moran_dimension(system: IfsSystem, n: int) -> float:
     """Moran exponent of every depth-n cylinder: the attractor estimate."""
     d = top_level(system, n)[0]
-    return Rows(-np.log(d), None, np.ones(d.size)).moran_root()[0]
+    return Rows(-np.log(d), None, 1.0).moran_root()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +297,14 @@ class DepthContext:
     solvers, the cover window, the Lyapunov ``floor``, the block measure's
     weights) depends on a word only through that pair, so the grouping is
     exact.  ``word_row`` maps each word, in slot order, to its row; it is
-    the one way back from rows to words, and ``rows.count`` is its bincount.
-    Grouping pays for linear systems with word-local potentials (linear
-    [1/2, 1/2] at n=18: 2^18 words, 19 rows); on Manneville-Pomeau no two
-    words merge and it costs one sort.  Widths, sums, ``lemma1_gap`` and
-    ``slack`` come from one ``top_level`` pass, which keeps one level.
+    the one way back from rows to words.  With no two widths tied (as on
+    Manneville-Pomeau) one argsort groups them: each word is its own row,
+    ``rows.count`` is the scalar 1.0 and ``word_row`` the inverse
+    permutation.  Otherwise a lexsort on (width, phi) merges bit-equal
+    pairs and ``rows.count`` is ``word_row``'s bincount; that pays for
+    linear systems with word-local potentials (linear [1/2, 1/2] at n=18:
+    2^18 words, 19 rows).  Widths, sums, ``lemma1_gap`` and ``slack`` come
+    from one ``top_level`` pass, which keeps one level.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -312,20 +320,28 @@ class DepthContext:
             gap=True)
         self.slack = 0.0 if potential.word_local else (
             0.5 * potential.lipschitz * math.fsum(diameters) / self.n)
-        order = np.lexsort((phi, width))
-        width = width[order]
-        phi = phi[order]
-        new = np.empty(width.size, dtype=bool)
-        new[0] = True
-        np.not_equal(width[1:], width[:-1], out=new[1:])
-        new[1:] |= phi[1:] != phi[:-1]
-        ell, phi = -np.log(width[new]), phi[new]
-        del width
-        row = np.cumsum(new, dtype=np.int32)
-        row -= 1
+        order = np.argsort(width)
+        ell = width[order]
+        if np.all(ell[1:] != ell[:-1]):  # one row per word, in lexsort's order
+            del width
+            phi, count = phi[order], 1.0
+            row = np.arange(ell.size, dtype=np.int32)
+        else:
+            del order, ell  # free the first sort before the second
+            order = np.lexsort((phi, width))
+            width = width[order]
+            phi = phi[order]
+            new = np.append(True, (width[1:] != width[:-1])
+                            | (phi[1:] != phi[:-1]))
+            ell, phi = width[new], phi[new]
+            del width
+            row = np.cumsum(new, dtype=np.int32)
+            row -= 1
+            count = np.bincount(row).astype(float)
         self.word_row = np.empty_like(row)
         self.word_row[order] = row
-        self.rows = Rows(ell, phi, np.bincount(row).astype(float))
+        self.rows = Rows(np.negative(np.log(ell, out=ell), out=ell), phi,
+                         count)
         _debug("depth %d: %d words in %d (width, phi) rows", self.n,
                row.size, ell.size)
 
@@ -429,9 +445,9 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
         raise AlphaUnreachableError(
             alpha, half, nearest, (float(np.min(avg)), float(np.max(avg))))
     # copy once, through window and floor together, only what Moran sums read
-    count = rows.count[keep]
-    s, evals = Rows(rows.ell[keep], None, count).moran_root()
-    return UpperBoundResult(s_n=s, cover_size=int(count.sum()),
+    cover = Rows(rows.ell, None, rows.count).where(keep)
+    s, evals = cover.moran_root()
+    return UpperBoundResult(s_n=s, cover_size=int(cover.words()),
                             moran_evals=evals, half_width=half, rho=rho,
                             delta=delta, n=ctx.n)
 
@@ -452,12 +468,12 @@ def _newton_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
     dq = (Cov(ell, phi)*dt - (E[phi] - target)) / Var(phi), shortened to
     |dq| * sqrt(Var(phi)) <= 2 and kept within |q| <= 700 / max|phi|, so
     the exponent stays in floating range.  Once a point's residual is within
-    ``tol`` and its t step at most MORAN_TOL, that step is taken and the
-    point it reaches is returned: near the fixed point the iteration
-    converges superlinearly, so that step takes t and the measure far
-    inside MORAN_TOL.  It also stops at a point where q sits at the cap and
-    the target lies beyond the Gibbs mean there; that clamp is logged, and
-    the caller's residual check rejects it.
+    ``tol`` and its t step at most MORAN_TOL, one full Newton step is taken
+    (t also takes the q step's first-order effect on the ratio,
+    q * (E[phi] - target) / E[ell]) and the point it reaches is returned,
+    with t and the measure far inside MORAN_TOL.  It also stops at a point
+    where q sits at the cap and the target lies beyond the Gibbs mean
+    there; that clamp is logged, and the caller's residual check rejects it.
     """
     cap = _Q_EXP_LIMIT / max(float(np.max(np.abs(rows.phi))), 1e-12)
     t = q = 0.0
@@ -476,6 +492,8 @@ def _newton_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
                    "the Gibbs mean %.17g there (t=%.17g)", q, target,
                    gibbs.e_phi, t)
             return t, q, gibbs, steps
+        if settled:  # the full Newton step
+            ratio += q * residual / gibbs.e_ell
         dq = gibbs.cov * (ratio - t) - residual
         if gibbs.var > 0.0:
             reach = 2.0 / math.sqrt(gibbs.var)

@@ -1,5 +1,6 @@
 """Cylinder geometry, branch validation and contraction-gap checks."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from mfspec.errors import (DegenerateCylinderError, EnumerationLimitError,
                            InsufficientDepthError)
-from mfspec.geometry import (Branch, CylinderTable, cylinder_interval,
-                             example2_system, fold, g_eval,
-                             geometric_potential, lambda_n, lemma1_gap,
-                             linear_system, manneville_pomeau_system, project)
+from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
+                             cylinder_interval, example2_system, fold,
+                             g_eval, geometric_potential, lambda_n,
+                             lemma1_gap, linear_system,
+                             manneville_pomeau_system, project, top_level)
+from mfspec.potentials import coordinate
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -287,3 +290,92 @@ def test_geometric_potential_matches_g_eval():
     g = geometric_potential(MP, depth=6)
     for w in ((0, 1), (1, 0, 1), (0, 0, 0, 1)):
         assert g.evaluate(w) == pytest.approx(g_eval(MP, w), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one branch step
+# ---------------------------------------------------------------------------
+
+_MP_BETAS = {beta: manneville_pomeau_system(beta) for beta in (0.25, 0.5, 2.0)}
+
+
+@st.composite
+def _cylinders(draw):
+    """(lo, width) arrays on [0, 1]: a chain of adjacent cylinders, each
+    right end bit for bit the next left end, then a subset of it, a
+    shuffle of it, the chain with widths one ulp short (right ends at or
+    one rounding left of the next left end), or cylinders that share no
+    end."""
+    start = draw(st.just(0.0) | st.floats(0.0, 0.5))
+    widths = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1,
+                           max_size=30))
+    scale = (1.0 - start) / max(sum(widths), 1.0)
+    lo, width = [start], [w * scale for w in widths]
+    for w in width[:-1]:
+        lo.append(lo[-1] + w)
+    lo, width = np.array(lo), np.array(width)
+    kind = draw(st.sampled_from(["shared", "subset", "shuffled", "short",
+                                 "apart"]))
+    if kind == "subset":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=lo.size,
+                                      max_size=lo.size)))
+        lo, width = (lo[keep], width[keep]) if keep.any() else (lo, width)
+    elif kind == "shuffled":
+        order = np.array(draw(st.permutations(range(lo.size))))
+        lo, width = lo[order], width[order]
+    elif kind == "short":
+        width = np.nextafter(width, 0.0)
+    elif kind == "apart":
+        width = width * 0.5
+    return lo, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_MP_BETAS)), _cylinders())
+def test_image_of_maps_each_distinct_endpoint_once(beta, cylinders):
+    # a shared endpoint takes its neighbour's image, which is exact because
+    # the Newton inverse acts elementwise: the step equals mapping both
+    # endpoints stacked, bit for bit
+    lo, width = cylinders
+    branches = _MP_BETAS[beta].branches
+    for branch in branches:
+        ref_lo, ref_hi = branch.map(np.stack([lo, lo + width]))
+        image_lo, image_width = branch.image_of(lo, width)
+        assert np.array_equal(image_lo, ref_lo)
+        assert np.array_equal(image_width, ref_hi - ref_lo)
+
+
+def _counting(system):
+    """A copy of ``system`` whose branch callables count the points they
+    are given, and the one-element list holding the count."""
+    points = [0]
+
+    def wrap(fn):
+        if fn is None:
+            return None
+
+        def counted(x, *rest):
+            points[0] += np.size(x)
+            return fn(x, *rest)
+        return counted
+
+    branches = tuple(dataclasses.replace(
+        b, map=wrap(b.map), derivative=wrap(b.derivative),
+        map_width=wrap(b.map_width)) for b in system.branches)
+    return IfsSystem(branches=branches, name=system.name), points
+
+
+@pytest.mark.parametrize("system, points", [
+    # 2^17 - 2 left ends over the 16 levels, one unshared right end per
+    # branch call (54 calls of at most 4096 words) and 2^17 - 2 derivatives
+    # for the gap; mapping both ends of every word took 393,210
+    (MP, 262_194),
+    # map at lo and map_width once per word, as before
+    (EX2, 393_210),
+    (HALVES, 393_210),
+])
+def test_level_pass_branch_points_are_pinned(system, points):
+    counted, count = _counting(system)
+    count[0] = 0  # the system's own checks at construction called them too
+    top_level(counted, 16, func=coordinate().func, gap=True)
+    assert count[0] == points
