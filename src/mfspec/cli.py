@@ -140,30 +140,35 @@ def _check_keys(obj: dict, allowed, section: str) -> None:
                 f"{', '.join(allowed)}")
 
 
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is a finite double: Python's json
+    reads NaN, Infinity and integers past the double range."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
 def _get(obj: dict, field, section: str, default=None):
     """``obj[field.name]`` checked against the field's annotation; an absent
-    or null key gives ``default``."""
+    or null key gives ``default``; numbers must be finite (``_finite``)."""
     value = obj.get(field.name)
     if value is None:
         return default
-    key, kind = field.name, _KINDS[field.type.removesuffix(" | None")]
+    kind = _KINDS[field.type.removesuffix(" | None")]
+    key = f"key '{field.name}' in '{section}'"
     if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' in '{section}' must be a number")
+        if not _finite(value):
+            raise ConfigError(f"{key} must be a finite number")
         return float(value)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key '{key}' in '{section}' must be an integer")
+            raise ConfigError(f"{key} must be an integer")
         return value
     if kind == "string":
         if not isinstance(value, str):
-            raise ConfigError(f"key '{key}' in '{section}' must be a string")
+            raise ConfigError(f"{key} must be a string")
         return value
-    if (not isinstance(value, list) or not value
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
-        raise ConfigError(
-            f"key '{key}' in '{section}' must be a nonempty number list")
+    if not isinstance(value, list) or not value or not all(map(_finite, value)):
+        raise ConfigError(f"{key} must be a nonempty finite number list")
     return tuple(float(v) for v in value)
 
 

@@ -16,7 +16,6 @@ residual attached to every variational dimension report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,10 +46,6 @@ class Interval:
     @property
     def diameter(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -175,9 +170,6 @@ class IfsSystem:
     def has_parabolic(self) -> bool:
         return any(b.parabolic for b in self.branches)
 
-    def apply_derivative(self, symbol: int, x):
-        return self.branches[symbol].derivative(x)
-
 
 # ---------------------------------------------------------------------------
 # word-level operations
@@ -231,6 +223,11 @@ def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
     return lo[node], width[node]
 
 
+def _g(branch: Branch, x):
+    """-log branch'(x): the one formula every geometric potential term takes."""
+    return -np.log(branch.derivative(x))
+
+
 def neg_log_derivative(system: IfsSystem, symbols: np.ndarray,
                        points: np.ndarray) -> np.ndarray:
     """-log of branch ``symbols[i]``'s derivative at ``points[i]``."""
@@ -238,8 +235,7 @@ def neg_log_derivative(system: IfsSystem, symbols: np.ndarray,
     for a, branch in enumerate(system.branches):
         sel = symbols == a
         if sel.any():
-            out[sel] = -np.log(np.asarray(branch.derivative(points[sel]),
-                                          dtype=float))
+            out[sel] = _g(branch, points[sel])
     return out
 
 
@@ -261,20 +257,19 @@ def lambda_n(system: IfsSystem, w: Word) -> float:
     width = _fold_cylinder(system, w)[1]
     if width <= 0.0:
         raise DegenerateCylinderError(word_label(w))
-    return -math.log(width) / len(w)
+    return float(-np.log(width) / len(w))
 
 
 def g_eval(system: IfsSystem, w: Word) -> float:
     """Geometric potential of a word: branch log-derivative at the shifted point.
 
     The shifted projection is approximated by the midpoint of the suffix
-    cylinder, so at least one suffix symbol is required.
+    cylinder (``project``), so at least one suffix symbol is required.
     """
     if len(w) < 2:
         raise InsufficientDepthError(
             "geometric potential needs a word of length >= 2")
-    suffix_mid = cylinder_interval(system, tuple(w)[1:]).midpoint
-    return -math.log(float(system.apply_derivative(w[0], suffix_mid)))
+    return float(_g(system.branches[w[0]], project(system, tuple(w)[1:])[0]))
 
 
 def project(system: IfsSystem, w: Word) -> tuple[float, float]:
@@ -404,7 +399,7 @@ def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
     phi = None if values is None and func is None else np.empty(m**n)
     if gap:
         g = np.empty(m**n)
-        g[:m] = [-math.log(float(b.derivative(0.5))) for b in branches]
+        g[:m] = [_g(b, 0.5) for b in branches]
     max_diameters = []
     for k, (lo, width) in enumerate(cylinder_levels(system, n), start=1):
         size = width.size // m  # words one level up
@@ -420,8 +415,8 @@ def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
             else:
                 _add_level(phi, size, m, lambda a, part: level[a, part])
         if gap and k < n:
-            _add_level(g, m * size, m, lambda a, part: -np.log(np.asarray(
-                branches[a].derivative(mid[part]), dtype=float)))
+            _add_level(g, m * size, m, lambda a, part: _g(branches[a],
+                                                          mid[part]))
         mid = level = None
     if np.any(width <= 0.0):
         slot = int(np.argmax(width <= 0.0))
@@ -444,8 +439,12 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     words are drawn with the fixed seed.  Vanishes identically for linear
     systems and decays with n when branch derivatives are continuous.
     """
+    if n < 1:
+        raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
     if sample is None:
         return top_level(system, n, gap=True)[2]
+    if sample < 1:
+        raise ValueError(f"lemma1_gap needs sample >= 1 words, got {sample}")
     rng = np.random.default_rng(seed)
     words = rng.integers(0, system.m, size=(sample, n))
     # a suffix node's g sum adds its symbol's term at its parent's midpoint
@@ -473,17 +472,15 @@ def geometric_potential(system: IfsSystem, depth: int) -> WordFunction:
     system.alphabet.check_cap(depth)
 
     def oscillation(lo, hi) -> float:
-        return max([0.0] + [float(np.max(np.abs(
-            np.log(np.asarray(b.derivative(hi), dtype=float))
-            - np.log(np.asarray(b.derivative(lo), dtype=float)))))
-            for b in system.branches])
+        return max([0.0] + [float(np.max(np.abs(_g(b, lo) - _g(b, hi))))
+                            for b in system.branches])
 
     bounds = [oscillation(np.zeros(1), np.ones(1))] + [oscillation(
         lo, lo + width) for lo, width in cylinder_levels(system, depth - 1)]
 
     def evaluate(w: Word) -> float:
         if len(w) == 1:
-            return -math.log(float(system.apply_derivative(w[0], 0.5)))
+            return float(_g(system.branches[w[0]], 0.5))
         return g_eval(system, w)
 
     def error_bound(k: int) -> float:
@@ -529,44 +526,37 @@ def linear_system(ratios: Sequence[float],
                      params={"ratios": ratios, "offsets": offsets})
 
 
+def _mobius(a: float, b: float, c: float, d: float, **flags) -> Branch:
+    """The branch y -> (a*y + b) / (c*y + d), with det = a*d - b*c > 0.
+
+    Its derivative is det / den(y)^2 and its image width the exact
+    difference det*w / (den(lo) * den(lo + w)), den(lo + w) = den(lo) + c*w.
+    """
+    det = a * d - b * c
+
+    def den(y):
+        return c * np.asarray(y, dtype=float) + d
+
+    def map_width(lo, width):
+        den_lo = den(lo)
+        return det * width / (den_lo * (den_lo + c * width))
+
+    return Branch(map=lambda y: (a * np.asarray(y, dtype=float) + b) / den(y),
+                  derivative=lambda y: det / den(y) ** 2,
+                  map_width=map_width, **flags)
+
+
 def example2_system() -> IfsSystem:
     """Inverse branches of x/(1-x) on [0,1/2] and (2x-1)/x on (1/2,1].
 
     Both branches are parabolic: the left at 0, the right at 1.  The branch
     images tile [0,1].
     """
-
-    def s1(y):
-        y = np.asarray(y, dtype=float)
-        return y / (1.0 + y)
-
-    def s1d(y):
-        y = np.asarray(y, dtype=float)
-        return 1.0 / (1.0 + y) ** 2
-
-    def s1w(lo, width):
-        # s1(lo+w) - s1(lo) = w / ((1+lo)(1+lo+w)), exact difference form
-        lo = np.asarray(lo, dtype=float)
-        return width / ((1.0 + lo) * (1.0 + lo + width))
-
-    def s2(y):
-        y = np.asarray(y, dtype=float)
-        return 1.0 / (2.0 - y)
-
-    def s2d(y):
-        y = np.asarray(y, dtype=float)
-        return 1.0 / (2.0 - y) ** 2
-
-    def s2w(lo, width):
-        # s2(lo+w) - s2(lo) = w / ((2-lo)(2-lo-w))
-        lo = np.asarray(lo, dtype=float)
-        return width / ((2.0 - lo) * (2.0 - lo - width))
-
     branches = (
-        Branch(map=s1, derivative=s1d, parabolic=True, fixed_point=0.0,
-               map_width=s1w, label="left"),
-        Branch(map=s2, derivative=s2d, parabolic=True, fixed_point=1.0,
-               map_width=s2w, label="right"),
+        _mobius(1.0, 0.0, 1.0, 1.0, parabolic=True, fixed_point=0.0,
+                label="left"),
+        _mobius(0.0, 1.0, -1.0, 2.0, parabolic=True, fixed_point=1.0,
+                label="right"),
     )
     return IfsSystem(branches=branches, name="example2")
 
@@ -603,24 +593,15 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
         raise SolverError(f"Manneville-Pomeau inverse (beta={beta:g}) did "
                           f"not settle in {_NEWTON_MAX_ITER} Newton steps")
 
+    def branch(lo, hi, offset, **flags):
+        def inverse(y):
+            return invert(y, lo, hi, offset)
+        return Branch(map=inverse, derivative=lambda y: 1.0 / (
+            forward_derivative(inverse(y))), **flags)
+
     cut = float(invert(1.0, 0.0, 1.0, 0.0))
-
-    def left(y):
-        return invert(y, 0.0, cut, 0.0)
-
-    def left_derivative(y):
-        return 1.0 / forward_derivative(left(y))
-
-    def right(y):
-        return invert(y, cut, 1.0, 1.0)
-
-    def right_derivative(y):
-        return 1.0 / forward_derivative(right(y))
-
-    branches = (
-        Branch(map=left, derivative=left_derivative, parabolic=True,
-               fixed_point=0.0, label="left"),
-        Branch(map=right, derivative=right_derivative, label="right"),
-    )
+    branches = (branch(0.0, cut, 0.0, parabolic=True, fixed_point=0.0,
+                       label="left"),
+                branch(cut, 1.0, 1.0, label="right"))
     return IfsSystem(branches=branches, name="manneville_pomeau",
                      params={"beta": float(beta), "cut": float(cut)})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleAlphaError
-from .geometry import IfsSystem, cylinder_interval
+from .geometry import IfsSystem, fold
 from .potentials import PotentialSpec, induced_word_function
 from .symbolic import MarkovChainSpec, birkhoff_sum
 
@@ -155,7 +155,7 @@ def brute_force_ratio(system: IfsSystem, potential: PotentialSpec,
     f = induced_word_function(system, potential, n)
     words = list(system.alphabet.words(n))
     phi = [birkhoff_sum(f, w) for w in words]
-    ell = [-math.log(cylinder_interval(system, w).diameter) for w in words]
+    ell = (-np.log(fold(system, np.array(words))[1])).tolist()
     target = n * alpha
     slack = grid_step * max(1.0, max(abs(v) for v in phi))
 

@@ -14,8 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (CylinderTable, IfsSystem, cylinder_interval,
-                       cylinder_levels)
+from .geometry import CylinderTable, IfsSystem, cylinder_levels, project
 from .symbolic import Word, WordFunction
 
 
@@ -113,7 +112,7 @@ def induced_word_function(system: IfsSystem, spec: PotentialSpec,
     func = spec.func
 
     def evaluate(w: Word) -> float:
-        return float(func(cylinder_interval(system, w).midpoint))
+        return float(func(project(system, w)[0]))
 
     def error_bound(k: int) -> float:
         if not 1 <= k <= depth:

@@ -87,10 +87,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("solver depth n must be >= 2")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.delta is not None and self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if self.delta is not None and not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
     rows, and ``moran_evals`` counts its partition sums.  An empty window
     raises ``AlphaUnreachableError`` with the nearest word average and the
     range of averages among the words the floor keeps (``NoCylindersError``
-    if it keeps none).
+    if it keeps none), or ``InfeasibleAlphaError`` if alpha is not finite.
     """
     rho = ctx.rho
     half = 2.0 * rho + ctx.slack
@@ -441,9 +441,11 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
         keep &= mask
     if not keep.any():
         avg = rows.where(mask).phi / ctx.n
+        achievable = float(np.min(avg)), float(np.max(avg))
+        if not math.isfinite(alpha):
+            raise InfeasibleAlphaError(alpha, achievable)
         nearest = float(avg[np.argmin(np.abs(avg - alpha))])
-        raise AlphaUnreachableError(
-            alpha, half, nearest, (float(np.min(avg)), float(np.max(avg))))
+        raise AlphaUnreachableError(alpha, half, nearest, achievable)
     # copy once, through window and floor together, only what Moran sums read
     cover = Rows(rows.ell, None, rows.count).where(keep)
     s, evals = cover.moran_root()
@@ -467,22 +469,32 @@ def _newton_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
     (log Z - q*target, E[phi] - target) given that t step,
     dq = (Cov(ell, phi)*dt - (E[phi] - target)) / Var(phi), shortened to
     |dq| * sqrt(Var(phi)) <= 2 and kept within |q| <= 700 / max|phi|, so
-    the exponent stays in floating range.  Once a point's residual is within
-    ``tol`` and its t step at most MORAN_TOL, one full Newton step is taken
-    (t also takes the q step's first-order effect on the ratio,
-    q * (E[phi] - target) / E[ell]) and the point it reaches is returned,
-    with t and the measure far inside MORAN_TOL.  It also stops at a point
+    the exponent stays in floating range.  A step that lands outside ``tol``
+    on the other side of the target from the point it left, with a residual
+    no smaller than the one two steps back, alternates without contracting:
+    it is halved back toward the point it left.  On rows with two phi values
+    the coupled steps can otherwise send q from cap to cap for good.  Once a
+    point's residual is within ``tol`` and its t step at most MORAN_TOL, one
+    full Newton step is taken (t also takes the q step's first-order effect
+    on the ratio, q * (E[phi] - target) / E[ell]) and the point it reaches
+    is returned, with t and the measure far inside MORAN_TOL.  It also stops at a point
     where q sits at the cap and the target lies beyond the Gibbs mean
     there; that clamp is logged, and the caller's residual check rejects it.
     """
     cap = _Q_EXP_LIMIT / max(float(np.max(np.abs(rows.phi))), 1e-12)
     t = q = 0.0
-    settled = False
+    settled, kept = False, []  # the last two points whose step was taken
     for steps in range(MAX_ITER + 1):
         gibbs = rows.gibbs(t, q, w, tmp)
         if settled:
             return t, q, gibbs, steps
         residual = gibbs.e_phi - target
+        if (len(kept) == 2 and residual * kept[1][2] < 0.0
+                and abs(residual) > tol and abs(residual) >= abs(kept[0][2])):
+            _debug("halving back: residual %.3g", residual)
+            t, q = 0.5 * (t + kept[1][0]), 0.5 * (q + kept[1][1])
+            continue
+        kept = [*kept[-1:], (t, q, residual)]
         ratio = gibbs.entropy / gibbs.e_ell
         _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
                t, q, residual)
@@ -529,7 +541,7 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     target = n * alpha
     lo_phi, hi_phi = float(np.min(rows.phi)), float(np.max(rows.phi))
     lo_avg, hi_avg = lo_phi / n, hi_phi / n
-    if alpha < lo_avg - BOUNDARY_TOL or alpha > hi_avg + BOUNDARY_TOL:
+    if not lo_avg - BOUNDARY_TOL <= alpha <= hi_avg + BOUNDARY_TOL:  # or NaN
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
 
     at_hi = alpha >= hi_avg - BOUNDARY_TOL

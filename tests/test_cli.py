@@ -73,6 +73,24 @@ def test_type_errors_name_key_and_type(tmp_path):
         parse_config(json.dumps(raw))
 
 
+@pytest.mark.parametrize("section, block, key", [
+    ("solver", '{"n": 8, "rho": Infinity}', "rho"),
+    ("solver", '{"n": 8, "rho": NaN}', "rho"),
+    ("solver", '{"n": 8, "delta": NaN}', "delta"),
+    ("command", '{"name": "spectrum", "alphas": [NaN]}', "alphas"),
+    ("system", '{"name": "manneville_pomeau", "beta": -Infinity}', "beta"),
+    ("system", '{"name": "linear", "ratios": [0.5, 1%s]}' % ("0" * 400),
+     "ratios"),
+])
+def test_non_finite_numbers_name_their_key(tmp_path, section, block, key):
+    # Python's json reads NaN, Infinity and integers no double can hold; a
+    # config carrying one is refused
+    raw = make_config(tmp_path, **{section: "BLOCK"})
+    text = json.dumps(raw).replace('"BLOCK"', block)
+    with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
+        parse_config(text)
+
+
 def test_missing_and_mismatched_sections(tmp_path):
     raw = make_config(tmp_path)
     del raw["command"]

@@ -139,8 +139,8 @@ def test_mean_value_identity_on_sampled_words():
             w = tuple(rng.integers(0, system.m, size=7))
             suffix = cylinder_interval(system, w[1:])
             ratio = (cylinder_interval(system, w).diameter / suffix.diameter)
-            lo = -math.log(float(system.apply_derivative(w[0], suffix.lo)))
-            hi = -math.log(float(system.apply_derivative(w[0], suffix.hi)))
+            lo = -math.log(float(system.branches[w[0]].derivative(suffix.lo)))
+            hi = -math.log(float(system.branches[w[0]].derivative(suffix.hi)))
             lo, hi = min(lo, hi), max(lo, hi)
             assert lo - 1e-10 <= -math.log(ratio) <= hi + 1e-10
 
@@ -238,6 +238,14 @@ def test_gap_sampled_mode_bounded_by_exhaustive():
     sampled = lemma1_gap(MP, 10, sample=300, seed=2)
     assert sampled <= exact + 1e-12
     assert sampled == lemma1_gap(MP, 10, sample=300, seed=2)  # deterministic
+
+
+@pytest.mark.parametrize("n, sample, name", [
+    (6, 0, "sample"), (0, 5, "n"), (0, None, "n")])
+def test_gap_rejects_empty_inputs(n, sample, name):
+    # no words or no symbols leave nothing to take the sup over
+    with pytest.raises(ValueError, match=f"{name}[ =]"):
+        lemma1_gap(MP, n, sample=sample)
 
 
 def test_gap_cap_guard():

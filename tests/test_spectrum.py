@@ -16,13 +16,15 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
 from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
-                             example2_system, fold, lemma1_gap,
+                             example2_system, fold, g_eval,
+                             geometric_potential, lambda_n, lemma1_gap,
                              linear_system, manneville_pomeau_system,
-                             neg_log_derivative, top_level)
+                             neg_log_derivative, project, top_level)
 from mfspec.oracle import (besicovitch_spectrum, BesicovitchSpec,
-                           similarity_dimension)
+                           brute_force_ratio, similarity_dimension)
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
-                               polynomial, potential_arrays)
+                               induced_word_function, polynomial,
+                               potential_arrays)
 from mfspec import spectrum
 from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER,
                              DepthContext, Rows, SolverOptions,
@@ -326,6 +328,28 @@ def test_lower_infeasible_alpha():
     assert err.value.achievable == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_infeasible_on_both_routes(alpha, monkeypatch):
+    # no level set has a non-finite mean: both routes say so before any
+    # Gibbs evaluation (a NaN target used to run the (t, q) steps out)
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=4))
+    evals = []
+    monkeypatch.setattr(Rows, "gibbs", lambda *args: evals.append(args))
+    for route in (lower_bound, upper_bound):
+        with pytest.raises(InfeasibleAlphaError) as err:
+            route(ctx, alpha)
+        assert err.value.achievable == (0.0, 1.0)
+    assert not evals
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", math.nan), ("rho", math.inf), ("delta", math.nan),
+    ("delta", math.inf)])
+def test_options_reject_non_finite_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        SolverOptions(n=4, **{key: value})
+
+
 def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
     # one large potential value caps |q| at 700/4000, too weak to pull the
     # mean potential sum down to 4e-6: the multiplier clamps, the iteration
@@ -595,6 +619,13 @@ def _row_case(draw):
 # the stop is met here with a residual that lags t 4.2e-12 behind q unless
 # the last step is the full Newton step; the measure then misses by 1.27e-12
 @example((EX2, first_symbol([1.0, 0.0]), 7), _Draws(None, 0.703125))
+# two interior levels whose floored rows carry two phi values: without the
+# halving back, t alternates about 0.01 / 0.39 and q runs to the caps
+@example((linear_system([0.41333177032267326, 0.263223198299889,
+                         0.15464955134846178]), first_symbol([0, 0, -1]), 3),
+         _Draws(1.5388973507999981, 0.25))
+@example((linear_system([16 / 43, 12 / 43, 10 / 43, 5 / 43]),
+          indicator_branch(3), 3), _Draws(1.7640452666575683, 0.5))
 def test_rows_match_per_word_reference(case, data):
     system, potential, n = case
     # each floor above the smallest rate masks some words
@@ -1104,6 +1135,40 @@ def test_suffix_sharing_matches_plain_fold(system, data):
     mids, window, nodes = _window_midpoints(system, seq, depth)
     assert np.array_equal(mids[window], lo + 0.5 * width)
     assert nodes == _distinct_suffixes(windows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=_fold_system(), data=st.data())
+def test_word_level_api_equals_the_level_pass(system, data):
+    # each per-word value is computed by the formula the level pass uses
+    # for its slot, so the two agree bit for bit on every depth-n word
+    m = system.m
+    n = data.draw(st.integers(1, int(math.log(128, m) + 1e-9)))
+    spec = data.draw(st.sampled_from([coordinate(),
+                                      polynomial([0.0, 1.0, -0.5])]))
+    table = CylinderTable(system, n)
+    phi = potential_arrays(table, spec)[n - 1]
+    f = induced_word_function(system, spec, n)
+    g = geometric_potential(system, n)
+    suffix_mid = table.mid(n - 1) if n > 1 else np.full(1, 0.5)
+    for slot, w in enumerate(table.words()):
+        assert f.evaluate(w) == phi[slot]
+        assert project(system, w)[0] == table.mid(n)[slot]
+        assert lambda_n(system, w) == table.lambda_array[slot]
+        term = neg_log_derivative(system, np.array([w[0]]),
+                                  suffix_mid[[slot % m ** (n - 1)]])[0]
+        assert g.evaluate(w) == term
+        if n > 1:
+            assert g_eval(system, w) == term
+    # at grid step 1/2 the best ratio puts 1/2 on each of two words: the
+    # entropy log 2 over the shortest pair's mean length
+    if m ** n <= 8:
+        ell = -table.log_diameters
+        pairs = [0.5 * ell[i] + 0.5 * ell[j]
+                 for i in range(m ** n) for j in range(i + 1, m ** n)]
+        assert brute_force_ratio(
+            system, first_symbol([0.0] * m), 0.0, n, 0.5) == (
+                -(0.5 * math.log(0.5) + 0.5 * math.log(0.5)) / min(pairs))
 
 
 @settings(max_examples=25, deadline=None)
