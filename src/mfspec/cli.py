@@ -4,8 +4,8 @@
 writes one machine-readable table (CSV or JSON) plus a sidecar diagnostics
 file.  ``mfspec dim`` forces the dimension command on a config;
 ``mfspec validate <suite>`` emits an oracle-comparison table.  Outputs are a
-pure function of the config (seed included), so identical configs produce
-byte-identical artifacts.
+pure function of the config, so identical configs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations

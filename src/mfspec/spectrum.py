@@ -14,8 +14,7 @@ Two routes are combined per level value alpha:
   constraint only confines the measure to the extreme words, and q = 0
   there: the value is their Moran root.  The returned value is the
   entropy/length ratio of an explicitly constructed feasible measure, hence
-  a certified finite-depth value, with the depth-n contraction-rate gap
-  attached.
+  a certified finite-depth value.
 
 * a cover upper route: the Moran exponent of the depth-n cylinders whose
   word average falls inside the alpha window, widened to the resolution the
@@ -23,7 +22,8 @@ Two routes are combined per level value alpha:
   slack).
 
 Both routes read every depth-n input from one ``DepthContext``: its
-system, potential, options and (width, phi) rows.
+system, potential, options, (width, phi) rows and Lyapunov floor, so both
+columns estimate the same level set, restricted to lambda_n >= delta.
 
 Systems with indifferent fixed points get special dispatch: on the interval
 spanned by the potential values at those fixed points, the level-set
@@ -70,19 +70,15 @@ class SolverOptions:
 
     ``rho`` is the alpha-window half-width for the cover route (None picks
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
-    Lyapunov floor excluding words with lambda_n below it (None means no
-    floor, except that parabolic systems apply a small default floor to the
-    cover route, ``DepthContext.cover_delta``).  ``word_cap`` bounds the
-    number of depth-n words.  ``seed`` is a no-op: every estimator is
-    deterministic and none reads it; it is kept so that configs carrying a
-    ``seed`` key stay valid and round-trip.
+    Lyapunov floor of both routes, excluding words with lambda_n below it
+    (None picks ``DepthContext.delta``'s default).  ``word_cap`` bounds the
+    number of depth-n words.
     """
 
     n: int = 10
     rho: float | None = None
     delta: float | None = None
     word_cap: int = DEFAULT_WORD_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -105,9 +101,7 @@ class LowerBoundResult:
     entropy_rate: float
     iterations: int
     gibbs_evals: int
-    n: int
     boundary: bool
-    lemma1_gap: float
     measure: BlockMeasure
 
 
@@ -118,10 +112,6 @@ class UpperBoundResult:
     s_n: float
     cover_size: int
     moran_evals: int
-    half_width: float
-    rho: float
-    delta: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -304,7 +294,10 @@ class DepthContext:
     pairs and ``rows.count`` is ``word_row``'s bincount; that pays for
     linear systems with word-local potentials (linear [1/2, 1/2] at n=18:
     2^18 words, 19 rows).  Widths, sums, ``lemma1_gap`` and ``slack`` come
-    from one ``top_level`` pass, which keeps one level.
+    from one ``top_level`` pass, which keeps one level.  ``delta`` is the
+    Lyapunov floor of both routes: ``opts.delta``, else 1e-3 * log m on
+    parabolic systems, else 0; ``floor`` and ``phi_range`` are formed from
+    it once.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -313,13 +306,14 @@ class DepthContext:
         self.system = system
         self.potential = potential
         self.n = self.opts.n
+        self.delta = self.opts.delta if self.opts.delta is not None else (
+            1e-3 * math.log(system.m) if system.has_parabolic else 0.0)
         values = (potential.symbol_values(system.m) if potential.word_local
                   else None)
         width, phi, self.lemma1_gap, diameters = top_level(
             system, self.n, self.opts.word_cap, values, potential.func,
             gap=True)
-        self.slack = 0.0 if potential.word_local else (
-            0.5 * potential.lipschitz * math.fsum(diameters) / self.n)
+        self.slack = 0.5 * potential.lipschitz * math.fsum(diameters) / self.n
         order = np.argsort(width)
         ell = width[order]
         if np.all(ell[1:] != ell[:-1]):  # one row per word, in lexsort's order
@@ -345,16 +339,23 @@ class DepthContext:
         _debug("depth %d: %d words in %d (width, phi) rows", self.n,
                row.size, ell.size)
 
-    def floor(self, delta: float | None) -> np.ndarray | None:
-        """Rows with lambda_n = ell / n >= delta; None if no floor,
-        ``NoCylindersError`` if it keeps no row."""
-        if not delta:
+    @cached_property
+    def floor(self) -> np.ndarray | None:
+        """Rows with lambda_n = ell / n >= ``delta``: None if that is every
+        row, ``NoCylindersError`` if it is none."""
+        mask = self.rows.ell / self.n >= self.delta
+        if mask.all():
             return None
-        mask = self.rows.ell / self.n >= delta
         if not mask.any():
             raise NoCylindersError(
-                f"Lyapunov floor {delta:g} excludes every word")
+                f"Lyapunov floor {self.delta:g} excludes every word")
         return mask
+
+    @cached_property
+    def phi_range(self) -> tuple[float, float]:
+        """Least and greatest Birkhoff sum among the rows ``floor`` keeps."""
+        phi = self.rows.where(self.floor).phi
+        return float(np.min(phi)), float(np.max(phi))
 
     @cached_property
     def attractor_root(self) -> tuple[float, int]:
@@ -376,18 +377,6 @@ class DepthContext:
                 f"window rho={rho:g} must exceed the word-approximation slack "
                 f"{self.slack:g} at depth {self.n}")
         return rho
-
-    @property
-    def cover_delta(self) -> float:
-        """Lyapunov floor of the cover route.
-
-        ``opts.delta`` when set; otherwise a small default floor on parabolic
-        systems, which keeps near-neutral words out of the cover, else none.
-        """
-        if self.opts.delta is not None:
-            return self.opts.delta
-        return 1e-3 * math.log(self.system.m) if self.system.has_parabolic \
-            else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -423,35 +412,34 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
     The cover keeps words with |A_n f - alpha| below twice the window rho
     plus the word-approximation slack; that widened half-width is what a
     finite-depth window actually certifies about means over the covered
-    cylinders, and is reported back.  A positive Lyapunov floor additionally
-    drops words with lambda_n below it; ``DepthContext.cover_delta`` says
-    which floor applies.  The exponent is ``Rows.moran_root`` over the kept
-    rows, and ``moran_evals`` counts its partition sums.  An empty window
-    raises ``AlphaUnreachableError`` with the nearest word average and the
-    range of averages among the words the floor keeps (``NoCylindersError``
-    if it keeps none), or ``InfeasibleAlphaError`` if alpha is not finite.
+    cylinders.  The context's Lyapunov floor (``DepthContext.floor``)
+    drops words with lambda_n below ``DepthContext.delta``, as in the lower
+    route.  The exponent is ``Rows.moran_root`` over the kept rows, and
+    ``moran_evals`` counts its partition sums.  An empty window raises
+    ``AlphaUnreachableError`` with the nearest word average and the range of
+    averages among the words the floor keeps (``NoCylindersError`` if it
+    keeps none), or ``InfeasibleAlphaError`` if alpha is not finite.
     """
-    rho = ctx.rho
-    half = 2.0 * rho + ctx.slack
-    delta = ctx.cover_delta
-    mask = ctx.floor(delta)
+    n = ctx.n
+    half = 2.0 * ctx.rho + ctx.slack
+    mask = ctx.floor
     rows = ctx.rows
-    keep = np.abs(rows.phi / ctx.n - alpha) < half
+    keep = np.abs(rows.phi / n - alpha) < half
     if mask is not None:
         keep &= mask
     if not keep.any():
-        avg = rows.where(mask).phi / ctx.n
-        achievable = float(np.min(avg)), float(np.max(avg))
+        lo_phi, hi_phi = ctx.phi_range
+        achievable = lo_phi / n, hi_phi / n
         if not math.isfinite(alpha):
             raise InfeasibleAlphaError(alpha, achievable)
+        avg = rows.where(mask).phi / n
         nearest = float(avg[np.argmin(np.abs(avg - alpha))])
         raise AlphaUnreachableError(alpha, half, nearest, achievable)
     # copy once, through window and floor together, only what Moran sums read
     cover = Rows(rows.ell, None, rows.count).where(keep)
     s, evals = cover.moran_root()
     return UpperBoundResult(s_n=s, cover_size=int(cover.words()),
-                            moran_evals=evals, half_width=half, rho=rho,
-                            delta=delta, n=ctx.n)
+                            moran_evals=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +518,16 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     root, whose Newton steps ``iterations`` counts.  ``gibbs_evals`` is
     ``iterations`` + 1: one evaluation per step and one at the point
     returned.  Everything runs over the context's (width, phi) rows: the
-    floor, the tie set and the final word weight
-    exp(q*phi - t*ell - shift) / z are formed once per row, and the
-    returned per-word measure gathers them through ``ctx.word_row``, so
-    feasibility and the Gibbs form can be re-verified independently.
+    floor (``DepthContext.floor``, shared with the cover route), the tie set
+    and the final word weight exp(q*phi - t*ell - shift) / z are formed once
+    per row, and the returned per-word measure gathers them through
+    ``ctx.word_row``, so feasibility and the Gibbs form can be re-verified
+    independently.
     """
     n = ctx.n
-    mask = ctx.floor(ctx.opts.delta)
-    rows = ctx.rows.where(mask)
+    mask = ctx.floor
     target = n * alpha
-    lo_phi, hi_phi = float(np.min(rows.phi)), float(np.max(rows.phi))
+    lo_phi, hi_phi = ctx.phi_range
     lo_avg, hi_avg = lo_phi / n, hi_phi / n
     if not lo_avg - BOUNDARY_TOL <= alpha <= hi_avg + BOUNDARY_TOL:  # or NaN
         raise InfeasibleAlphaError(alpha, (lo_avg, hi_avg))
@@ -549,7 +537,7 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     if boundary:  # only the extreme words meet the constraint
         tie = np.abs(ctx.rows.phi - (hi_phi if at_hi else lo_phi)) <= _TIE_TOL
         mask = tie if mask is None else mask & tie
-        rows = ctx.rows.where(mask)
+    rows = ctx.rows.where(mask)
     q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
     w, tmp = np.empty((2, rows.ell.size))
     if boundary:
@@ -574,8 +562,7 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
         dim=entropy / e_ell, t=t, q=None if boundary else q,
         alpha_achieved=e_phi / n, lyapunov=e_ell / n,
         entropy_rate=entropy / n, iterations=iterations,
-        gibbs_evals=iterations + 1, n=n, boundary=boundary,
-        lemma1_gap=ctx.lemma1_gap,
+        gibbs_evals=iterations + 1, boundary=boundary,
         measure=BlockMeasure(m=ctx.system.m, n=n, p=w.take(ctx.word_row)))
 
 
@@ -620,7 +607,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             errors.append(f"upper: {exc}")
         return SpectrumPoint(
             alpha=alpha, in_parabolic_interval=False, n=ctx.n, rho=rho,
-            delta=ctx.cover_delta, lemma1_gap=ctx.lemma1_gap,
+            delta=ctx.delta, lemma1_gap=ctx.lemma1_gap,
             error="; ".join(errors) or None, **point)
 
     return [compute(a) for a in sorted(float(a) for a in alphas)]

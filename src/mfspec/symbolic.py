@@ -60,9 +60,12 @@ class Alphabet:
         return self.m**n
 
     def check_cap(self, n: int, cap: int = DEFAULT_WORD_CAP) -> None:
+        """Refuse n unless m^n <= cap; a depth far past the cap (a config's
+        n = 10**9) is refused on logarithms, before m^n is formed."""
         if n < 1:
             raise ValueError(f"word length must be >= 1, got {n}")
-        if self.word_count(n) > cap:
+        if (n > math.log(max(cap, 1), self.m) + 1.0
+                or self.word_count(n) > cap):
             raise EnumerationLimitError(self.m, n, cap)
 
     def words(self, n: int) -> Iterator[Word]:
@@ -237,9 +240,11 @@ def abramov_stats(measure: BlockMeasure,
     """
     n = measure.n
     rate = shannon_entropy(measure) / n
-    slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
-    support = list(zip(slot_words(measure.m, n, slots),
-                       measure.p[slots].tolist()))
-    avgs = tuple(
-        math.fsum(p * birkhoff_sum(f, w) for w, p in support) / n for f in fs)
+    avgs = ()
+    if fs:  # list the support words only when some f reads them
+        slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
+        support = list(zip(slot_words(measure.m, n, slots),
+                           measure.p[slots].tolist()))
+        avgs = tuple(math.fsum(p * birkhoff_sum(f, w) for w, p in support) / n
+                     for f in fs)
     return AbramovStats(n=n, entropy_rate=rate, averages=avgs)

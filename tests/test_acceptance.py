@@ -183,7 +183,7 @@ def test_criterion_10_run_determinism(tmp_path):
         {"system": {"name": "manneville_pomeau", "beta": 0.5},
          "potential": {"name": "coordinate"},
          "command": {"name": "spectrum", "alphas": [0.0, 0.3, 0.6]},
-         "solver": {"n": 8, "seed": 5},
+         "solver": {"n": 8},
          "output": {"path": str(tmp_path / "b.csv"), "format": "json"}},
     ]
     ok = True

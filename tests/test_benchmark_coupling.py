@@ -1,11 +1,13 @@
-"""The benchmark's tracer against the names and fields it reads.
+"""The benchmark's workloads and tracer against the names they read.
 
-``perfbench/tracing.py`` wraps public mfspec names (the two estimator
-routes, ``DepthContext``, the CLI entry points) and reads result fields
-such as ``LowerBoundResult.iterations`` and ``UpperBoundResult.cover_size``.
-A rename there breaks the traced benchmark without failing any other
-test, so these run the tracer, imported by path, over small versions of
-the benchmark's workloads.
+``perfbench/workloads.py`` builds each workload from configs, public
+constructors and recorded sampler checkpoints, and checks every call's
+outputs; ``perfbench/tracing.py`` wraps public mfspec names (the two
+estimator routes, ``DepthContext``, the CLI entry points) and reads result
+fields such as ``LowerBoundResult.iterations`` and
+``UpperBoundResult.cover_size``.  A change there breaks the benchmark
+without failing any other test, so these import both by path and run one
+checked call of each workload and the tracer over small versions of them.
 """
 
 import importlib.util
@@ -17,15 +19,29 @@ from mfspec import (MarkovChainSpec, SolverOptions, block_marginal, cli,
                     coordinate, manneville_pomeau_system)
 from mfspec import spectrum
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
+
+
+def test_every_workload_passes_its_own_check(tmp_path):
+    # one call per workload at seed 1, checked as the benchmark checks it
+    workloads = _load("workloads")
+    for name in workloads.WORKLOADS:
+        workload = workloads.CLASSES[name](workloads.make_inputs(name, 1),
+                                           str(tmp_path))
+        outcome = workload.check(workload.call())
+        assert outcome.failed == 0, (name, outcome.problems)
 
 
 def test_tracer_counts_both_routes(tmp_path):

@@ -62,6 +62,13 @@ def test_unknown_keys_named_in_error(tmp_path):
         parse_config(json.dumps(raw))
 
 
+def test_seed_key_is_refused_by_name(tmp_path):
+    # every estimator is deterministic, so the solver block takes no seed
+    raw = make_config(tmp_path, solver={"n": 8, "seed": 5})
+    with pytest.raises(ConfigError, match="unknown key 'seed' in 'solver'"):
+        parse_config(json.dumps(raw))
+
+
 def test_type_errors_name_key_and_type(tmp_path):
     raw = make_config(tmp_path)
     raw["solver"] = {"n": "eight"}

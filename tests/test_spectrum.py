@@ -182,7 +182,7 @@ def test_upper_single_row_cover_counts_its_words():
     n = 8
     ctx = DepthContext(HALVES, COIN, SolverOptions(n=n, rho=1.0 / (4 * n)))
     res = upper_bound(ctx, 0.5)
-    kept = np.abs(ctx.rows.phi / n - 0.5) < res.half_width
+    kept = np.abs(ctx.rows.phi / n - 0.5) < 2 * ctx.rho + ctx.slack
     assert kept.sum() == 1
     assert res.cover_size == ctx.rows.count[kept][0] == 70
     expected = math.log(70) / (n * math.log(2))
@@ -232,11 +232,12 @@ def test_upper_tiling_cover_is_exactly_one():
 
 
 def test_upper_parabolic_default_floor_matches_sweep():
-    # a direct call and the sweep read the same cover floor from the context
+    # a direct call and the sweep read the same floor from the context
     opts = SolverOptions(n=8)
-    res = upper_bound(DepthContext(MP, coordinate(), opts), 0.3)
+    ctx = DepthContext(MP, coordinate(), opts)
+    res = upper_bound(ctx, 0.3)
     point, = full_spectrum(MP, coordinate(), [0.3], opts)
-    assert res.delta == point.delta == 1e-3 * math.log(2)
+    assert ctx.delta == point.delta == 1e-3 * math.log(2)
     assert res.s_n == point.upper
 
 
@@ -418,9 +419,12 @@ def test_lower_delta_floor_masks_the_measure():
 
 
 def test_lower_reports_contraction_gap():
-    res = lower_bound(DepthContext(MP, coordinate(), SolverOptions(n=6)), 0.4)
-    from mfspec.geometry import lemma1_gap
-    assert res.lemma1_gap == pytest.approx(lemma1_gap(MP, 6), abs=1e-14)
+    # the context holds the gap, and the sweep's row reports it
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=6))
+    assert ctx.lemma1_gap == pytest.approx(lemma1_gap(MP, 6), abs=1e-14)
+    point, = full_spectrum(MP, coordinate(), [0.4], SolverOptions(n=6))
+    assert point.lower is not None
+    assert point.lemma1_gap == ctx.lemma1_gap
 
 
 def test_lower_beats_brute_force():
@@ -430,6 +434,58 @@ def test_lower_beats_brute_force():
         res = lower_bound(ctx, alpha)
         ref = brute_force_ratio(HALVES, COIN, alpha, n=2, grid_step=0.01)
         assert res.dim >= ref - 0.01
+
+
+# ---------------------------------------------------------------------------
+# one Lyapunov floor for both routes
+# ---------------------------------------------------------------------------
+
+def _flat_system(b=5e-4):
+    """A parabolic system whose left branch y - b*y^2 is nearly the
+    identity and whose right branch contracts by b: the rate of 0^n is
+    about b, under the default floor 1e-3 * log 2.  The left width is
+    w * (1 - b*(2*lo + w)), which an endpoint difference loses (11122222
+    degenerates at n=8)."""
+    left = Branch(map=lambda y: y - b * y * y,
+                  derivative=lambda y: 1.0 - 2.0 * b * y, parabolic=True,
+                  fixed_point=0.0,
+                  map_width=lambda lo, w: w * (1.0 - b * (2.0 * lo + w)))
+    right = Branch(map=lambda y: (1.0 - b) + b * y,
+                   derivative=lambda y: b + 0.0 * y,
+                   map_width=lambda lo, w: b * w)
+    return IfsSystem(branches=(left, right), name="flat")
+
+
+def test_flat_parabolic_lower_respects_the_floor_upper_applies():
+    # with the floor read by the cover route alone, lower put 71% of its
+    # weight on 0^8 at alpha=0.6 and printed 0.5405 over upper's 0.3159
+    ctx = DepthContext(_flat_system(), coordinate(), SolverOptions(n=8))
+    below = ctx.rows.ell[ctx.word_row] / ctx.n < ctx.delta
+    assert below.any()
+    for alpha in (0.6, 0.9):
+        res = lower_bound(ctx, alpha)
+        assert res.dim <= upper_bound(ctx, alpha).s_n
+        assert np.all(res.measure.p[below] == 0.0)
+
+
+def test_one_floor_mask_is_read_by_both_routes():
+    # the smallest MP rate at n=8 is ~0.35: the default floor and 0.05 keep
+    # every row, and no mask is formed
+    for delta in (None, 0.05):
+        ctx = DepthContext(MP, coordinate(), SolverOptions(n=8, delta=delta))
+        assert ctx.floor is None
+    # 0.5 drops a few rows; the context forms the mask once, and the lower
+    # measure and the vacuous-window cover both keep exactly its words
+    ctx = DepthContext(MP, coordinate(),
+                       SolverOptions(n=8, rho=1.0, delta=0.5))
+    floor = ctx.floor
+    assert ctx.floor is floor
+    assert not floor.all()
+    kept = floor[ctx.word_row]
+    assert np.array_equal(lower_bound(ctx, 0.4).measure.p > 0.0, kept)
+    assert upper_bound(ctx, 0.4).cover_size == kept.sum()
+    phi = ctx.rows.phi[floor]
+    assert ctx.phi_range == (np.min(phi), np.max(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +558,10 @@ def _ref_lower(ctx, alpha):
     At a boundary alpha the Dinkelbach steps run on the extreme words alone,
     with the Gibbs weights at (t, 0).
     """
-    opts, n = ctx.opts, ctx.n
+    n = ctx.n
     table = CylinderTable(ctx.system, ctx.n)
     phi, ell = _word_phi(ctx), -table.log_diameters
-    keep = table.lambda_array >= opts.delta if opts.delta else np.ones(
-        phi.size, dtype=bool)
+    keep = table.lambda_array >= ctx.delta
     if not keep.any():
         raise NoCylindersError("floor excludes every word")
     lo_avg = float(np.min(phi[keep])) / n
@@ -558,8 +613,8 @@ def _ref_upper(ctx, alpha):
     half = 2.0 * ctx.rho + ctx.slack
     keep = np.abs(_word_phi(ctx) / ctx.n - alpha) < half
     table = CylinderTable(ctx.system, ctx.n)
-    if ctx.cover_delta > 0.0:
-        keep &= table.lambda_array >= ctx.cover_delta
+    if ctx.delta > 0.0:
+        keep &= table.lambda_array >= ctx.delta
     if not keep.any():
         raise AlphaUnreachableError(alpha, half, 0.0, (0.0, 0.0))
     logd = np.log(table.diameters()[keep])
@@ -643,7 +698,7 @@ def test_rows_match_per_word_reference(case, data):
     count = _counts(ctx.rows)
     assert np.array_equal(np.bincount(ctx.word_row), count)
     if delta is not None:
-        assert count[ctx.floor(delta)].sum() == (lam >= delta).sum()
+        assert count[ctx.floor].sum() == (lam >= delta).sum()
     kept = phi if delta is None else phi[lam >= delta]
     lo, hi = float(np.min(kept)) / n, float(np.max(kept)) / n
     u = data.draw(st.floats(0.02, 0.98)
@@ -696,7 +751,7 @@ def test_lower_measure_is_the_per_word_gibbs_formula(case, data):
         reject()
 
     # at a boundary only the extreme words carry weight, with q = 0
-    mask = ctx.floor(delta)
+    mask = ctx.floor
     q = 0.0 if res.q is None else res.q
     if res.boundary:
         at_hi = alpha >= hi - BOUNDARY_TOL
@@ -724,7 +779,7 @@ def test_lower_at_most_unconstrained_root(case, data):
     floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
-    rows = ctx.rows.where(ctx.floor(delta))
+    rows = ctx.rows.where(ctx.floor)
     root = rows.moran_root()[0]
     lo, hi = float(np.min(rows.phi)) / n, float(np.max(rows.phi)) / n
     free = rows.gibbs(root, 0.0, *np.empty((2, rows.ell.size))).e_phi / n
@@ -746,7 +801,7 @@ def test_lower_at_a_boundary_is_the_tie_rows_moran_root(case, data):
     floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
     ctx = DepthContext(system, potential, SolverOptions(n=n, delta=delta))
-    floor = ctx.floor(delta)
+    floor = ctx.floor
     kept = ctx.rows.where(floor).phi
     edge = data.draw(st.sampled_from([float(np.min(kept)),
                                       float(np.max(kept))]))

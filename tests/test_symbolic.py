@@ -1,6 +1,7 @@
 """Word, block-measure, entropy and Birkhoff accounting checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_marginal_cap():
         block_marginal(CHAIN, 25)
 
 
+def test_cap_refuses_a_far_depth_without_forming_the_power(monkeypatch):
+    # 3**(10**9) would take hours to form: the depth is compared with the
+    # cap on logarithms first, and m**n is formed only near the cap
+    def word_count(self, n):
+        assert n <= 64, f"formed {self.m}**{n}"
+        return self.m**n
+
+    monkeypatch.setattr(Alphabet, "word_count", word_count)
+    with pytest.raises(EnumerationLimitError):
+        Alphabet(3).check_cap(10**9)
+    Alphabet(2).check_cap(24)  # 2^24 words is the default cap itself
+    with pytest.raises(EnumerationLimitError):
+        Alphabet(2).check_cap(25)
+
+
 def test_chain_validation():
     with pytest.raises(ValueError):
         MarkovChainSpec(transition=[[0.5, 0.6], [0.5, 0.5]],
@@ -225,6 +241,26 @@ def test_abramov_markov_rate_identity():
                                                    abs=1e-10)
         rates.append(stats.entropy_rate)
     assert rates == sorted(rates, reverse=True)
+
+
+def test_abramov_rate_alone_lists_no_support_words():
+    # with no word function only the entropy rate is formed: listing the
+    # support as word tuples peaked at 55 word arrays at depth 16
+    measure = block_marginal(CHAIN, 16)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        stats = abramov_stats(measure, ())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert stats.entropy_rate == shannon_entropy(measure) / 16
+    assert stats.averages == ()
+    assert peak <= 6 * measure.p.nbytes
 
 
 def test_word_label_one_based():
