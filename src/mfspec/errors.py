@@ -8,14 +8,13 @@ class MfspecError(Exception):
 
 
 class EnumerationLimitError(MfspecError):
-    """Requested word enumeration exceeds the configured cap."""
+    """Requested word enumeration exceeds the word cap (2^24 words)."""
 
     def __init__(self, m: int, n: int, cap: int):
         self.m, self.n, self.cap = m, n, cap
         super().__init__(
-            f"enumerating {m}^{n} words exceeds the cap of {cap}; "
-            f"lower the depth (the solver's word_cap sets the cap of the "
-            f"depth-n state)"
+            f"enumerating {m}^{n} words exceeds the cap of {cap} words; "
+            f"lower the depth"
         )
 
 

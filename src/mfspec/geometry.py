@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (DegenerateCylinderError, InsufficientDepthError,
                      SolverError)
-from .symbolic import (DEFAULT_WORD_CAP, Alphabet, Word, WordFunction,
-                       slot_words, word_label)
+from .symbolic import Alphabet, Word, WordFunction, slot_words, word_label
 
 _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
@@ -382,21 +381,22 @@ class CylinderTable:
         return -self.log_diameters / self.depth
 
 
-def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
-              values: Sequence[float] | None = None,
-              func: Callable | None = None, gap: bool = False) -> tuple:
+def top_level(system: IfsSystem, n: int, potential=None,
+              gap: bool = False) -> tuple:
     """One pass over the cylinder levels 1..n, keeping only the current one.
 
     Returns (width, phi, gap, max_diameters): depth-n widths and Birkhoff
-    sums of ``values`` per first symbol or ``func`` at midpoints (None if
-    neither) in slot order, sup |lambda_n - A_n g| if ``gap`` (g: branch
-    -log-derivatives at 0.5, then at suffix midpoints) and the largest width
-    per depth.  The cap is checked before allocating; a zero depth-n width
+    sums of a ``PotentialSpec``'s ``on_cylinders`` values (None without
+    ``potential``; a word-local one forms no level array) in slot order,
+    sup |lambda_n - A_n g| if ``gap`` (g: branch -log-derivatives at 0.5,
+    then at suffix midpoints, formed for it alone) and the largest width per
+    depth.  The cap is checked before allocating; a zero depth-n width
     raises ``DegenerateCylinderError`` (lowest slot) before any log.
     """
-    system.alphabet.check_cap(n, cap)
+    system.alphabet.check_cap(n)
     m, branches = system.m, system.branches
-    phi = None if values is None and func is None else np.empty(m**n)
+    phi = None if potential is None else np.empty(m**n)
+    first = np.arange(m)[:, None]
     if gap:
         g = np.empty(m**n)
         g[:m] = [_g(b, 0.5) for b in branches]
@@ -404,20 +404,19 @@ def top_level(system: IfsSystem, n: int, cap: int = DEFAULT_WORD_CAP,
     for k, (lo, width) in enumerate(cylinder_levels(system, n), start=1):
         size = width.size // m  # words one level up
         max_diameters.append(float(np.max(width)))
-        if func is not None or (gap and k < n):
-            mid = lo + 0.5 * width
         if phi is not None:
-            level = np.asarray(values if func is None else func(mid),
-                               dtype=float).reshape(m, -1)
-            level = np.broadcast_to(level, (m, size))
+            level = np.broadcast_to(potential.on_cylinders(
+                m, first, lo.reshape(m, -1), width.reshape(m, -1)), (m, size))
             if k == 1:
                 phi[:m] = np.ravel(level)
             else:
                 _add_level(phi, size, m, lambda a, part: level[a, part])
+            level = None
         if gap and k < n:
+            mid = lo + 0.5 * width
             _add_level(g, m * size, m, lambda a, part: _g(branches[a],
                                                           mid[part]))
-        mid = level = None
+            mid = None
     if np.any(width <= 0.0):
         slot = int(np.argmax(width <= 0.0))
         raise DegenerateCylinderError(word_label(slot_words(m, n, [slot])[0]))

@@ -4,7 +4,8 @@ A potential F on the interval induces a function on sequences via the
 projection; at finite depth the value on a word is F at the cylinder
 midpoint, with the cylinder diameter times the Lipschitz bound as declared
 error.  Word-local potentials (first-symbol values, branch indicators) are
-exact at every depth.
+exact at every depth.  ``PotentialSpec.on_cylinders`` evaluates both kinds
+on cylinders, for every caller in the package.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import CylinderTable, IfsSystem, cylinder_levels, project
+from .geometry import (CylinderTable, IfsSystem, _fold_cylinder,
+                       cylinder_levels)
 from .symbolic import Word, WordFunction
 
 
@@ -22,9 +24,10 @@ from .symbolic import Word, WordFunction
 class PotentialSpec:
     """A potential to average along orbits.
 
-    Either ``func`` (a vectorized map [0,1] -> R with Lipschitz constant
-    ``lipschitz``) or ``values`` (one number per symbol; the induced function
-    depends on the first symbol only) must be set.
+    Exactly one of ``func`` (a vectorized map [0,1] -> R with Lipschitz
+    constant ``lipschitz``), ``values`` (one number per symbol) and
+    ``branch_index`` (the indicator of one symbol) is set; the last two are
+    word-local: the induced function depends on the first symbol only.
     """
 
     name: str
@@ -34,8 +37,8 @@ class PotentialSpec:
     branch_index: int | None = None
 
     def __post_init__(self):
-        if (self.func is None) == (self.values is None
-                                   and self.branch_index is None):
+        if sum(x is not None for x in (self.func, self.values,
+                                       self.branch_index)) != 1:
             raise ValueError(
                 "exactly one of func / values / branch_index must be set")
 
@@ -58,6 +61,15 @@ class PotentialSpec:
             return tuple(1.0 if i == self.branch_index else 0.0
                          for i in range(m))
         raise ValueError(f"potential {self.name!r} is not word-local")
+
+    def on_cylinders(self, m: int, first, lo, width) -> np.ndarray:
+        """Values on cylinders [lo, lo + width] of words starting with symbol
+        ``first`` (broadcast together; m symbols): the first symbol's value
+        if word-local, reading neither ``lo`` nor ``width``, else ``func``
+        at the midpoint lo + 0.5 * width (a point is a width-0 cylinder)."""
+        if self.word_local:
+            return np.asarray(self.symbol_values(m), dtype=float)[first]
+        return np.asarray(self.func(lo + 0.5 * width), dtype=float)
 
 
 def coordinate() -> PotentialSpec:
@@ -96,25 +108,20 @@ def indicator_branch(index: int) -> PotentialSpec:
 def induced_word_function(system: IfsSystem, spec: PotentialSpec,
                           depth: int) -> WordFunction:
     """Word-level form of the induced sequence function, with error bounds
-    enumerated up to ``depth``."""
-    if spec.word_local:
-        vals = spec.symbol_values(system.m)
-
-        def evaluate(w: Word) -> float:
-            return vals[w[0]]
-
-        return WordFunction(evaluate=evaluate, error_bound=lambda k: 0.0,
-                            name=spec.name)
-
-    system.alphabet.check_cap(depth)
-    bounds = [0.5 * spec.lipschitz * float(np.max(width))
-              for _, width in cylinder_levels(system, depth)]
-    func = spec.func
+    enumerated up to ``depth`` (0.0, unenumerated, when word-local)."""
+    bounds = None
+    if not spec.word_local:
+        system.alphabet.check_cap(depth)
+        bounds = [0.5 * spec.lipschitz * float(np.max(width))
+                  for _, width in cylinder_levels(system, depth)]
 
     def evaluate(w: Word) -> float:
-        return float(func(project(system, w)[0]))
+        return float(spec.on_cylinders(system.m, w[0],
+                                       *_fold_cylinder(system, w)))
 
     def error_bound(k: int) -> float:
+        if bounds is None:
+            return 0.0
         if not 1 <= k <= depth:
             raise ValueError(f"error bound enumerated only up to depth {depth}")
         return bounds[k - 1]
@@ -125,10 +132,8 @@ def induced_word_function(system: IfsSystem, spec: PotentialSpec,
 
 def potential_arrays(table: CylinderTable,
                      spec: PotentialSpec) -> list[np.ndarray]:
-    """Per-depth arrays of induced values over an exhaustive cylinder table:
-    the value of the first symbol, or ``func`` at the cylinder midpoints."""
-    depths = range(1, table.depth + 1)
-    if spec.word_local:
-        v = np.asarray(spec.symbol_values(table.m), dtype=float)
-        return [np.repeat(v, table.m ** (k - 1)) for k in depths]
-    return [np.asarray(spec.func(table.mid(k)), dtype=float) for k in depths]
+    """Per-depth ``spec.on_cylinders`` arrays over an exhaustive table."""
+    m = table.m
+    return [spec.on_cylinders(m, np.repeat(np.arange(m), m**(k - 1)),
+                              table.lo(k), table.diameters(k))
+            for k in range(1, table.depth + 1)]

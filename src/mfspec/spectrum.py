@@ -47,7 +47,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
 from .geometry import (CylinderTable, IfsSystem, Interval, _distinct,
                        _suffix_cylinders, neg_log_derivative, top_level)
 from .potentials import PotentialSpec, potential_arrays
-from .symbolic import DEFAULT_WORD_CAP, WEIGHT_FLOOR, BlockMeasure
+from .symbolic import WEIGHT_FLOOR, BlockMeasure
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -71,14 +71,12 @@ class SolverOptions:
     ``rho`` is the alpha-window half-width for the cover route (None picks
     max(0.05, twice the word-approximation slack)).  ``delta`` is the
     Lyapunov floor of both routes, excluding words with lambda_n below it
-    (None picks ``DepthContext.delta``'s default).  ``word_cap`` bounds the
-    number of depth-n words.
+    (None picks ``DepthContext.delta``'s default).
     """
 
     n: int = 10
     rho: float | None = None
     delta: float | None = None
-    word_cap: int = DEFAULT_WORD_CAP
 
     def __post_init__(self):
         if self.n < 2:
@@ -308,11 +306,8 @@ class DepthContext:
         self.n = self.opts.n
         self.delta = self.opts.delta if self.opts.delta is not None else (
             1e-3 * math.log(system.m) if system.has_parabolic else 0.0)
-        values = (potential.symbol_values(system.m) if potential.word_local
-                  else None)
         width, phi, self.lemma1_gap, diameters = top_level(
-            system, self.n, self.opts.word_cap, values, potential.func,
-            gap=True)
+            system, self.n, potential, gap=True)
         self.slack = 0.5 * potential.lipschitz * math.fsum(diameters) / self.n
         order = np.argsort(width)
         ell = width[order]
@@ -389,17 +384,15 @@ def parabolic_interval(system: IfsSystem,
 
     On this interval the level-set dimension equals the attractor dimension;
     a system with no parabolic branch returns None and the spectrum dispatch
-    never takes the flagged path.
+    never takes the flagged path.  The constant word of symbol s is the
+    width-0 cylinder at s's fixed point.
     """
     symbols = system.parabolic_symbols
     if not symbols:
         return None
-    if potential.word_local:  # the constant word's first-symbol value
-        vals = [potential.symbol_values(system.m)[s] for s in symbols]
-    else:
-        vals = [float(potential.func(system.branches[s].fixed_point))
-                for s in symbols]
-    return Interval(min(vals), max(vals))
+    vals = potential.on_cylinders(system.m, np.array(symbols), np.array(
+        [system.branches[s].fixed_point for s in symbols]), 0.0)
+    return Interval(float(np.min(vals)), float(np.max(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +611,17 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
 # ---------------------------------------------------------------------------
 
 def _window_midpoints(system: IfsSystem, seq: np.ndarray, depth: int):
-    """Cylinder midpoints of the distinct length-``depth`` windows of ``seq``.
+    """Cylinders of the distinct length-``depth`` windows of ``seq``.
 
-    Returns (mids, window, nodes): position p's window has midpoint
-    ``mids[window[p]]``, and ``nodes`` suffix nodes were stepped.  A window
+    Returns (first, lo, width, window, nodes): position p's window has
+    first symbol ``first[window[p]]`` and cylinder [lo, lo + width] at
+    index ``window[p]``; ``nodes`` suffix nodes were stepped.  A window
     lies inside one run of a symbol exactly when that run, read from the
     window's start, is at least ``depth`` long; all such windows are that
     symbol's constant word, one row per symbol.  Each other window is a row
     whose column j is ``seq[starts + j]``, read without a 2-D copy, and
     ``_suffix_cylinders`` steps each distinct suffix of the rows once, so
-    the midpoints equal a per-window ``fold`` bit for bit.
+    the cylinders equal a per-window ``fold`` bit for bit.
     """
     starts = np.arange(len(seq) - depth + 1)
     run_starts = np.flatnonzero(np.diff(seq)) + 1
@@ -637,14 +631,14 @@ def _window_midpoints(system: IfsSystem, seq: np.ndarray, depth: int):
     varying, heads = starts[~constant], seq[starts[constant]]
     symbols = np.unique(heads)
     nodes = 0
-    for node, _, _, lo, width in _suffix_cylinders(system, (
+    for node, first, _, lo, width in _suffix_cylinders(system, (
             np.append(seq[varying + j], symbols)
             for j in reversed(range(depth))), varying.size + symbols.size):
         nodes += lo.size
     window = np.empty(starts.size, dtype=np.intp)
     window[varying] = node[:varying.size]
     window[constant] = node[varying.size:][np.searchsorted(symbols, heads)]
-    return lo + 0.5 * width, window, nodes
+    return first, lo, width, window, nodes
 
 
 def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
@@ -733,14 +727,12 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
 
     # one full-depth window per position; the padding above guarantees
     # every checkpoint position and its successor have one
-    mids, window, nodes = _window_midpoints(system, seq, eval_depth)
-    if potential.word_local:
-        vals = np.asarray(potential.symbol_values(system.m))
-        f_terms = vals[seq[:window.size]]
-    else:
-        f_terms = np.asarray(potential.func(mids), dtype=float)[window]
-    # position p's g term: symbol seq[p] at window p + 1's midpoint
+    first, lo, width, window, nodes = _window_midpoints(system, seq,
+                                                        eval_depth)
     m = system.m
+    f_terms = potential.on_cylinders(m, first, lo, width)[window]
+    # position p's g term: symbol seq[p] at window p + 1's midpoint
+    mids = lo + 0.5 * width
     pairs, pair = _distinct(window[1:] * m + seq[:window.size - 1],
                             mids.size * m)
     g_terms = neg_log_derivative(system, pairs % m, mids[pairs // m])[pair]

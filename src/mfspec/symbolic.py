@@ -59,14 +59,14 @@ class Alphabet:
     def word_count(self, n: int) -> int:
         return self.m**n
 
-    def check_cap(self, n: int, cap: int = DEFAULT_WORD_CAP) -> None:
-        """Refuse n unless m^n <= cap; a depth far past the cap (a config's
-        n = 10**9) is refused on logarithms, before m^n is formed."""
+    def check_cap(self, n: int) -> None:
+        """Refuse n unless m^n <= ``DEFAULT_WORD_CAP``; a far depth (a
+        config's n = 10**9) is refused on logarithms, before m^n is formed."""
         if n < 1:
             raise ValueError(f"word length must be >= 1, got {n}")
-        if (n > math.log(max(cap, 1), self.m) + 1.0
-                or self.word_count(n) > cap):
-            raise EnumerationLimitError(self.m, n, cap)
+        if (n > math.log(DEFAULT_WORD_CAP, self.m) + 1.0
+                or self.word_count(n) > DEFAULT_WORD_CAP):
+            raise EnumerationLimitError(self.m, n, DEFAULT_WORD_CAP)
 
     def words(self, n: int) -> Iterator[Word]:
         """All length-n words in lexicographic order (first symbol varies slowest)."""
@@ -179,9 +179,11 @@ class MarkovChainSpec:
 
 
 def shannon_entropy(measure: BlockMeasure) -> float:
-    """Shannon entropy sum_w p(w) log(1/p(w)) in nats, with 0 log(1/0) = 0."""
-    return math.fsum(-p * math.log(p)
-                     for p in measure.p.tolist() if p > WEIGHT_FLOOR)
+    """Shannon entropy sum_w p(w) log(1/p(w)) in nats, with 0 log(1/0) = 0:
+    one pairwise sum over the weights above ``WEIGHT_FLOOR``, in one array."""
+    p = measure.p
+    terms = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
+    return -float(np.multiply(terms, p, out=terms).sum())
 
 
 def block_marginal(chain: MarkovChainSpec, n: int) -> BlockMeasure:

@@ -69,6 +69,14 @@ def test_seed_key_is_refused_by_name(tmp_path):
         parse_config(json.dumps(raw))
 
 
+def test_word_cap_key_is_refused_by_name(tmp_path):
+    # the word cap is a constant of the package, not a solver option
+    raw = make_config(tmp_path, solver={"n": 8, "word_cap": 2**17})
+    with pytest.raises(ConfigError,
+                       match="unknown key 'word_cap' in 'solver'"):
+        parse_config(json.dumps(raw))
+
+
 def test_type_errors_name_key_and_type(tmp_path):
     raw = make_config(tmp_path)
     raw["solver"] = {"n": "eight"}

@@ -385,5 +385,5 @@ def _counting(system):
 def test_level_pass_branch_points_are_pinned(system, points):
     counted, count = _counting(system)
     count[0] = 0  # the system's own checks at construction called them too
-    top_level(counted, 16, func=coordinate().func, gap=True)
+    top_level(counted, 16, coordinate(), gap=True)
     assert count[0] == points

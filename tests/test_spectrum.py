@@ -946,15 +946,15 @@ def test_mp_depth_context_keeps_one_row_per_word():
 
 def test_mp_pass_evaluates_branches_in_chunks():
     # whole-block Newton inverses took this pass to 8.0 word arrays
-    n, func = 16, coordinate().func
-    top_level(MP, 4, func=func, gap=True)
-    _, peak = _traced(lambda: top_level(MP, n, func=func, gap=True))
+    n = 16
+    top_level(MP, 4, coordinate(), gap=True)
+    _, peak = _traced(lambda: top_level(MP, n, coordinate(), gap=True))
     assert peak <= 6.5 * 8 * 2**n
 
 
 def test_word_cap_is_checked_before_allocating():
-    # one level at n=18 would take 2 MB
-    opts = SolverOptions(n=18, word_cap=2**17)
+    # 2^25 words, one past the cap: one level would take 268 MB
+    opts = SolverOptions(n=25)
 
     def build():
         with pytest.raises(EnumerationLimitError):
@@ -997,6 +997,22 @@ def test_parabolic_interval_variants():
     assert (point.lo, point.hi) == (0.0, 0.0)
     vals = parabolic_interval(EX2, first_symbol([3.0, -1.0]))
     assert (vals.lo, vals.hi) == (-1.0, 3.0)
+
+
+@pytest.mark.parametrize("system, func, local", [
+    # EX2's fixed points are 0 (left) and 1 (right), MP's is 0 (left)
+    (EX2, coordinate(), first_symbol([0.0, 1.0])),
+    (EX2, polynomial([0.25, 0.5]), first_symbol([0.25, 0.75])),
+    (EX2, polynomial([1.0, -1.0]), indicator_branch(0)),
+    (MP, coordinate(), indicator_branch(1)),
+    (MP, polynomial([0.5, 2.0]), first_symbol([0.5, -3.0])),
+])
+def test_parabolic_interval_agrees_across_potential_kinds(system, func,
+                                                          local):
+    # a word-local potential and a function that agree at the fixed points
+    # span the same interval
+    assert parabolic_interval(system, func) == parabolic_interval(system,
+                                                                  local)
 
 
 def test_spectrum_example2_all_flagged():
@@ -1131,10 +1147,13 @@ def test_window_midpoints_match_per_window_fold(data, depth, system):
     assume(len(seq) >= depth)
     windows = sliding_window_view(seq, depth)
     lo, width = _plain_fold(system, windows)
-    mids, window, nodes = _window_midpoints(system, seq, depth)
-    assert np.array_equal(mids[window], lo + 0.5 * width)
-    # one midpoint per distinct window, one step per distinct suffix
-    assert mids.size == len(np.unique(windows, axis=0))
+    first, w_lo, w_width, window, nodes = _window_midpoints(system, seq,
+                                                           depth)
+    assert np.array_equal(w_lo[window], lo)
+    assert np.array_equal(w_width[window], width)
+    assert np.array_equal(first[window], windows[:, 0])
+    # one cylinder per distinct window, one step per distinct suffix
+    assert w_lo.size == len(np.unique(windows, axis=0))
     assert nodes == _distinct_suffixes(windows)
 
 
@@ -1187,8 +1206,11 @@ def test_suffix_sharing_matches_plain_fold(system, data):
     assume(len(seq) >= depth)
     windows = sliding_window_view(seq, depth)
     lo, width = _plain_fold(system, windows)
-    mids, window, nodes = _window_midpoints(system, seq, depth)
-    assert np.array_equal(mids[window], lo + 0.5 * width)
+    first, w_lo, w_width, window, nodes = _window_midpoints(system, seq,
+                                                           depth)
+    assert np.array_equal(w_lo[window], lo)
+    assert np.array_equal(w_width[window], width)
+    assert np.array_equal(first[window], windows[:, 0])
     assert nodes == _distinct_suffixes(windows)
 
 
@@ -1199,8 +1221,9 @@ def test_word_level_api_equals_the_level_pass(system, data):
     # for its slot, so the two agree bit for bit on every depth-n word
     m = system.m
     n = data.draw(st.integers(1, int(math.log(128, m) + 1e-9)))
-    spec = data.draw(st.sampled_from([coordinate(),
-                                      polynomial([0.0, 1.0, -0.5])]))
+    spec = data.draw(st.sampled_from([
+        coordinate(), polynomial([0.0, 1.0, -0.5]),
+        first_symbol([1.0, -0.5, 0.25, 2.0][:m]), indicator_branch(m - 1)]))
     table = CylinderTable(system, n)
     phi = potential_arrays(table, spec)[n - 1]
     f = induced_word_function(system, spec, n)
@@ -1230,7 +1253,8 @@ def test_word_level_api_equals_the_level_pass(system, data):
 @given(case=st.sampled_from([(MP, 0), (manneville_pomeau_system(0.25), 0),
                              (MP2, 0), (EX2, 0), (EX2, 1)]),
        potential=st.sampled_from([coordinate(), polynomial([0.3, -1.0, 2.0]),
-                                  first_symbol([1.0, -0.5])]),
+                                  first_symbol([1.0, -0.5]),
+                                  indicator_branch(0), indicator_branch(1)]),
        depth=st.integers(1, 20), horizon=st.integers(50, 3000),
        seed=st.integers(0, 2**16))
 def test_sampler_terms_match_per_position_evaluation(case, potential, depth,
@@ -1253,8 +1277,8 @@ def test_sampler_terms_match_per_position_evaluation(case, potential, depth,
             system, potential, block_marginal(CHAIN, 2), symbol, ks,
             [1.0 / (k * k) for k in ks], horizon=horizon, seed=seed,
             eval_depth=depth)
-    seq, (mids, window, _) = seen["seq"], seen["out"]
-    per_position = mids[window]
+    seq, (_, lo, width, window, _) = seen["seq"], seen["out"]
+    per_position = (lo + 0.5 * width)[window]
     if potential.word_local:
         f_terms = np.asarray(potential.symbol_values(system.m))[
             seq[:window.size]]

@@ -8,7 +8,8 @@ import pytest
 
 from mfspec.errors import EnumerationLimitError
 from mfspec.geometry import geometric_potential, linear_system
-from mfspec.potentials import first_symbol, induced_word_function
+from mfspec.potentials import (PotentialSpec, first_symbol,
+                               induced_word_function)
 from mfspec.symbolic import (Alphabet, BlockMeasure, MarkovChainSpec,
                              WordFunction, abramov_stats, birkhoff_sum,
                              block_marginal, shannon_entropy, slot_words,
@@ -178,6 +179,27 @@ def test_variation_word_local_is_zero():
                                first_symbol([1.0, 0.0]), depth=5)
     assert variation_bound(wf, 1) == 0.0
     assert variation_bound(wf, 5) == 0.0
+
+
+def test_word_local_word_function_enumerates_no_cylinders():
+    # a depth whose cylinders could never be listed: only a word-local
+    # potential's bound is known without them
+    wf = induced_word_function(linear_system([0.5, 0.5]),
+                               first_symbol([1.0, 0.0]), depth=10**9)
+    assert wf.error_bound(7) == 0.0
+    assert birkhoff_sum(wf, (0, 1, 0)) == 2.0
+
+
+@pytest.mark.parametrize("kinds", [
+    {"values": (1.0, 0.0), "branch_index": 0},
+    {"func": float, "values": (1.0, 0.0)},
+    {"func": float, "branch_index": 0},
+    {}])
+def test_potential_spec_takes_exactly_one_kind(kinds):
+    # values with branch_index used to build, and symbol_values then read
+    # values alone
+    with pytest.raises(ValueError, match="exactly one"):
+        PotentialSpec(name="x", **kinds)
 
 
 def test_variation_lipschitz_through_cylinders():
