@@ -66,6 +66,9 @@ class Branch:
     error grows as cylinders shrink far from 0, and ``map`` (elementwise)
     runs once per distinct endpoint: a right end bit for bit the next left
     end takes that end's image, so k adjacent cylinders cost k + 1 points.
+    An affine branch may declare its constant ``slope``, which must equal
+    the sampled derivative exactly; its geometric potential term is then
+    one constant, and the level pass forms no midpoints for it.
     """
 
     map: Callable
@@ -74,6 +77,7 @@ class Branch:
     fixed_point: float | None = None
     label: str = ""
     map_width: Callable | None = None
+    slope: float | None = None
 
     def image_of(self, lo, width):
         if self.map_width is not None:
@@ -92,6 +96,10 @@ class Branch:
         d = np.asarray(self.derivative(grid), dtype=float)
         if np.any(d <= 0):
             raise ValueError(f"branch {self.label!r}: derivative must be positive")
+        if self.slope is not None and not np.all(d == self.slope):
+            raise ValueError(
+                f"branch {self.label!r}: sampled derivative is not the "
+                f"declared slope {self.slope!r}")
         if self.parabolic:
             if self.fixed_point is None:
                 raise ValueError(
@@ -388,22 +396,49 @@ def top_level(system: IfsSystem, n: int, potential=None,
     Returns (width, phi, gap, max_diameters): depth-n widths and Birkhoff
     sums of a ``PotentialSpec``'s ``on_cylinders`` values (None without
     ``potential``; a word-local one forms no level array) in slot order,
-    sup |lambda_n - A_n g| if ``gap`` (g: branch -log-derivatives at 0.5,
-    then at suffix midpoints, formed for it alone) and the largest width per
-    depth.  The cap is checked before allocating; a zero depth-n width
-    raises ``DegenerateCylinderError`` (lowest slot) before any log.
+    sup |lambda_n - A_n g| if ``gap`` and the largest width per depth.  g's
+    terms are branch -log-derivatives at 0.5, then at suffix midpoints,
+    formed for the gap alone; an affine branch (``Branch.slope``) takes one
+    constant term, from one derivative call, and no midpoints.  The g sums
+    are stored up to depth n-1: at the last level the depth-n ones are
+    formed one ``_CHUNK`` at a time inside the max, elementwise as a
+    depth-n array would be, and freed before the potential's last level.
+    The cap is checked before allocating; a zero depth-n width raises
+    ``DegenerateCylinderError`` (lowest slot) before any log.
     """
     system.alphabet.check_cap(n)
     m, branches = system.m, system.branches
     phi = None if potential is None else np.empty(m**n)
     first = np.arange(m)[:, None]
-    if gap:
-        g = np.empty(m**n)
-        g[:m] = [_g(b, 0.5) for b in branches]
-    max_diameters = []
+    if gap:  # depth-0 sum and suffix midpoint
+        g, mid = np.empty(m**(n - 1)), np.full(1, 0.5)
+        g[0] = 0.0
+        const = [None if b.slope is None else _g(b, mid)[0] for b in branches]
+
+        def term(a, part):
+            return _g(branches[a], mid[part]) if const[a] is None else const[a]
+    max_diameters, worst = [], []
     for k, (lo, width) in enumerate(cylinder_levels(system, n), start=1):
         size = width.size // m  # words one level up
         max_diameters.append(float(np.max(width)))
+        if k == n and np.any(width <= 0.0):
+            slot = int(np.argmax(width <= 0.0))
+            raise DegenerateCylinderError(
+                word_label(slot_words(m, n, [slot])[0]))
+        if gap and k < n:
+            _add_level(g, size, m, term)  # depth k from depth k-1
+            mid = lo + 0.5 * width if None in const else None
+        elif gap:  # -log(width)/n - g/n at depth n, before phi's last level
+            for a in range(m):
+                for part in _parts(size):
+                    lam = np.log(width[a * size:][part])
+                    np.negative(lam, out=lam)
+                    lam /= n
+                    g_n = np.add(term(a, part), g[part])
+                    g_n /= n
+                    lam -= g_n
+                    worst.append(np.max(np.abs(lam, out=lam)))
+            g = mid = None
         if phi is not None:
             level = np.broadcast_to(potential.on_cylinders(
                 m, first, lo.reshape(m, -1), width.reshape(m, -1)), (m, size))
@@ -412,21 +447,8 @@ def top_level(system: IfsSystem, n: int, potential=None,
             else:
                 _add_level(phi, size, m, lambda a, part: level[a, part])
             level = None
-        if gap and k < n:
-            mid = lo + 0.5 * width
-            _add_level(g, m * size, m, lambda a, part: _g(branches[a],
-                                                          mid[part]))
-            mid = None
-    if np.any(width <= 0.0):
-        slot = int(np.argmax(width <= 0.0))
-        raise DegenerateCylinderError(word_label(slot_words(m, n, [slot])[0]))
-    if not gap:
-        return width, phi, None, max_diameters
-    lam = np.negative(np.log(width, out=lo), out=lo)  # -log(width)/n - g/n
-    lam /= n
-    g /= n
-    lam -= g
-    return width, phi, float(np.max(np.abs(lam, out=lam))), max_diameters
+    return (width, phi, float(np.max(worst)) if gap else None,
+            max_diameters)
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
@@ -435,8 +457,10 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
 
     ``sample=None`` enumerates all m^n words (cap-guarded, ``top_level``)
     and returns the true word-level sup; otherwise that many pseudo-random
-    words are drawn with the fixed seed.  Vanishes identically for linear
-    systems and decays with n when branch derivatives are continuous.
+    words are drawn with the fixed seed.  Zero up to rounding for linear
+    systems (2^-51 on [0.3, 0.2, 0.4] at n=9: the widths are products and
+    the g sums are sums of logs) and decays with n when branch derivatives
+    are continuous.
     """
     if n < 1:
         raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
@@ -517,6 +541,7 @@ def linear_system(ratios: Sequence[float],
                 np.asarray(x, dtype=float), r),
             map_width=lambda lo, width, r=r: r * width,
             label=f"affine{i}",
+            slope=r,
         )
 
     branches = tuple(make(r, o, i)

@@ -34,7 +34,7 @@ unfiltered Moran estimate and the point is flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,10 +44,11 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
-from .geometry import (CylinderTable, IfsSystem, Interval, _distinct,
-                       _suffix_cylinders, neg_log_derivative, top_level)
+from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval,
+                       _distinct, _suffix_cylinders, neg_log_derivative,
+                       top_level)
 from .potentials import PotentialSpec, potential_arrays
-from .symbolic import WEIGHT_FLOOR, BlockMeasure
+from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -89,7 +90,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Certified feasible value of the depth-n variational problem."""
+    """Certified feasible value of the depth-n variational problem.
+
+    ``row_weights`` is one word's weight per row of ``context.rows`` (0 on
+    the rows the floor or a boundary masks out), checked to sum to 1 over
+    the words.  ``measure``, the per-word ``BlockMeasure``, gathers them
+    through ``context.word_row`` when first read, so a sweep that reads
+    only the numbers forms no word array.
+    """
 
     dim: float
     t: float
@@ -100,7 +108,14 @@ class LowerBoundResult:
     iterations: int
     gibbs_evals: int
     boundary: bool
-    measure: BlockMeasure
+    row_weights: np.ndarray = field(repr=False, compare=False)
+    context: DepthContext = field(repr=False, compare=False)
+
+    @cached_property
+    def measure(self) -> BlockMeasure:
+        ctx = self.context
+        return BlockMeasure(m=ctx.system.m, n=ctx.n,
+                            p=self.row_weights.take(ctx.word_row))
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,21 @@ def moran_dimension(system: IfsSystem, n: int) -> float:
 # shared depth-n arrays
 # ---------------------------------------------------------------------------
 
+def _heads(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Whether each word of ``order`` starts a run of bit-equal ``keys``
+    (the first always does), read one ``_CHUNK`` of gathered keys at a
+    time rather than as whole sorted copies."""
+    new = np.ones(order.size, dtype=bool)
+    for start in range(1, order.size, _CHUNK):
+        words = order[start - 1:start + _CHUNK]
+        differ = np.zeros(words.size - 1, dtype=bool)
+        for key in keys:
+            sorted_key = key[words]
+            differ |= sorted_key[1:] != sorted_key[:-1]
+        new[start:start + _CHUNK] = differ
+    return new
+
+
 class DepthContext:
     """Depth-n data shared by both estimator routes.
 
@@ -291,11 +321,14 @@ class DepthContext:
     permutation.  Otherwise a lexsort on (width, phi) merges bit-equal
     pairs and ``rows.count`` is ``word_row``'s bincount; that pays for
     linear systems with word-local potentials (linear [1/2, 1/2] at n=18:
-    2^18 words, 19 rows).  Widths, sums, ``lemma1_gap`` and ``slack`` come
-    from one ``top_level`` pass, which keeps one level.  ``delta`` is the
-    Lyapunov floor of both routes: ``opts.delta``, else 1e-3 * log m on
-    parabolic systems, else 0; ``floor`` and ``phi_range`` are formed from
-    it once.
+    2^18 words, 19 rows).  Ties are found one chunk of sorted keys at a
+    time (``_heads``), and only the row heads are gathered.  Widths, sums,
+    ``lemma1_gap`` and ``slack`` come from one ``top_level`` pass, which
+    keeps one level; on linear [1/2, 1/2] at n=18 the context peaks at
+    3.63 word arrays, the pass's lo, width, phi and depth n-1 g sums.
+    ``delta`` is the Lyapunov floor of both routes: ``opts.delta``, else
+    1e-3 * log m on parabolic systems, else 0; ``floor`` and ``phi_range``
+    are formed from it once.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -310,20 +343,18 @@ class DepthContext:
             system, self.n, potential, gap=True)
         self.slack = 0.5 * potential.lipschitz * math.fsum(diameters) / self.n
         order = np.argsort(width)
-        ell = width[order]
-        if np.all(ell[1:] != ell[:-1]):  # one row per word, in lexsort's order
+        if _heads(order, width)[1:].all():  # a row per word, lexsort's order
+            ell = width[order]
             del width
             phi, count = phi[order], 1.0
             row = np.arange(ell.size, dtype=np.int32)
         else:
-            del order, ell  # free the first sort before the second
+            del order  # free the first sort before the second
             order = np.lexsort((phi, width))
-            width = width[order]
-            phi = phi[order]
-            new = np.append(True, (width[1:] != width[:-1])
-                            | (phi[1:] != phi[:-1]))
-            ell, phi = width[new], phi[new]
-            del width
+            new = _heads(order, width, phi)
+            heads = order[new]
+            ell, phi = width[heads], phi[heads]
+            del width, heads
             row = np.cumsum(new, dtype=np.int32)
             row -= 1
             count = np.bincount(row).astype(float)
@@ -513,9 +544,11 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     returned.  Everything runs over the context's (width, phi) rows: the
     floor (``DepthContext.floor``, shared with the cover route), the tie set
     and the final word weight exp(q*phi - t*ell - shift) / z are formed once
-    per row, and the returned per-word measure gathers them through
-    ``ctx.word_row``, so feasibility and the Gibbs form can be re-verified
-    independently.
+    per row.  Those weights are checked as a ``BlockMeasure``'s are (no
+    negative weight, total 1 over the words, else ``ValueError``); the
+    per-word measure gathers them through ``ctx.word_row`` when
+    ``LowerBoundResult.measure`` is first read, so feasibility and the
+    Gibbs form can be re-verified independently.
     """
     n = ctx.n
     mask = ctx.floor
@@ -547,7 +580,10 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     # one word's weight per row: log_z with unit counts, same shift
     Rows(rows.ell, rows.phi, 1.0).log_z(t, q, w, tmp)
     w /= gibbs.z
-    if mask is not None:  # the masked rows weigh nothing
+    check_weights(w, rows.count)
+    if mask is None:  # the result keeps the weights, not both buffers
+        w = w.copy()
+    else:  # the masked rows weigh nothing
         kept, w = w, np.zeros(mask.size)
         w[mask] = kept
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
@@ -555,8 +591,8 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
         dim=entropy / e_ell, t=t, q=None if boundary else q,
         alpha_achieved=e_phi / n, lyapunov=e_ell / n,
         entropy_rate=entropy / n, iterations=iterations,
-        gibbs_evals=iterations + 1, boundary=boundary,
-        measure=BlockMeasure(m=ctx.system.m, n=n, p=w.take(ctx.word_row)))
+        gibbs_evals=iterations + 1, boundary=boundary, row_weights=w,
+        context=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +626,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             lb = lower_bound(ctx, alpha)
             point.update(lower=lb.dim, t=lb.t, q=lb.q,
                          iterations=lb.iterations, gibbs_evals=lb.gibbs_evals)
+            del lb  # free its row weights before upper_bound allocates
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:

@@ -96,6 +96,21 @@ class WordFunction:
     name: str = ""
 
 
+def check_weights(p: np.ndarray, count: np.ndarray | float = 1.0) -> None:
+    """Refuse weights that are not a probability vector: ``ValueError`` on a
+    negative weight, or unless sum(count * p) is 1 within ``_SUM_TOL``, where
+    ``count[i]`` words share weight ``p[i]`` (a scalar count is 1.0)."""
+    if (p < 0).any():
+        raise ValueError(f"negative weight {p.min()} in block measure")
+    # numpy's pairwise sum of nonnegative weights errs by at most
+    # ~(18 + log2(m**n / 128)) * eps relative (unrolled 128-blocks, then
+    # halving), under 4e-15 at the 2^24 word cap and far inside
+    # _SUM_TOL; a NaN or an infinite sum fails the comparison below
+    total = float(np.sum(p * count if np.ndim(count) else p))
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1 within {_SUM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockMeasure:
     """Probability weights over the m^n words of length n, dense in slot order.
@@ -115,15 +130,7 @@ class BlockMeasure:
         object.__setattr__(self, "p", p)
         if p.shape != (self.m**self.n,):
             raise ValueError(f"{p.size} weights for {self.m}^{self.n} words")
-        if (p < 0).any():
-            raise ValueError(f"negative weight {p.min()} in block measure")
-        # numpy's pairwise sum of nonnegative weights errs by at most
-        # ~(18 + log2(m**n / 128)) * eps relative (unrolled 128-blocks, then
-        # halving), under 4e-15 at the 2^24 word cap and far inside
-        # _SUM_TOL; a NaN or an infinite sum fails the comparison below
-        total = float(np.sum(p))
-        if not abs(total - 1.0) <= _SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1 within {_SUM_TOL}")
+        check_weights(p)
 
     @classmethod
     def dirac(cls, w: Word, m: int) -> "BlockMeasure":

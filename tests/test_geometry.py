@@ -215,6 +215,18 @@ def test_parabolic_flag_must_match_derivative():
                parabolic=True, fixed_point=0.0)
 
 
+def test_slope_must_match_derivative():
+    # linear branches declare their ratio; a slope the sampled derivative
+    # does not have everywhere, or at all, is refused
+    assert [b.slope for b in MIXED.branches] == [0.5, 1 / 3]
+    assert [b.slope for b in MP.branches + EX2.branches] == [None] * 4
+    with pytest.raises(ValueError, match="declared slope"):
+        dataclasses.replace(HALVES.branches[0], slope=0.4)
+    right = MP.branches[1]  # its derivative at 0.5, but not elsewhere
+    with pytest.raises(ValueError, match="declared slope"):
+        dataclasses.replace(right, slope=float(right.derivative(0.5)))
+
+
 # ---------------------------------------------------------------------------
 # contraction-rate gap
 # ---------------------------------------------------------------------------
@@ -380,7 +392,10 @@ def _counting(system):
     (MP, 262_194),
     # map at lo and map_width once per word, as before
     (EX2, 393_210),
-    (HALVES, 393_210),
+    # the same 2 * (2^17 - 2) map points, and one derivative per affine
+    # branch for its constant g term; the 2^17 - 2 midpoint derivatives
+    # took 393,210
+    (HALVES, 262_142),
 ])
 def test_level_pass_branch_points_are_pinned(system, points):
     counted, count = _counting(system)

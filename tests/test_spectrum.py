@@ -15,11 +15,12 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            EnumerationLimitError, InfeasibleAlphaError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
-from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
-                             example2_system, fold, g_eval,
-                             geometric_potential, lambda_n, lemma1_gap,
-                             linear_system, manneville_pomeau_system,
-                             neg_log_derivative, project, top_level)
+from mfspec.geometry import (Branch, CylinderTable, IfsSystem, _add_level,
+                             _g, cylinder_levels, example2_system, fold,
+                             g_eval, geometric_potential, lambda_n,
+                             lemma1_gap, linear_system,
+                             manneville_pomeau_system, neg_log_derivative,
+                             project, top_level)
 from mfspec.oracle import (besicovitch_spectrum, BesicovitchSpec,
                            brute_force_ratio, similarity_dimension)
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
@@ -905,6 +906,81 @@ def test_one_level_pass_matches_stored_table(case):
     assert ctx.slack == slack
 
 
+def _midpoint_gap_and_lexsort_rows(system, potential, n):
+    """(gap, rows, word_row) as the level pass and the context formed them
+    with a depth-n g array of midpoint terms for every branch, affine ones
+    included, and whole sorted copies for the grouping."""
+    width, phi, _, _ = top_level(system, n, potential)
+    m, branches = system.m, system.branches
+    g = np.empty(m**n)
+    g[:m] = [_g(b, 0.5) for b in branches]
+    for lo, w in cylinder_levels(system, n - 1):
+        mid = lo + 0.5 * w
+        _add_level(g, w.size, m, lambda a, part: _g(branches[a], mid[part]))
+    lam = -np.log(width)
+    lam /= n
+    g /= n
+    lam -= g
+    gap = float(np.max(np.abs(lam)))
+    order = np.argsort(width)
+    ell = width[order]
+    if np.all(ell[1:] != ell[:-1]):
+        phi, count = phi[order], 1.0
+        row = np.arange(ell.size, dtype=np.int32)
+    else:
+        order = np.lexsort((phi, width))
+        width, phi = width[order], phi[order]
+        new = np.append(True, (width[1:] != width[:-1])
+                        | (phi[1:] != phi[:-1]))
+        ell, phi = width[new], phi[new]
+        row = np.cumsum(new, dtype=np.int32) - 1
+        count = np.bincount(row).astype(float)
+    word_row = np.empty_like(row)
+    word_row[order] = row
+    return gap, Rows(-np.log(ell), phi, count), word_row
+
+
+@st.composite
+def _linear_pass_case(draw):
+    m = draw(st.integers(2, 4))
+    raw = draw(st.just([1.0] * m) | st.lists(
+        st.floats(0.05, 1.0), min_size=m, max_size=m))
+    total = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.3, 1.0))
+    system = linear_system([total * r / sum(raw) for r in raw])
+    values = draw(st.lists(_ROW_VALUES, min_size=m, max_size=m))
+    potential = draw(st.sampled_from(
+        [first_symbol(values), indicator_branch(0), coordinate()]))
+    n = draw(st.integers(1, {2: 9, 3: 8, 4: 7}[m]))
+    return system, potential, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_pass_case())
+@example((HALVES, COIN, 9))
+@example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 8))
+@example((linear_system([0.1, 0.2, 0.3, 0.25]), coordinate(), 7))
+# with numpy's AVX-512 log, math.log(0.662) is one ulp off the log the
+# midpoint terms take, and that ulp moves the gap here
+@example((linear_system([0.02, 0.662]), first_symbol([1.0, 0.0]), 4))
+def test_affine_pass_equals_midpoint_terms_and_lexsort(case):
+    # affine g terms as per-symbol constants, the depth-n g level folded
+    # into the max and the chunked row grouping change no bit
+    system, potential, n = case
+    gap, rows, word_row = _midpoint_gap_and_lexsort_rows(system, potential,
+                                                         n)
+    assert top_level(system, n, potential, gap=True)[2] == gap
+    if n < 2:
+        return
+    ctx = DepthContext(system, potential, SolverOptions(n=n))
+    assert ctx.lemma1_gap == gap
+    assert np.array_equal(ctx.rows.ell, rows.ell)
+    assert np.array_equal(ctx.rows.phi, rows.phi)
+    assert np.array_equal(_counts(ctx.rows), _counts(rows))
+    assert np.ndim(ctx.rows.count) == np.ndim(rows.count)
+    assert np.array_equal(ctx.word_row, word_row)
+    assert ctx.word_row.dtype == word_row.dtype
+
+
 def _traced(fn) -> tuple[int, int]:
     """Bytes numpy and Python allocate while ``fn`` runs: those its result
     still holds, and the peak."""
@@ -924,12 +1000,45 @@ def _traced(fn) -> tuple[int, int]:
 
 
 def test_depth_context_keeps_one_level():
-    # a table of every level took 8.5 word arrays here, 10 with the gap;
-    # keeping the width sort alive through the lexsort takes 6.0
-    n = 16
+    # the pass holds lo, width, phi and depth n-1 of g (3.5 word arrays);
+    # a depth-n g array of midpoint terms and whole sorted copies for the
+    # grouping took 4.53, a table of every level 8.5, 10 with the gap
+    n = 18
     DepthContext(HALVES, COIN, SolverOptions(n=4))
     _, peak = _traced(lambda: DepthContext(HALVES, COIN, SolverOptions(n=n)))
-    assert peak <= 5.5 * 8 * 2**n
+    assert peak <= 3.75 * 8 * 2**n
+
+
+def test_sweep_forms_no_block_measure(monkeypatch):
+    # full_spectrum reads only the numbers of each lower result; a read
+    # measure equals the per-row weights gathered eagerly, bit for bit
+    def refuse(**kwargs):
+        raise AssertionError("the sweep formed a block measure")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spectrum, "BlockMeasure", refuse)
+        points = full_spectrum(HALVES, COIN, [0.2, 0.35, 0.5, 1.0],
+                               SolverOptions(n=8, rho=0.05))
+        assert [p.error for p in points] == [None] * 4
+    # the floor masks MP's words of the least rate
+    delta = float(np.unique(CylinderTable(MP, 8).lambda_array)[1])
+    for context, alpha in (
+            (DepthContext(HALVES, COIN, SolverOptions(n=8)), 0.35),
+            (DepthContext(MP, coordinate(), SolverOptions(n=8, delta=delta)),
+             0.3)):
+        res = lower_bound(context, alpha)
+        mask = context.floor
+        rows = context.rows.where(mask)
+        w, tmp = np.empty((2, rows.ell.size))
+        z = rows.log_z(res.t, res.q, w, tmp)[1]
+        Rows(rows.ell, rows.phi, 1.0).log_z(res.t, res.q, w, tmp)
+        w /= z
+        if mask is not None:
+            kept, w = w, np.zeros(mask.size)
+            w[mask] = kept
+        assert (mask is None) == (context.system is HALVES)
+        assert np.array_equal(res.measure.p, w.take(context.word_row))
+        assert res.measure is res.measure
 
 
 def test_mp_depth_context_keeps_one_row_per_word():
