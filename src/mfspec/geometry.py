@@ -17,7 +17,7 @@ residual attached to every variational dimension report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,15 +60,18 @@ class Branch:
 
     ``image_of`` is the one step every cylinder computation takes through a
     branch: it maps the interval [lo, lo+width] to its image (lo', width').
+    An affine branch declares its constant ``slope``, which must equal the
+    sampled derivative exactly: its image width is slope * width, next to
+    one ``map`` call at lo, and its geometric potential term is one
+    constant.  A system of such branches with a word-local potential (or
+    none) never reads ``lo`` in the level pass, which then steps distinct
+    (width, phi, g) states rather than words (``top_level``).  Otherwise
     ``map_width`` optionally gives the image width in a cancellation-free
-    form (e.g. r*width for an affine branch), next to one ``map`` call at
-    lo; without it the width is an endpoint difference, whose relative
-    error grows as cylinders shrink far from 0, and ``map`` (elementwise)
-    runs once per distinct endpoint: a right end bit for bit the next left
-    end takes that end's image, so k adjacent cylinders cost k + 1 points.
-    An affine branch may declare its constant ``slope``, which must equal
-    the sampled derivative exactly; its geometric potential term is then
-    one constant, and the level pass forms no midpoints for it.
+    form, next to one ``map`` call at lo; without it the width is an
+    endpoint difference, whose relative error grows as cylinders shrink
+    far from 0, and ``map`` (elementwise) runs once per distinct endpoint:
+    a right end bit for bit the next left end takes that end's image, so k
+    adjacent cylinders cost k + 1 points.
     """
 
     map: Callable
@@ -80,6 +83,8 @@ class Branch:
     slope: float | None = None
 
     def image_of(self, lo, width):
+        if self.slope is not None:
+            return self.map(lo), self.slope * width
         if self.map_width is not None:
             return self.map(lo), self.map_width(lo, width)
         hi = lo + width
@@ -389,25 +394,137 @@ class CylinderTable:
         return -self.log_diameters / self.depth
 
 
+class LevelPass(NamedTuple):
+    """What ``top_level`` keeps of the depth-n level.
+
+    ``width`` and ``phi`` hold one entry per depth-n node: each word, in
+    slot order, when ``children`` is None, else a distinct (width, phi, g)
+    state standing for ``count`` words.  ``children[k-1]`` maps slot
+    a*R + j, symbol a before node j of the R depth-(k-1) nodes, to its
+    depth-k node (depth 0 is one node); ``word_nodes`` composes them.
+    ``gap`` is sup |lambda_n - A_n g| (None unless asked for),
+    ``max_diameters`` the largest width per depth and ``nodes`` the number
+    of nodes stepped over all levels.
+    """
+
+    width: np.ndarray
+    phi: np.ndarray | None
+    gap: float | None
+    max_diameters: list[float]
+    count: np.ndarray | float
+    children: tuple[np.ndarray, ...] | None
+    nodes: int
+
+
+def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
+    """Each depth-n word's node, in slot order, from ``LevelPass.children``:
+    slot a*m^(k-1) + s at depth k is symbol a's child of slot s's node."""
+    m = children[0].size
+    node = np.zeros(1, dtype=np.intp)
+    for child in children:
+        node = child.reshape(m, -1)[:, node].ravel()
+    return node
+
+
+def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the equal-length float arrays ``keys`` grouped by their
+    bits (-0.0 is not 0.0): the first entry of each distinct state, in
+    ascending order, and each entry's state, numbered in that order."""
+    bits = [key.view(np.int64) for key in keys]
+    order = np.lexsort(bits[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for key in bits:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    first = order[new]  # lexsort is stable: each state's first entry
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    state = np.empty_like(order)
+    state[order] = rank[np.cumsum(new) - 1]
+    return first[by_first], state
+
+
+def _affine_pass(system: IfsSystem, n: int, potential, gap: bool) -> LevelPass:
+    """``top_level`` over distinct states, for branches that all declare a
+    slope and a word-local potential (or none).
+
+    A depth-k word's (width, phi, g sum) depends only on its first symbol
+    a and its suffix's triple: it is (slope_a * width, v_a + phi,
+    term_a + g), the elementwise operations the per-word pass applies (at
+    depth 1, phi is v_a itself, as there), so every number is bit-equal to
+    that pass's.  The m*R children of R states are formed in slot a*R + j
+    order and bit-equal ones merge, so states are numbered by their lowest
+    word slot.  The work is O(m * R) per level, with no ``map`` call and
+    no word array (linear [1/2, 1/2] with a first-symbol potential: k + 1
+    states at depth k).
+    """
+    m, branches = system.m, system.branches
+    slope = np.array([[b.slope] for b in branches])
+    value = None if potential is None else potential.on_cylinders(
+        m, np.arange(m)[:, None], 0.0, 1.0)
+    if gap:  # one derivative call per branch
+        const = np.array([_g(b, np.full((1, 1), 0.5))[0] for b in branches])
+    width, phi, g, count = np.ones(1), None, np.zeros(1), np.ones(1)
+    children, max_diameters, nodes = [], [], 0
+    for k in range(1, n + 1):
+        keys = [slope * width]
+        if value is not None:
+            keys.append(value if k == 1 else value + phi)
+        if gap:
+            keys.append(const + g)
+        keys = [np.ravel(key) for key in keys]
+        first, child = _distinct_states(keys)
+        count = np.bincount(child, np.tile(count, m))
+        width = keys[0][first]
+        if value is not None:
+            phi = keys[1][first]
+        if gap:
+            g = keys[-1][first]
+        children.append(child)
+        nodes += first.size
+        max_diameters.append(float(np.max(width)))
+    if np.any(width <= 0.0):
+        slot = int(np.argmax(width[word_nodes(children)] <= 0.0))
+        raise DegenerateCylinderError(
+            word_label(slot_words(m, n, [slot])[0]))
+    worst = None
+    if gap:  # -log(width)/n - g/n, as the per-word pass forms it
+        lam = np.log(width)
+        np.negative(lam, out=lam)
+        lam /= n
+        lam -= g / n
+        worst = float(np.max(np.abs(lam)))
+    return LevelPass(width, phi, worst, max_diameters, count, tuple(children),
+                     nodes)
+
+
 def top_level(system: IfsSystem, n: int, potential=None,
-              gap: bool = False) -> tuple:
+              gap: bool = False) -> LevelPass:
     """One pass over the cylinder levels 1..n, keeping only the current one.
 
-    Returns (width, phi, gap, max_diameters): depth-n widths and Birkhoff
-    sums of a ``PotentialSpec``'s ``on_cylinders`` values (None without
-    ``potential``; a word-local one forms no level array) in slot order,
-    sup |lambda_n - A_n g| if ``gap`` and the largest width per depth.  g's
-    terms are branch -log-derivatives at 0.5, then at suffix midpoints,
-    formed for the gap alone; an affine branch (``Branch.slope``) takes one
-    constant term, from one derivative call, and no midpoints.  The g sums
-    are stored up to depth n-1: at the last level the depth-n ones are
-    formed one ``_CHUNK`` at a time inside the max, elementwise as a
+    Returns a ``LevelPass``: depth-n widths and Birkhoff sums of a
+    ``PotentialSpec``'s ``on_cylinders`` values (None without
+    ``potential``), sup |lambda_n - A_n g| if ``gap`` and the largest width
+    per depth.  g's terms are branch -log-derivatives at 0.5, then at
+    suffix midpoints, formed for the gap alone; an affine branch
+    (``Branch.slope``) takes one constant term, from one derivative call,
+    and no midpoints.  When every branch is affine and the potential is
+    word-local or absent, no step reads ``lo``, and the pass steps distinct
+    (width, phi, g) states rather than words (``_affine_pass``).  Otherwise
+    each word is a node, in slot order (``cylinder_levels``), and the g
+    sums are stored up to depth n-1: at the last level the depth-n ones
+    are formed one ``_CHUNK`` at a time inside the max, elementwise as a
     depth-n array would be, and freed before the potential's last level.
     The cap is checked before allocating; a zero depth-n width raises
     ``DegenerateCylinderError`` (lowest slot) before any log.
     """
     system.alphabet.check_cap(n)
     m, branches = system.m, system.branches
+    if all(b.slope is not None for b in branches) and (
+            potential is None or potential.word_local):
+        return _affine_pass(system, n, potential, gap)
     phi = None if potential is None else np.empty(m**n)
     first = np.arange(m)[:, None]
     if gap:  # depth-0 sum and suffix midpoint
@@ -447,8 +564,9 @@ def top_level(system: IfsSystem, n: int, potential=None,
             else:
                 _add_level(phi, size, m, lambda a, part: level[a, part])
             level = None
-    return (width, phi, float(np.max(worst)) if gap else None,
-            max_diameters)
+    return LevelPass(width, phi, float(np.max(worst)) if gap else None,
+                     max_diameters, 1.0, None,
+                     sum(m**k for k in range(1, n + 1)))
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
@@ -465,7 +583,7 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     if n < 1:
         raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
     if sample is None:
-        return top_level(system, n, gap=True)[2]
+        return top_level(system, n, gap=True).gap
     if sample < 1:
         raise ValueError(f"lemma1_gap needs sample >= 1 words, got {sample}")
     rng = np.random.default_rng(seed)
@@ -539,7 +657,6 @@ def linear_system(ratios: Sequence[float],
             map=lambda x, r=r, o=o: o + r * np.asarray(x, dtype=float),
             derivative=lambda x, r=r: np.full_like(
                 np.asarray(x, dtype=float), r),
-            map_width=lambda lo, width, r=r: r * width,
             label=f"affine{i}",
             slope=r,
         )

@@ -46,7 +46,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval,
                        _distinct, _suffix_cylinders, neg_log_derivative,
-                       top_level)
+                       top_level, word_nodes)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
 
@@ -282,9 +282,14 @@ class Rows(NamedTuple):
 
 
 def moran_dimension(system: IfsSystem, n: int) -> float:
-    """Moran exponent of every depth-n cylinder: the attractor estimate."""
-    d = top_level(system, n)[0]
-    return Rows(-np.log(d), None, 1.0).moran_root()[0]
+    """Moran exponent of every depth-n cylinder: the attractor estimate.
+
+    The sum runs over the level pass's nodes with their word counts: on
+    affine branches, the distinct depth-n widths (n + 1 of them on linear
+    [1/2, 1/3]), else one node per word.
+    """
+    level = top_level(system, n)
+    return Rows(-np.log(level.width), None, level.count).moran_root()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +319,23 @@ class DepthContext:
     compute (the partition sum ``Rows.log_z`` behind the Gibbs and Moran
     solvers, the cover window, the Lyapunov ``floor``, the block measure's
     weights) depends on a word only through that pair, so the grouping is
-    exact.  ``word_row`` maps each word, in slot order, to its row; it is
-    the one way back from rows to words.  With no two widths tied (as on
-    Manneville-Pomeau) one argsort groups them: each word is its own row,
-    ``rows.count`` is the scalar 1.0 and ``word_row`` the inverse
-    permutation.  Otherwise a lexsort on (width, phi) merges bit-equal
-    pairs and ``rows.count`` is ``word_row``'s bincount; that pays for
-    linear systems with word-local potentials (linear [1/2, 1/2] at n=18:
-    2^18 words, 19 rows).  Ties are found one chunk of sorted keys at a
-    time (``_heads``), and only the row heads are gathered.  Widths, sums,
-    ``lemma1_gap`` and ``slack`` come from one ``top_level`` pass, which
-    keeps one level; on linear [1/2, 1/2] at n=18 the context peaks at
-    3.63 word arrays, the pass's lo, width, phi and depth n-1 g sums.
+    exact.  Widths, sums, ``lemma1_gap`` and ``slack`` come from one
+    ``top_level`` pass, which keeps one level and returns its depth-n
+    nodes.  On affine branches with a word-local potential a node is a
+    distinct (width, phi, g) state with a word count, so nothing here has
+    m^n entries (linear [1/2, 1/2] at n=18: 2^18 words, 19 nodes, 19 rows;
+    the context peaks at 0.01 word arrays).  Otherwise a node is a word.
+    With no two widths tied and one word per node (as on
+    Manneville-Pomeau) one argsort groups them: each word is its own row
+    and ``rows.count`` is the scalar 1.0.  Otherwise a lexsort on (width,
+    phi) merges nodes whose pairs are equal, the lowest node's bits kept,
+    and ``rows.count`` sums the nodes' word counts; ties are found one
+    chunk of sorted keys at a time (``_heads``), and only the row heads
+    are gathered.  ``word_row`` maps each word, in slot order, to its row;
+    it is the one way back from rows to words, composed through the pass's
+    child maps when first read (``LowerBoundResult.measure`` reads it, a
+    sweep does not).  One debug record gives the words, rows and nodes
+    stepped.
     ``delta`` is the Lyapunov floor of both routes: ``opts.delta``, else
     1e-3 * log m on parabolic systems, else 0; ``floor`` and ``phi_range``
     are formed from it once.
@@ -339,14 +349,19 @@ class DepthContext:
         self.n = self.opts.n
         self.delta = self.opts.delta if self.opts.delta is not None else (
             1e-3 * math.log(system.m) if system.has_parabolic else 0.0)
-        width, phi, self.lemma1_gap, diameters = top_level(
-            system, self.n, potential, gap=True)
-        self.slack = 0.5 * potential.lipschitz * math.fsum(diameters) / self.n
+        level = top_level(system, self.n, potential, gap=True)
+        self.lemma1_gap, self._children = level.gap, level.children
+        self.slack = (0.5 * potential.lipschitz
+                      * math.fsum(level.max_diameters) / self.n)
+        width, phi, count = level.width, level.phi, level.count
+        nodes = level.nodes
+        del level  # its arrays are freed as the grouping goes
         order = np.argsort(width)
-        if _heads(order, width)[1:].all():  # a row per word, lexsort's order
+        if np.ndim(count) == 0 and _heads(order, width)[1:].all():
+            # a row per word, lexsort's order
             ell = width[order]
             del width
-            phi, count = phi[order], 1.0
+            phi = phi[order]
             row = np.arange(ell.size, dtype=np.int32)
         else:
             del order  # free the first sort before the second
@@ -357,13 +372,23 @@ class DepthContext:
             del width, heads
             row = np.cumsum(new, dtype=np.int32)
             row -= 1
-            count = np.bincount(row).astype(float)
-        self.word_row = np.empty_like(row)
-        self.word_row[order] = row
+            count = np.bincount(row, None if np.ndim(count) == 0
+                                else count[order]).astype(float, copy=False)
+        self._node_row = np.empty_like(row)
+        self._node_row[order] = row
         self.rows = Rows(np.negative(np.log(ell, out=ell), out=ell), phi,
                          count)
-        _debug("depth %d: %d words in %d (width, phi) rows", self.n,
-               row.size, ell.size)
+        _debug("depth %d: %d words in %d (width, phi) rows, %d nodes stepped",
+               self.n, system.m**self.n, ell.size, nodes)
+
+    @cached_property
+    def word_row(self) -> np.ndarray:
+        """Each word's row, in slot order (int32, m^n entries): the nodes'
+        rows, through the level pass's child maps when nodes merged words.
+        Formed when first read; a sweep never reads it."""
+        if self._children is None:
+            return self._node_row
+        return self._node_row[word_nodes(self._children)]
 
     @cached_property
     def floor(self) -> np.ndarray | None:

@@ -15,7 +15,7 @@ from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
                              g_eval, geometric_potential, lambda_n,
                              lemma1_gap, linear_system,
                              manneville_pomeau_system, project, top_level)
-from mfspec.potentials import coordinate
+from mfspec.potentials import coordinate, first_symbol
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -389,16 +389,21 @@ def _counting(system):
     # 2^17 - 2 left ends over the 16 levels, one unshared right end per
     # branch call (54 calls of at most 4096 words) and 2^17 - 2 derivatives
     # for the gap; mapping both ends of every word took 393,210
-    (MP, 262_194),
+    ((MP, coordinate()), 262_194),
     # map at lo and map_width once per word, as before
-    (EX2, 393_210),
-    # the same 2 * (2^17 - 2) map points, and one derivative per affine
-    # branch for its constant g term; the 2^17 - 2 midpoint derivatives
-    # took 393,210
-    (HALVES, 262_142),
+    ((EX2, coordinate()), 393_210),
+    # map at lo once per word (2^17 - 2 points), the width slope * width,
+    # and one derivative per affine branch for its constant g term; a
+    # map_width call per word took 262,142, midpoint derivatives 393,210
+    ((HALVES, coordinate()), 131_072),
+    # affine branches and a word-local potential: states, not words, are
+    # stepped, with no map call, so only the two constant g terms remain;
+    # the per-word pass took 262,142
+    ((HALVES, first_symbol([1.0, 0.0])), 2),
 ])
 def test_level_pass_branch_points_are_pinned(system, points):
+    system, potential = system
     counted, count = _counting(system)
     count[0] = 0  # the system's own checks at construction called them too
-    top_level(counted, 16, coordinate(), gap=True)
+    top_level(counted, 16, potential, gap=True)
     assert count[0] == points

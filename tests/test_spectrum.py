@@ -890,12 +890,20 @@ def _pass_case(draw):
 @example((HALVES, COIN, 8))
 @example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 6))
 @example((EX2, coordinate(), 8))
+# states that merge: equal slopes with different values merge across first
+# symbols; -0.0 and 0.0 are distinct states in one row, which takes the
+# lowest slot's bits; states that differ in their g sums alone
+@example((linear_system([0.25, 0.25, 0.5]), first_symbol([0.0, 1.0, 0.0]),
+          6))
+@example((HALVES, first_symbol([-0.0, 0.0]), 8))
+@example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 8))
 def test_one_level_pass_matches_stored_table(case):
     system, potential, n = case
     ctx = DepthContext(system, potential, SolverOptions(n=n))
     rows, word_row, gap, slack = _ref_context(system, potential, n)
     assert np.array_equal(ctx.rows.ell, rows.ell)
     assert np.array_equal(ctx.rows.phi, rows.phi)
+    assert np.array_equal(np.signbit(ctx.rows.phi), np.signbit(rows.phi))
     assert np.array_equal(_counts(ctx.rows), rows.count)
     # the count is the scalar 1 exactly when no two widths tie
     ties = np.unique(rows.ell).size < word_row.size
@@ -909,8 +917,11 @@ def test_one_level_pass_matches_stored_table(case):
 def _midpoint_gap_and_lexsort_rows(system, potential, n):
     """(gap, rows, word_row) as the level pass and the context formed them
     with a depth-n g array of midpoint terms for every branch, affine ones
-    included, and whole sorted copies for the grouping."""
-    width, phi, _, _ = top_level(system, n, potential)
+    included, and whole sorted copies for the grouping, from per-word
+    widths and sums of a stored table."""
+    table = CylinderTable(system, n)
+    width = table.diameters()
+    phi = table.birkhoff(potential_arrays(table, potential))
     m, branches = system.m, system.branches
     g = np.empty(m**n)
     g[:m] = [_g(b, 0.5) for b in branches]
@@ -1000,13 +1011,27 @@ def _traced(fn) -> tuple[int, int]:
 
 
 def test_depth_context_keeps_one_level():
-    # the pass holds lo, width, phi and depth n-1 of g (3.5 word arrays);
-    # a depth-n g array of midpoint terms and whole sorted copies for the
+    # affine branches and a word-local potential: the pass steps k + 1
+    # (width, phi, g) states at depth k and forms no word array.  Stepping
+    # words held lo, width, phi and depth n-1 of g (3.63 word arrays); a
+    # depth-n g array of midpoint terms and whole sorted copies for the
     # grouping took 4.53, a table of every level 8.5, 10 with the gap
     n = 18
     DepthContext(HALVES, COIN, SolverOptions(n=4))
     _, peak = _traced(lambda: DepthContext(HALVES, COIN, SolverOptions(n=n)))
-    assert peak <= 3.75 * 8 * 2**n
+    assert peak <= 0.05 * 8 * 2**n
+
+
+def test_context_logs_the_nodes_it_stepped(caplog):
+    # linear [1/2, 1/2] with the coin: k + 1 states at depth k, 2 + 3 + 4 +
+    # 5 over four levels, where stepping words took 2 + 4 + 8 + 16
+    caplog.set_level(logging.DEBUG, logger="mfspec")
+    DepthContext(HALVES, COIN, SolverOptions(n=4))
+    DepthContext(MP, coordinate(), SolverOptions(n=4))
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        "depth 4: 16 words in 5 (width, phi) rows, 14 nodes stepped",
+        "depth 4: 16 words in 16 (width, phi) rows, 30 nodes stepped"]
 
 
 def test_sweep_forms_no_block_measure(monkeypatch):
@@ -1015,11 +1040,21 @@ def test_sweep_forms_no_block_measure(monkeypatch):
     def refuse(**kwargs):
         raise AssertionError("the sweep formed a block measure")
 
+    contexts = []
+
+    class Recorded(DepthContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
     with monkeypatch.context() as patched:
         patched.setattr(spectrum, "BlockMeasure", refuse)
+        patched.setattr(spectrum, "DepthContext", Recorded)
         points = full_spectrum(HALVES, COIN, [0.2, 0.35, 0.5, 1.0],
                                SolverOptions(n=8, rho=0.05))
         assert [p.error for p in points] == [None] * 4
+    # nor the per-word rows: the sweep formed no word array
+    assert len(contexts) == 1 and "word_row" not in contexts[0].__dict__
     # the floor masks MP's words of the least rate
     delta = float(np.unique(CylinderTable(MP, 8).lambda_array)[1])
     for context, alpha in (
