@@ -892,10 +892,12 @@ def _pass_case(draw):
 @example((EX2, coordinate(), 8))
 # states that merge: equal slopes with different values merge across first
 # symbols; -0.0 and 0.0 are distinct states in one row, which takes the
-# lowest slot's bits; states that differ in their g sums alone
+# lowest slot's bits whichever sign that is; states that differ in their g
+# sums alone
 @example((linear_system([0.25, 0.25, 0.5]), first_symbol([0.0, 1.0, 0.0]),
           6))
 @example((HALVES, first_symbol([-0.0, 0.0]), 8))
+@example((HALVES, first_symbol([0.0, -0.0]), 8))
 @example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 8))
 def test_one_level_pass_matches_stored_table(case):
     system, potential, n = case
@@ -1127,6 +1129,15 @@ def test_zero_width_cylinder_fails_the_sweep_before_any_log():
         full_spectrum(system, COIN, [0.3, 0.5], opts)
     with pytest.raises(DegenerateCylinderError, match="word 1211 "):
         lemma1_gap(system, 4)
+    # affine widths underflow to 0 from two 1e-200 factors on: merged
+    # states and per-word passes name the same lowest slot, word 122
+    tiny = linear_system([0.5, 1e-200])
+    for potential in (COIN, coordinate()):
+        with pytest.raises(DegenerateCylinderError, match="word 122 "):
+            full_spectrum(tiny, potential, [0.3],
+                          SolverOptions(n=3, rho=0.3))
+    with pytest.raises(DegenerateCylinderError, match="word 122 "):
+        lemma1_gap(tiny, 3)
 
 
 # ---------------------------------------------------------------------------
