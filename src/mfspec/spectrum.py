@@ -34,6 +34,7 @@ unfiltered Moran estimate and the point is flagged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -45,7 +46,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval,
-                       _distinct, _suffix_cylinders, neg_log_derivative,
+                       _suffix_cylinders, neg_log_derivative,
                        top_level, word_nodes)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
@@ -163,11 +164,13 @@ class SamplerCheckpoint:
 def _debug(msg: str, *args) -> None:
     """Debug record on the ``mfspec.spectrum`` logger (silent by default).
 
-    ``logging`` is imported on first use, so importing the package does not
-    load it.
+    Emitted only once something else has imported ``logging``: before that
+    no handler can exist, so the record would be dropped, and neither the
+    package's import nor its first call loads ``logging``.
     """
-    import logging
-    logging.getLogger(__name__).debug(msg, *args)
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -672,35 +675,63 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
 # alternating-block sampler
 # ---------------------------------------------------------------------------
 
-def _window_midpoints(system: IfsSystem, seq: np.ndarray, depth: int):
+class _Windows(NamedTuple):
+    """The distinct length-``depth`` windows of a symbol sequence.
+
+    Window i has first symbol ``first[i]`` and cylinder [lo[i], lo[i] +
+    width[i]].  The window starting at ``starts[j]`` (sorted) is
+    ``start_window[j]``; every other start lies in a run of one symbol at
+    least ``depth`` long, and its window is that symbol's ``symbol_window``
+    (-1 for a symbol with no such run).  ``nodes`` suffix nodes were stepped.
+    """
+
+    first: np.ndarray
+    lo: np.ndarray
+    width: np.ndarray
+    starts: np.ndarray
+    start_window: np.ndarray
+    symbol_window: np.ndarray
+    nodes: int
+
+    def of(self, seq: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Window index of the windows of ``seq`` starting at a, ..., b - 1."""
+        window = self.symbol_window[seq[a:b]]
+        i, j = np.searchsorted(self.starts, (a, b))
+        window[self.starts[i:j] - a] = self.start_window[i:j]
+        return window
+
+
+def _window_midpoints(system: IfsSystem, seq: np.ndarray,
+                      depth: int) -> _Windows:
     """Cylinders of the distinct length-``depth`` windows of ``seq``.
 
-    Returns (first, lo, width, window, nodes): position p's window has
-    first symbol ``first[window[p]]`` and cylinder [lo, lo + width] at
-    index ``window[p]``; ``nodes`` suffix nodes were stepped.  A window
-    lies inside one run of a symbol exactly when that run, read from the
-    window's start, is at least ``depth`` long; all such windows are that
-    symbol's constant word, one row per symbol.  Each other window is a row
+    A window lies inside one run of a symbol exactly when that run, read
+    from the window's start, is at least ``depth`` long; all such windows
+    are that symbol's constant word, one row per symbol.  So only the starts
+    s with r1 - s < depth in a run [r0, r1) that is not the last vary, and
+    they are found from the run boundaries alone: the map holds O(runs *
+    depth) entries and nothing per position.  Each varying window is a row
     whose column j is ``seq[starts + j]``, read without a 2-D copy, and
     ``_suffix_cylinders`` steps each distinct suffix of the rows once, so
     the cylinders equal a per-window ``fold`` bit for bit.
     """
-    starts = np.arange(len(seq) - depth + 1)
-    run_starts = np.flatnonzero(np.diff(seq)) + 1
-    run_ends = np.append(run_starts, len(seq))[
-        np.searchsorted(run_starts, starts, side="right")]
-    constant = run_ends - starts >= depth
-    varying, heads = starts[~constant], seq[starts[constant]]
-    symbols = np.unique(heads)
+    count = len(seq) - depth + 1
+    edges = np.flatnonzero(seq[1:] != seq[:-1]) + 1
+    run_lo, run_hi = np.append(0, edges), np.append(edges, len(seq))
+    begin = np.maximum(run_lo[:-1], edges - depth + 1)
+    size = np.maximum(np.minimum(edges, count) - begin, 0)
+    starts = (np.repeat(begin - np.cumsum(size) + size, size)
+              + np.arange(size.sum()))
+    symbols = np.unique(seq[run_lo[run_hi - run_lo >= depth]])
     nodes = 0
     for node, first, _, lo, width in _suffix_cylinders(system, (
-            np.append(seq[varying + j], symbols)
-            for j in reversed(range(depth))), varying.size + symbols.size):
+            np.append(seq[starts + j], symbols)
+            for j in reversed(range(depth))), starts.size + symbols.size):
         nodes += lo.size
-    window = np.empty(starts.size, dtype=np.intp)
-    window[varying] = node[:varying.size]
-    window[constant] = node[varying.size:][np.searchsorted(symbols, heads)]
-    return first, lo, width, window, nodes
+    symbol_window = np.full(system.m, -1, dtype=np.intp)
+    symbol_window[symbols] = node[starts.size:]
+    return _Windows(first, lo, width, starts, node[:starts.size],
+                    symbol_window, nodes)
 
 
 def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
@@ -728,10 +759,17 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
     suffix, one potential value per distinct window and one derivative per
     distinct (symbol, next window) pair; the long parabolic blocks add
     almost nothing.  One ``mfspec.spectrum`` debug record per call gives
-    these counts.
+    these counts.  The word is held as one byte per symbol; the terms and
+    running sums are formed one ``_CHUNK`` of positions at a time, each
+    chunk's sum carried into the next, so memory beyond the word does not
+    grow with ``horizon`` and every checkpoint equals a whole-array cumsum
+    bit for bit.
     """
     if symbol not in system.parabolic_symbols:
         raise ValueError(f"symbol {symbol} is not an indifferent branch")
+    if measure.m != system.m:
+        raise ValueError(f"measure has {measure.m} symbols but the system "
+                         f"has {system.m} branches")
     ks = [int(k) for k in k_schedule]
     eps = [float(e) for e in eps_schedule]
     if len(ks) != len(eps):
@@ -750,6 +788,7 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
             "k_i * eps_i must be nonincreasing within tolerance")
 
     rng = np.random.default_rng(seed)
+    dtype = np.min_scalar_type(system.m - 1)
     slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
     weights = measure.p[slots] / measure.p[slots].sum()
     block_shape = (measure.m,) * measure.n
@@ -761,9 +800,9 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
     def emit_stage(i: int, k: int) -> int:
         draws = rng.choice(len(slots), size=-(-i // measure.n), p=weights)
         words = np.stack(np.unravel_index(slots[draws], block_shape), axis=1)
-        chunks.append(words.ravel()[:i].astype(np.int64))
+        chunks.append(words.ravel()[:i].astype(dtype))
         if k:
-            chunks.append(np.full(i * k, symbol, dtype=np.int64))
+            chunks.append(np.full(i * k, symbol, dtype=dtype))
         return i * (1 + k)
 
     stage = 0
@@ -783,29 +822,55 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
             total += emit_stage(stage, ks[stage - 1])
         else:
             pad = marks[-1][1] + eval_depth - total
-            chunks.append(np.full(pad, symbol, dtype=np.int64))
+            chunks.append(np.full(pad, symbol, dtype=dtype))
             total += pad
     seq = np.concatenate(chunks)
+    chunks.clear()  # the word is held once from here on
 
     # one full-depth window per position; the padding above guarantees
     # every checkpoint position and its successor have one
-    first, lo, width, window, nodes = _window_midpoints(system, seq,
-                                                        eval_depth)
+    windows = _window_midpoints(system, seq, eval_depth)
+    count = len(seq) - eval_depth + 1
     m = system.m
-    f_terms = potential.on_cylinders(m, first, lo, width)[window]
-    # position p's g term: symbol seq[p] at window p + 1's midpoint
-    mids = lo + 0.5 * width
-    pairs, pair = _distinct(window[1:] * m + seq[:window.size - 1],
-                            mids.size * m)
-    g_terms = neg_log_derivative(system, pairs % m, mids[pairs // m])[pair]
+    # position p's g term: symbol seq[p] at window p + 1's midpoint, one
+    # derivative per distinct (next window, symbol) pair
+    mids = windows.lo + 0.5 * windows.width
+    used = np.zeros(mids.size * m, dtype=bool)
+    for a in range(0, count - 1, _CHUNK):
+        b = min(a + _CHUNK, count - 1)
+        used[windows.of(seq, a + 1, b + 1) * m + seq[a:b]] = True
+    pairs = np.flatnonzero(used)
+    g_pair = np.empty(used.size)
+    g_pair[pairs] = neg_log_derivative(system, pairs % m, mids[pairs // m])
+    f_window = potential.on_cylinders(m, windows.first, windows.lo,
+                                      windows.width)
     _debug("alternating_sampler: %d positions, %d distinct windows, "
            "%d suffix nodes stepped, %d distinct g pairs",
-           window.size, mids.size, nodes, pairs.size)
-    f_cum = np.cumsum(f_terms)
-    g_cum = np.cumsum(g_terms)
+           count, mids.size, windows.nodes, pairs.size)
+    # running sums one chunk at a time: a chunk's first term takes the sum
+    # carried from the chunk before (not the first chunk's, where 0.0 +
+    # -0.0 would drop a sign), so each sum is the same sequence of additions
+    # as a whole-array cumsum
+    ends = np.array([nq for _, nq in marks])
+    f_at, g_at = np.empty(ends.size), np.empty(ends.size)
+    f_carry = g_carry = 0.0
+    for a in range(0, ends[-1], _CHUNK):
+        b = min(a + _CHUNK, ends[-1])
+        window = windows.of(seq, a, b + 1)
+        f_cum = f_window[window[:-1]]
+        g_cum = g_pair[window[1:] * m + seq[a:b]]
+        if a:
+            f_cum[0] += f_carry
+            g_cum[0] += g_carry
+        np.cumsum(f_cum, out=f_cum)
+        np.cumsum(g_cum, out=g_cum)
+        f_carry, g_carry = f_cum[-1], g_cum[-1]
+        done = slice(*np.searchsorted(ends, (a + 1, b + 1)))
+        f_at[done] = f_cum[ends[done] - 1 - a]
+        g_at[done] = g_cum[ends[done] - 1 - a]
     return [
-        SamplerCheckpoint(stage=i, n=nq, f_average=float(f_cum[nq - 1] / nq),
-                          g_average=float(g_cum[nq - 1] / nq),
+        SamplerCheckpoint(stage=i, n=nq, f_average=float(f_at[j] / nq),
+                          g_average=float(g_at[j] / nq),
                           k=ks[i - 1], eps=eps[i - 1])
-        for i, nq in marks
+        for j, (i, nq) in enumerate(marks)
     ]

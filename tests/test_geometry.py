@@ -400,7 +400,8 @@ def _counting(system):
     # stepped, with no map call, so only the two constant g terms remain;
     # the per-word pass took 262,142
     ((HALVES, first_symbol([1.0, 0.0])), 2),
-])
+], ids=["mp-coordinate", "ex2-coordinate", "halves-coordinate",
+        "halves-coin"])
 def test_level_pass_branch_points_are_pinned(system, points):
     system, potential = system
     counted, count = _counting(system)

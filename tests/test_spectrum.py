@@ -2,7 +2,11 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -1243,6 +1247,41 @@ def test_sampler_rejects_nonpositive_eval_depth():
                                 100, eval_depth=depth)
 
 
+def test_sampler_rejects_a_measure_of_another_alphabet(monkeypatch):
+    # a 3-symbol measure on the 2-branch MP map is refused by name, before
+    # the generator is even made
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler drew before checking the measure")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="measure has 3 symbols but the "
+                                         "system has 2 branches"):
+        alternating_sampler(MP, coordinate(), BlockMeasure.dirac((0, 2), 3),
+                            0, [1, 2], [0.5, 0.25], 100)
+
+
+def test_sampler_memory_is_flat_in_the_horizon():
+    # sampler_stream's construction at two horizons: apart from the 1-byte
+    # symbol sequence and its run-boundary mask, what the sampler holds
+    # grows with the symbol runs, not with the positions (whole-position
+    # arrays took 65.5 bytes per position)
+    nu = block_marginal(CHAIN, 2)
+    ks = list(range(1, 200))
+    eps = [1.0 / (k * k) for k in ks]
+    alternating_sampler(MP, coordinate(), nu, 0, ks, eps, horizon=10**4,
+                        seed=5)
+    peaks = []
+    for horizon in (10**5, 8 * 10**5):
+        tracemalloc.start()
+        try:
+            alternating_sampler(MP, coordinate(), nu, 0, ks, eps,
+                                horizon=horizon, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (7 * 10**5) <= 8.0
+
+
 def _clustered_runs(depth):
     """Symbol runs whose lengths cluster at depth - 1, depth and depth + 1."""
     length = st.one_of(st.sampled_from([depth - 1, depth, depth + 1]),
@@ -1302,14 +1341,20 @@ def test_window_midpoints_match_per_window_fold(data, depth, system):
     assume(len(seq) >= depth)
     windows = sliding_window_view(seq, depth)
     lo, width = _plain_fold(system, windows)
-    first, w_lo, w_width, window, nodes = _window_midpoints(system, seq,
-                                                           depth)
+    found = _window_midpoints(system, seq, depth)
+    first, w_lo, w_width, nodes = (found.first, found.lo, found.width,
+                                   found.nodes)
+    window = found.of(seq, 0, len(windows))
     assert np.array_equal(w_lo[window], lo)
     assert np.array_equal(w_width[window], width)
     assert np.array_equal(first[window], windows[:, 0])
     # one cylinder per distinct window, one step per distinct suffix
     assert w_lo.size == len(np.unique(windows, axis=0))
     assert nodes == _distinct_suffixes(windows)
+    # any range of starts reads the same windows as the whole
+    a = data.draw(st.integers(0, len(windows)))
+    b = data.draw(st.integers(a, len(windows)))
+    assert np.array_equal(found.of(seq, a, b), window[a:b])
 
 
 _FOLD_SYSTEMS = [EX2, manneville_pomeau_system(0.25), MP, MP2]
@@ -1361,8 +1406,10 @@ def test_suffix_sharing_matches_plain_fold(system, data):
     assume(len(seq) >= depth)
     windows = sliding_window_view(seq, depth)
     lo, width = _plain_fold(system, windows)
-    first, w_lo, w_width, window, nodes = _window_midpoints(system, seq,
-                                                           depth)
+    found = _window_midpoints(system, seq, depth)
+    first, w_lo, w_width, nodes = (found.first, found.lo, found.width,
+                                   found.nodes)
+    window = found.of(seq, 0, len(windows))
     assert np.array_equal(w_lo[window], lo)
     assert np.array_equal(w_width[window], width)
     assert np.array_equal(first[window], windows[:, 0])
@@ -1411,12 +1458,14 @@ def test_word_level_api_equals_the_level_pass(system, data):
                                   first_symbol([1.0, -0.5]),
                                   indicator_branch(0), indicator_branch(1)]),
        depth=st.integers(1, 20), horizon=st.integers(50, 3000),
-       seed=st.integers(0, 2**16))
+       seed=st.integers(0, 2**16), chunk=st.integers(1, 64))
 def test_sampler_terms_match_per_position_evaluation(case, potential, depth,
-                                                     horizon, seed):
+                                                     horizon, seed, chunk):
     # the sampler evaluates f per distinct window and g per distinct
     # (symbol, next window) pair; its averages equal those of f and g
-    # evaluated at every position's own midpoint, bit for bit
+    # evaluated at every position's own midpoint, bit for bit.  A small
+    # chunk makes the running sums carry, and checkpoints fall, across
+    # chunk boundaries
     system, symbol = case
     seen = {}
 
@@ -1428,12 +1477,15 @@ def test_sampler_terms_match_per_position_evaluation(case, potential, depth,
     ks = list(range(1, 40))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectrum, "_window_midpoints", recorded)
+        patch.setattr(spectrum, "_CHUNK", chunk)
         points = alternating_sampler(
             system, potential, block_marginal(CHAIN, 2), symbol, ks,
             [1.0 / (k * k) for k in ks], horizon=horizon, seed=seed,
             eval_depth=depth)
-    seq, (_, lo, width, window, _) = seen["seq"], seen["out"]
-    per_position = (lo + 0.5 * width)[window]
+    seq, found = seen["seq"], seen["out"]
+    assert seq.dtype == np.uint8
+    window = found.of(seq, 0, len(seq) - depth + 1)
+    per_position = (found.lo + 0.5 * found.width)[window]
     if potential.word_local:
         f_terms = np.asarray(potential.symbol_values(system.m))[
             seq[:window.size]]
@@ -1464,6 +1516,28 @@ def test_sampler_logs_its_distinct_work(caplog):
     assert records[0].getMessage() == (
         f"alternating_sampler: {positions} positions, 1 distinct windows, "
         f"64 suffix nodes stepped, 1 distinct g pairs")
+
+
+def test_first_calls_leave_logging_unimported():
+    # with nothing configured no handler could take the debug records, so a
+    # sweep and the sampler drop them without importing logging
+    code = (
+        "import sys\n"
+        "from mfspec import (MarkovChainSpec, SolverOptions,\n"
+        "                    alternating_sampler, block_marginal, coordinate,\n"
+        "                    full_spectrum, manneville_pomeau_system)\n"
+        "mp = manneville_pomeau_system(0.5)\n"
+        "full_spectrum(mp, coordinate(), [0.0, 0.3], SolverOptions(n=6))\n"
+        "chain = MarkovChainSpec(transition=[[0.9, 0.1], [0.2, 0.8]],\n"
+        "                        initial=[2 / 3, 1 / 3])\n"
+        "alternating_sampler(mp, coordinate(), block_marginal(chain, 2), 0,\n"
+        "                    [1, 2, 3], [1.0, 0.25, 0.1], horizon=200)\n"
+        "assert 'logging' not in sys.modules, 'logging was imported'\n")
+    src = str(Path(spectrum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sampler_degenerate_schedule_tracks_measure_average():
