@@ -64,8 +64,8 @@ class Branch:
     sampled derivative exactly: its image width is slope * width, next to
     one ``map`` call at lo, and its geometric potential term is one
     constant.  A system of such branches with a word-local potential (or
-    none) never reads ``lo`` in the level pass, which then steps distinct
-    (width, phi, g) states rather than words (``top_level``).  Otherwise
+    none) never reads ``lo`` in the level pass, which then merges
+    bit-equal children into one node (``top_level``).  Otherwise
     ``map_width`` optionally gives the image width in a cancellation-free
     form, next to one ``map`` call at lo; without it the width is an
     endpoint difference, whose relative error grows as cylinders shrink
@@ -303,21 +303,31 @@ def _parts(size: int):
     return (slice(i, min(i + _CHUNK, size)) for i in range(0, size, _CHUNK))
 
 
+def _image_level(branches: Sequence[Branch], lo, width, size: int) -> None:
+    """Cylinders one level deeper in place: slot a*size + j becomes branch
+    a's ``image_of`` of slot j of ``lo``, ``width``.  Block 0, which
+    overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
+    branch's temporaries never grow with the depth.  With ``lo`` None every
+    branch declares a slope and only ``slope * width`` is formed."""
+    for a in reversed(range(len(branches))):
+        for part in _parts(size):
+            if lo is None:
+                width[a * size:][part] = branches[a].slope * width[part]
+            else:
+                lo[a * size:][part], width[a * size:][part] = \
+                    branches[a].image_of(lo[part], width[part])
+
+
 def cylinder_levels(system: IfsSystem, depth: int):
     """Yield (lo, width) of the depth-k cylinders for k = 1..depth: slot
     a*m^(k-1) + j is branch a's ``image_of`` slot j of depth k-1 (depth 0 is
     [0,1]), the step ``fold`` takes.  Each level overwrites the buffers the
-    yielded views share in place, block 0 (which overlaps the last) last,
-    one ``_CHUNK`` of words per ``image_of`` call, so a branch's
-    temporaries never grow with the depth."""
+    yielded views share in place (``_image_level``)."""
     m = system.m
     lo, width = np.empty(m**depth), np.empty(m**depth)
     lo[0], width[0] = 0.0, 1.0
     for size in (m**k for k in range(depth)):
-        for a in reversed(range(m)):
-            for part in _parts(size):
-                lo[a * size:][part], width[a * size:][part] = \
-                    system.branches[a].image_of(lo[part], width[part])
+        _image_level(system.branches, lo, width, size)
         yield lo[:m * size], width[:m * size]
 
 
@@ -398,7 +408,7 @@ class LevelPass(NamedTuple):
     """What ``top_level`` keeps of the depth-n level.
 
     ``width`` and ``phi`` hold one entry per depth-n node: each word, in
-    slot order, when ``children`` is None, else a distinct (width, phi, g)
+    slot order, when ``children`` is None, else a distinct (width, phi)
     state standing for ``count`` words.  ``children[k-1]`` maps slot
     a*R + j, symbol a before node j of the R depth-(k-1) nodes, to its
     depth-k node (depth 0 is one node); ``word_nodes`` composes them.
@@ -426,17 +436,39 @@ def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
     return node
 
 
+def _heads(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``order`` starts a run of equal ``keys`` (the
+    first always does), compared as values of their dtype (as floats,
+    -0.0 equals 0.0), read one ``_CHUNK`` of gathered keys at a time rather
+    than as whole sorted copies."""
+    new = np.ones(order.size, dtype=bool)
+    for start in range(1, order.size, _CHUNK):
+        run = order[start - 1:start + _CHUNK]
+        differ = np.zeros(run.size - 1, dtype=bool)
+        for key in keys:
+            sorted_key = key[run]
+            differ |= sorted_key[1:] != sorted_key[:-1]
+        new[start:start + _CHUNK] = differ
+    return new
+
+
+def _rate_gap(width: np.ndarray, g: np.ndarray, n: int) -> float:
+    """Max of |lambda_n - A_n g| over depth-n cylinders of ``width`` with
+    g sums ``g``, formed as |(-log width)/n - g/n| elementwise."""
+    lam = np.log(width)
+    np.negative(lam, out=lam)
+    lam /= n
+    lam -= g / n
+    return float(np.max(np.abs(lam, out=lam)))
+
+
 def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the equal-length float arrays ``keys`` grouped by their
     bits (-0.0 is not 0.0): the first entry of each distinct state, in
     ascending order, and each entry's state, numbered in that order."""
     bits = [key.view(np.int64) for key in keys]
     order = np.lexsort(bits[::-1])
-    new = np.zeros(order.size, dtype=bool)
-    new[0] = True
-    for key in bits:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
+    new = _heads(order, *bits)
     first = order[new]  # lexsort is stable: each state's first entry
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
@@ -446,60 +478,6 @@ def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], state
 
 
-def _affine_pass(system: IfsSystem, n: int, potential, gap: bool) -> LevelPass:
-    """``top_level`` over distinct states, for branches that all declare a
-    slope and a word-local potential (or none).
-
-    A depth-k word's (width, phi, g sum) depends only on its first symbol
-    a and its suffix's triple: it is (slope_a * width, v_a + phi,
-    term_a + g), the elementwise operations the per-word pass applies (at
-    depth 1, phi is v_a itself, as there), so every number is bit-equal to
-    that pass's.  The m*R children of R states are formed in slot a*R + j
-    order and bit-equal ones merge, so states are numbered by their lowest
-    word slot.  The work is O(m * R) per level, with no ``map`` call and
-    no word array (linear [1/2, 1/2] with a first-symbol potential: k + 1
-    states at depth k).
-    """
-    m, branches = system.m, system.branches
-    slope = np.array([[b.slope] for b in branches])
-    value = None if potential is None else potential.on_cylinders(
-        m, np.arange(m)[:, None], 0.0, 1.0)
-    if gap:  # one derivative call per branch
-        const = np.array([_g(b, np.full((1, 1), 0.5))[0] for b in branches])
-    width, phi, g, count = np.ones(1), None, np.zeros(1), np.ones(1)
-    children, max_diameters, nodes = [], [], 0
-    for k in range(1, n + 1):
-        keys = [slope * width]
-        if value is not None:
-            keys.append(value if k == 1 else value + phi)
-        if gap:
-            keys.append(const + g)
-        keys = [np.ravel(key) for key in keys]
-        first, child = _distinct_states(keys)
-        count = np.bincount(child, np.tile(count, m))
-        width = keys[0][first]
-        if value is not None:
-            phi = keys[1][first]
-        if gap:
-            g = keys[-1][first]
-        children.append(child)
-        nodes += first.size
-        max_diameters.append(float(np.max(width)))
-    if np.any(width <= 0.0):
-        slot = int(np.argmax(width[word_nodes(children)] <= 0.0))
-        raise DegenerateCylinderError(
-            word_label(slot_words(m, n, [slot])[0]))
-    worst = None
-    if gap:  # -log(width)/n - g/n, as the per-word pass forms it
-        lam = np.log(width)
-        np.negative(lam, out=lam)
-        lam /= n
-        lam -= g / n
-        worst = float(np.max(np.abs(lam)))
-    return LevelPass(width, phi, worst, max_diameters, count, tuple(children),
-                     nodes)
-
-
 def top_level(system: IfsSystem, n: int, potential=None,
               gap: bool = False) -> LevelPass:
     """One pass over the cylinder levels 1..n, keeping only the current one.
@@ -507,66 +485,92 @@ def top_level(system: IfsSystem, n: int, potential=None,
     Returns a ``LevelPass``: depth-n widths and Birkhoff sums of a
     ``PotentialSpec``'s ``on_cylinders`` values (None without
     ``potential``), sup |lambda_n - A_n g| if ``gap`` and the largest width
-    per depth.  g's terms are branch -log-derivatives at 0.5, then at
-    suffix midpoints, formed for the gap alone; an affine branch
-    (``Branch.slope``) takes one constant term, from one derivative call,
-    and no midpoints.  When every branch is affine and the potential is
-    word-local or absent, no step reads ``lo``, and the pass steps distinct
-    (width, phi, g) states rather than words (``_affine_pass``).  Otherwise
-    each word is a node, in slot order (``cylinder_levels``), and the g
-    sums are stored up to depth n-1: at the last level the depth-n ones
-    are formed one ``_CHUNK`` at a time inside the max, elementwise as a
-    depth-n array would be, and freed before the potential's last level.
-    The cap is checked before allocating; a zero depth-n width raises
+    per depth.  Each level forms the m*R children of its R nodes in slot
+    order a*R + j, in place behind the parents: widths by one
+    ``_image_level`` step, phi and g by one ``_add_level`` step each.  g's
+    terms are branch -log-derivatives at 0.5, then at suffix midpoints,
+    formed for the gap alone; an affine branch (``Branch.slope``) takes one
+    constant term, from one derivative call, and no midpoints.  The g sums
+    are kept up to depth n-1: the depth-n ones are formed one ``_CHUNK`` at
+    a time inside the max, elementwise as a depth-n array would be, and
+    freed before the potential's last level.
+
+    When every branch is affine and the potential is word-local or absent,
+    no step reads ``lo``, and bit-equal children merge into one node
+    (``_distinct_states``), numbered by their lowest word slot: on (width,
+    phi, g sum) below depth n, on (width, phi) at depth n.  The work is
+    then O(m*R) per level, with no ``map`` call and no word array (linear
+    [1/2, 1/2] with a first-symbol potential: k + 1 nodes at depth k).
+    Otherwise each word is a node and the buffers hold m^n slots.  Every
+    number is formed by the same elementwise operations either way.  The
+    cap is checked before allocating; a zero depth-n width raises
     ``DegenerateCylinderError`` (lowest slot) before any log.
     """
     system.alphabet.check_cap(n)
     m, branches = system.m, system.branches
-    if all(b.slope is not None for b in branches) and (
-            potential is None or potential.word_local):
-        return _affine_pass(system, n, potential, gap)
-    phi = None if potential is None else np.empty(m**n)
+    merge = all(b.slope is not None for b in branches) and (
+        potential is None or potential.word_local)
+    room = m if merge else m**n  # children the buffers hold
+    lo = None if merge else np.zeros(room)
+    width = np.ones(room)
+    phi = None if potential is None else np.empty(room)
     first = np.arange(m)[:, None]
+    value = None  # a word-local potential's values, read at every level
+    if potential is not None and potential.word_local:
+        value = potential.on_cylinders(m, first, 0.0, 1.0)
+    g = mid = None
     if gap:  # depth-0 sum and suffix midpoint
-        g, mid = np.empty(m**(n - 1)), np.full(1, 0.5)
-        g[0] = 0.0
+        g, mid = np.zeros(m if merge else m**(n - 1)), np.full(1, 0.5)
         const = [None if b.slope is None else _g(b, mid)[0] for b in branches]
 
         def term(a, part):
             return _g(branches[a], mid[part]) if const[a] is None else const[a]
-    max_diameters, worst = [], []
-    for k, (lo, width) in enumerate(cylinder_levels(system, n), start=1):
-        size = width.size // m  # words one level up
-        max_diameters.append(float(np.max(width)))
-        if k == n and np.any(width <= 0.0):
-            slot = int(np.argmax(width <= 0.0))
+    size, count, worst, nodes = 1, 1.0, None, 0
+    children, max_diameters = [], []
+    for k in range(1, n + 1):  # size: nodes one level up
+        _image_level(branches, lo, width, size)
+        max_diameters.append(float(np.max(width[:m * size])))
+        if k == n and np.any(width[:m * size] <= 0.0):
+            zero = width[:m * size] <= 0.0
+            if children:  # slot a*R + j: symbol a before node j
+                zero = zero.reshape(m, -1)[:, word_nodes(children)].ravel()
             raise DegenerateCylinderError(
-                word_label(slot_words(m, n, [slot])[0]))
+                word_label(slot_words(m, n, [int(np.argmax(zero))])[0]))
         if gap and k < n:
             _add_level(g, size, m, term)  # depth k from depth k-1
-            mid = lo + 0.5 * width if None in const else None
-        elif gap:  # -log(width)/n - g/n at depth n, before phi's last level
-            for a in range(m):
-                for part in _parts(size):
-                    lam = np.log(width[a * size:][part])
-                    np.negative(lam, out=lam)
-                    lam /= n
-                    g_n = np.add(term(a, part), g[part])
-                    g_n /= n
-                    lam -= g_n
-                    worst.append(np.max(np.abs(lam, out=lam)))
+            if None in const:
+                mid = lo[:m * size] + 0.5 * width[:m * size]
+        elif gap:  # depth-n g sums by the chunk, before phi's last level
+            worst = max(_rate_gap(width[a * size:][part],
+                                  np.add(term(a, part), g[part]), n)
+                        for a in range(m) for part in _parts(size))
             g = mid = None
         if phi is not None:
-            level = np.broadcast_to(potential.on_cylinders(
-                m, first, lo.reshape(m, -1), width.reshape(m, -1)), (m, size))
+            level = value if value is not None else potential.on_cylinders(
+                m, first, lo[:m * size].reshape(m, -1),
+                width[:m * size].reshape(m, -1))
+            level = np.broadcast_to(level, (m, size))
             if k == 1:
                 phi[:m] = np.ravel(level)
             else:
                 _add_level(phi, size, m, lambda a, part: level[a, part])
             level = None
-    return LevelPass(width, phi, float(np.max(worst)) if gap else None,
-                     max_diameters, 1.0, None,
-                     sum(m**k for k in range(1, n + 1)))
+        if merge:
+            heads, child = _distinct_states(
+                [key[:m * size] for key in (width, phi, g) if key is not None])
+            count = np.bincount(child, np.tile(count, m))
+            children.append(child)
+            size = heads.size
+            room = size * m if k < n else size
+            width, phi, g = [
+                None if key is None else np.concatenate(
+                    [key[heads], np.empty(room - size)])
+                for key in (width, phi, g)]
+        else:
+            size *= m
+        nodes += size
+    return LevelPass(width, phi, worst, max_diameters, count,
+                     tuple(children) if merge else None, nodes)
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
@@ -598,8 +602,7 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     if np.any(width <= 0.0):
         bad = int(np.argmax(width[node] <= 0.0))
         raise DegenerateCylinderError(word_label(tuple(words[bad])))
-    lam = -np.log(width) / n
-    return float(np.max(np.abs(lam - gsum / n)))
+    return _rate_gap(width, gsum, n)
 
 
 def geometric_potential(system: IfsSystem, depth: int) -> WordFunction:

@@ -45,7 +45,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
-from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval,
+from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _heads,
                        _suffix_cylinders, neg_log_derivative,
                        top_level, word_nodes)
 from .potentials import PotentialSpec, potential_arrays
@@ -299,33 +299,19 @@ def moran_dimension(system: IfsSystem, n: int) -> float:
 # shared depth-n arrays
 # ---------------------------------------------------------------------------
 
-def _heads(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Whether each word of ``order`` starts a run of bit-equal ``keys``
-    (the first always does), read one ``_CHUNK`` of gathered keys at a
-    time rather than as whole sorted copies."""
-    new = np.ones(order.size, dtype=bool)
-    for start in range(1, order.size, _CHUNK):
-        words = order[start - 1:start + _CHUNK]
-        differ = np.zeros(words.size - 1, dtype=bool)
-        for key in keys:
-            sorted_key = key[words]
-            differ |= sorted_key[1:] != sorted_key[:-1]
-        new[start:start + _CHUNK] = differ
-    return new
-
-
 class DepthContext:
     """Depth-n data shared by both estimator routes.
 
     ``rows`` is the only depth-n state: words whose cylinder width and
-    Birkhoff sum are bit-equal share one row, and everything the routes
+    Birkhoff sum are equal as floats share one row (so do -0.0 and 0.0
+    sums; the row keeps its lowest node's bits), and everything the routes
     compute (the partition sum ``Rows.log_z`` behind the Gibbs and Moran
     solvers, the cover window, the Lyapunov ``floor``, the block measure's
     weights) depends on a word only through that pair, so the grouping is
     exact.  Widths, sums, ``lemma1_gap`` and ``slack`` come from one
     ``top_level`` pass, which keeps one level and returns its depth-n
     nodes.  On affine branches with a word-local potential a node is a
-    distinct (width, phi, g) state with a word count, so nothing here has
+    distinct (width, phi) state with a word count, so nothing here has
     m^n entries (linear [1/2, 1/2] at n=18: 2^18 words, 19 nodes, 19 rows;
     the context peaks at 0.01 word arrays).  Otherwise a node is a word.
     With no two widths tied and one word per node (as on

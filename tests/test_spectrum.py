@@ -20,8 +20,8 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
 from mfspec.geometry import (Branch, CylinderTable, IfsSystem, _add_level,
-                             _g, cylinder_levels, example2_system, fold,
-                             g_eval, geometric_potential, lambda_n,
+                             _g, _mobius, cylinder_levels, example2_system,
+                             fold, g_eval, geometric_potential, lambda_n,
                              lemma1_gap, linear_system,
                              manneville_pomeau_system, neg_log_derivative,
                              project, top_level)
@@ -45,6 +45,12 @@ MIXED = linear_system([0.5, 1 / 3])
 EX2 = example2_system()
 MP = manneville_pomeau_system(0.5)
 MP2 = manneville_pomeau_system(2.0)
+# one branch with a slope, one without: a constant g term beside midpoints
+SLOPE_AND_MOBIUS = IfsSystem(branches=(
+    Branch(map=lambda x: 0.4 * np.asarray(x, dtype=float),
+           derivative=lambda x: np.full_like(np.asarray(x, dtype=float), 0.4),
+           slope=0.4),
+    _mobius(1, 1, 1, 2)))
 COIN = first_symbol([1.0, 0.0])
 COIN_SPEC = BesicovitchSpec(m=2, ratio=0.5, values=(1.0, 0.0))
 
@@ -903,6 +909,10 @@ def _pass_case(draw):
 @example((HALVES, first_symbol([-0.0, 0.0]), 8))
 @example((HALVES, first_symbol([0.0, -0.0]), 8))
 @example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 8))
+# a per-word pass whose g terms are a constant for one branch and midpoint
+# values for the other, under a word-local and a func potential
+@example((SLOPE_AND_MOBIUS, first_symbol([1.0, 0.0]), 8))
+@example((SLOPE_AND_MOBIUS, coordinate(), 8))
 def test_one_level_pass_matches_stored_table(case):
     system, potential, n = case
     ctx = DepthContext(system, potential, SolverOptions(n=n))
@@ -1085,21 +1095,25 @@ def test_sweep_forms_no_block_measure(monkeypatch):
 def test_mp_depth_context_keeps_one_row_per_word():
     # no two MP widths tie, so the rows are ell and phi in width order
     # and word_row (int32) with a scalar count; a float count of ones took
-    # 3.5 retained and 6.1 peak word arrays
+    # 3.5 retained and 6.1 peak word arrays; the peak is the level pass's
+    # (4.58), and forming the gap after phi's last level took it to 5.0
     n = 16
     DepthContext(MP, coordinate(), SolverOptions(n=4))
     held, peak = _traced(lambda: DepthContext(MP, coordinate(),
                                              SolverOptions(n=n)))
     assert held <= 2.5 * 8 * 2**n + 4096  # and the objects' headers
-    assert peak <= 5.5 * 8 * 2**n
+    assert peak <= 4.8 * 8 * 2**n
 
 
 def test_mp_pass_evaluates_branches_in_chunks():
-    # whole-block Newton inverses took this pass to 8.0 word arrays
+    # whole-block Newton inverses took this pass to 8.0 word arrays; in
+    # chunks it holds lo, width and phi, and g and the midpoints of depth
+    # n-1 (4.58 with temporaries); forming the gap after phi's last level
+    # took 5.0
     n = 16
     top_level(MP, 4, coordinate(), gap=True)
     _, peak = _traced(lambda: top_level(MP, n, coordinate(), gap=True))
-    assert peak <= 6.5 * 8 * 2**n
+    assert peak <= 4.8 * 8 * 2**n
 
 
 def test_word_cap_is_checked_before_allocating():
