@@ -29,6 +29,7 @@ _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
 _NEWTON_MAX_ITER = 100
 _CHUNK = 4096  # words per branch evaluation in a level pass
+_INVERSE_TABLE = 1024  # cells of a Manneville-Pomeau branch's start table
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,14 @@ def _image_level(branches: Sequence[Branch], lo, width, size: int) -> None:
     a's ``image_of`` of slot j of ``lo``, ``width``.  Block 0, which
     overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
     branch's temporaries never grow with the depth.  With ``lo`` None every
-    branch declares a slope and only ``slope * width`` is formed."""
-    for a in reversed(range(len(branches))):
+    branch declares a slope and only ``slope * width`` is formed, as one
+    broadcast multiply when the level has at most ``_CHUNK`` slots."""
+    m = len(branches)
+    if lo is None and m * size <= _CHUNK:
+        np.multiply([[b.slope] for b in branches], width[:size],
+                    out=width[:m * size].reshape(m, size))
+        return
+    for a in reversed(range(m)):
         for part in _parts(size):
             if lo is None:
                 width[a * size:][part] = branches[a].slope * width[part]
@@ -331,13 +338,20 @@ def cylinder_levels(system: IfsSystem, depth: int):
         yield lo[:m * size], width[:m * size]
 
 
-def _add_level(sums: np.ndarray, size: int, m: int, block: Callable) -> None:
+def _add_level(sums: np.ndarray, size: int, m: int, block) -> None:
     """Birkhoff sums one level deeper in place, S(a w) = v(a w) + S(w), from
-    S in ``sums[:size]`` and v in ``block(a, part)`` for the ``_parts`` of
-    block a; block 0 overlaps S: last."""
+    S in ``sums[:size]`` and v in ``block``: an array broadcastable to (m,
+    size), or ``block(a, part)`` for the ``_parts`` of block a; block 0
+    overlaps S: last.  An array block over at most ``_CHUNK`` slots takes
+    one broadcast add."""
+    if not callable(block) and m * size <= _CHUNK:
+        np.add(block, sums[:size], out=sums[:m * size].reshape(m, size))
+        return
+    whole = None if callable(block) else np.broadcast_to(block, (m, size))
     for a in reversed(range(m)):
         for part in _parts(size):
-            np.add(block(a, part), sums[part], out=sums[a * size:][part])
+            v = block(a, part) if whole is None else whole[a, part]
+            np.add(v, sums[part], out=sums[a * size:][part])
 
 
 class CylinderTable:
@@ -387,7 +401,7 @@ class CylinderTable:
         sums[:self.m] = values[0]
         for v in values[1:]:
             v = v.reshape(self.m, -1)
-            _add_level(sums, v.shape[1], self.m, lambda a, part: v[a, part])
+            _add_level(sums, v.shape[1], self.m, v)
         return sums
 
     @property
@@ -525,7 +539,10 @@ def top_level(system: IfsSystem, n: int, potential=None,
 
         def term(a, part):
             return _g(branches[a], mid[part]) if const[a] is None else const[a]
-    size, count, worst, nodes = 1, 1.0, None, 0
+        # merged nodes take the constant terms as one (m, 1) block
+        terms = np.array(const)[:, None] if merge else term
+    size, worst, nodes = 1, None, 0
+    count = np.ones(1) if merge else 1.0
     children, max_diameters = [], []
     for k in range(1, n + 1):  # size: nodes one level up
         _image_level(branches, lo, width, size)
@@ -537,7 +554,7 @@ def top_level(system: IfsSystem, n: int, potential=None,
             raise DegenerateCylinderError(
                 word_label(slot_words(m, n, [int(np.argmax(zero))])[0]))
         if gap and k < n:
-            _add_level(g, size, m, term)  # depth k from depth k-1
+            _add_level(g, size, m, terms)  # depth k from depth k-1
             if None in const:
                 mid = lo[:m * size] + 0.5 * width[:m * size]
         elif gap:  # depth-n g sums by the chunk, before phi's last level
@@ -549,16 +566,15 @@ def top_level(system: IfsSystem, n: int, potential=None,
             level = value if value is not None else potential.on_cylinders(
                 m, first, lo[:m * size].reshape(m, -1),
                 width[:m * size].reshape(m, -1))
-            level = np.broadcast_to(level, (m, size))
             if k == 1:
-                phi[:m] = np.ravel(level)
+                phi[:m] = np.ravel(np.broadcast_to(level, (m, 1)))
             else:
-                _add_level(phi, size, m, lambda a, part: level[a, part])
+                _add_level(phi, size, m, level)
             level = None
         if merge:
             heads, child = _distinct_states(
                 [key[:m * size] for key in (width, phi, g) if key is not None])
-            count = np.bincount(child, np.tile(count, m))
+            count = np.bincount(child, np.concatenate([count] * m))
             children.append(child)
             size = heads.size
             room = size * m if k < n else size
@@ -710,10 +726,20 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
 
     The forward map is piecewise onto with branch domains split where
     x + x^(1+beta) crosses 1; the left inverse branch is parabolic at 0.  The
-    forward map is convex and increasing, so Newton's method started right
-    of the root, at min(target, hi), decreases monotonically onto it;
-    iteration stops once no entry decreases, which leaves the fixed point 0
-    exact.  The same inverse, applied to 1, finds the cut.
+    forward map is convex and increasing, so a Newton step from any point
+    lands right of the root, and Newton's method started there decreases
+    monotonically onto it; iteration stops once no entry decreases, which
+    leaves the fixed point 0 exact.  Each step takes one power, p = x^beta:
+    residual (x - target) + x*p, derivative 1 + (1+beta)*p.  At
+    construction each branch tabulates its inverse at ``_INVERSE_TABLE`` + 1
+    uniform points of [0,1], started at min(target, hi) as the same inverse
+    applied to 1 finds the cut.  A call starts from the table's linear
+    interpolant, which lies left of the concave inverse, takes one Newton
+    step to its right, and the same loop finishes: about 3.5 evaluations
+    per point instead of 6.  Against starting at min(target, hi) with
+    x^(1+beta) as a power of its own, points move by at most 1 ulp where
+    1 + beta is exact in binary.  Points are solved ``_CHUNK`` at a time (a shorter remainder joins the
+    part before), so the Newton temporaries never grow with the input.
     """
     if not 0.0 < beta:
         raise ValueError("beta must be positive")
@@ -721,25 +747,57 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
     def forward_derivative(x):
         return 1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta
 
-    def invert(y, lo, hi, offset):
+    def newton(x, target, lo, p, xp, out):
+        """The Newton step from x into ``out``, floored at lo; p and xp are
+        scratch.  x - target is exact on the left branch (Sterbenz), so the
+        residual carries no rounding of the forward value itself."""
+        np.power(x, beta, out=p)
+        np.subtract(x, target, out=out)
+        out += np.multiply(x, p, out=xp)  # the residual
+        p *= 1.0 + beta
+        p += 1.0  # the forward derivative
+        out /= p
+        np.subtract(x, out, out=out)
+        np.maximum(out, lo, out=out)
+
+    def invert(y, lo, hi, offset, table=None):
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        target = np.atleast_1d(y) + offset
-        x = np.minimum(target, hi)
-        for _ in range(_NEWTON_MAX_ITER):
-            # x - target is exact on the left branch (Sterbenz), so the
-            # residual carries no rounding of the forward value itself
-            residual = x - target + x ** (1.0 + beta)
-            step = np.maximum(x - residual / forward_derivative(x), lo)
-            if not np.any(step < x):
-                return x[0] if scalar else x
-            x = np.minimum(step, x)
-        raise SolverError(f"Manneville-Pomeau inverse (beta={beta:g}) did "
-                          f"not settle in {_NEWTON_MAX_ITER} Newton steps")
+        flat, inverse = y.ravel(), np.empty(y.size)
+        # a chunk of cylinders and its last right end are one part
+        starts = range(0, max(flat.size - _CHUNK, 0) + 1, _CHUNK)
+        for part in map(slice, starts, [*starts[1:], flat.size]):
+            target = flat[part] + offset
+            top = np.minimum(target, hi)
+            x, (p, xp, step) = inverse[part], np.empty((3, top.size))
+            if table is None:
+                x[:] = top
+            else:  # left of the root, then one step to its right
+                at = np.multiply(flat[part], _INVERSE_TABLE, out=p)
+                cell = np.minimum(at.astype(np.intp), _INVERSE_TABLE - 1)
+                at -= cell
+                np.multiply(table[1].take(cell, mode="clip"), at, out=x)
+                x += table[0].take(cell, mode="clip")
+                np.maximum(x, lo, out=x)
+                np.minimum(x, top, out=x)
+                newton(x, target, lo, p, xp, step)
+                np.minimum(step, top, out=x)
+            for _ in range(_NEWTON_MAX_ITER):
+                newton(x, target, lo, p, xp, step)
+                if not (step < x).any():
+                    break
+                np.minimum(step, x, out=x)
+            else:
+                raise SolverError(
+                    f"Manneville-Pomeau inverse (beta={beta:g}) did not "
+                    f"settle in {_NEWTON_MAX_ITER} Newton steps")
+        return inverse.reshape(y.shape)[()]
 
     def branch(lo, hi, offset, **flags):
+        at = invert(np.linspace(0.0, 1.0, _INVERSE_TABLE + 1), lo, hi, offset)
+        table = at[:-1], np.diff(at)  # each cell's left value and rise
+
         def inverse(y):
-            return invert(y, lo, hi, offset)
+            return invert(y, lo, hi, offset, table)
         return Branch(map=inverse, derivative=lambda y: 1.0 / (
             forward_derivative(inverse(y))), **flags)
 

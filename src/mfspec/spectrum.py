@@ -46,7 +46,7 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _heads,
-                       _suffix_cylinders, neg_log_derivative,
+                       _parts, _suffix_cylinders, neg_log_derivative,
                        top_level, word_nodes)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
@@ -318,8 +318,10 @@ class DepthContext:
     Manneville-Pomeau) one argsort groups them: each word is its own row
     and ``rows.count`` is the scalar 1.0.  Otherwise a lexsort on (width,
     phi) merges nodes whose pairs are equal, the lowest node's bits kept,
-    and ``rows.count`` sums the nodes' word counts; ties are found one
-    chunk of sorted keys at a time (``_heads``), and only the row heads
+    and ``rows.count`` sums the nodes' word counts, or stays the scalar 1.0
+    when each node is a word and no pair ties (linear [1/2, 1/2] with
+    ``coordinate``: every width ties, every phi differs); ties are found
+    one chunk of sorted keys at a time (``_heads``), and only the row heads
     are gathered.  ``word_row`` maps each word, in slot order, to its row;
     it is the one way back from rows to words, composed through the pass's
     child maps when first read (``LowerBoundResult.measure`` reads it, a
@@ -361,8 +363,9 @@ class DepthContext:
             del width, heads
             row = np.cumsum(new, dtype=np.int32)
             row -= 1
-            count = np.bincount(row, None if np.ndim(count) == 0
-                                else count[order]).astype(float, copy=False)
+            if np.ndim(count) or not new.all():  # else each word is a row
+                weights = None if np.ndim(count) == 0 else count[order]
+                count = np.bincount(row, weights).astype(float, copy=False)
         self._node_row = np.empty_like(row)
         self._node_row[order] = row
         self.rows = Rows(np.negative(np.log(ell, out=ell), out=ell), phi,
@@ -695,14 +698,17 @@ def _window_midpoints(system: IfsSystem, seq: np.ndarray,
     from the window's start, is at least ``depth`` long; all such windows
     are that symbol's constant word, one row per symbol.  So only the starts
     s with r1 - s < depth in a run [r0, r1) that is not the last vary, and
-    they are found from the run boundaries alone: the map holds O(runs *
-    depth) entries and nothing per position.  Each varying window is a row
+    they are found from the run boundaries alone, compared one ``_CHUNK``
+    of positions at a time: the map holds O(runs * depth) entries and
+    nothing per position.  Each varying window is a row
     whose column j is ``seq[starts + j]``, read without a 2-D copy, and
     ``_suffix_cylinders`` steps each distinct suffix of the rows once, so
     the cylinders equal a per-window ``fold`` bit for bit.
     """
     count = len(seq) - depth + 1
-    edges = np.flatnonzero(seq[1:] != seq[:-1]) + 1
+    edges = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        np.flatnonzero(seq[part.start + 1:part.stop + 1] != seq[part])
+        + part.start + 1 for part in _parts(len(seq) - 1)])
     run_lo, run_hi = np.append(0, edges), np.append(edges, len(seq))
     begin = np.maximum(run_lo[:-1], edges - depth + 1)
     size = np.maximum(np.minimum(edges, count) - begin, 0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfspec import geometry
 from mfspec.errors import (DegenerateCylinderError, EnumerationLimitError,
                            InsufficientDepthError)
 from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
@@ -186,6 +187,108 @@ def test_mp_small_beta_inverse_matches_mpmath(beta):
                 assert x == 0.0
             else:
                 assert abs(x - ref) <= 4 * np.spacing(float(ref)), (beta, y)
+
+
+_EXACT_BETAS = (0.25, 0.5, 1.0, 2.0)  # 1 + beta is exact in binary
+
+
+def _inverse_grid(seed=7):
+    """y sampled uniformly on [0, 1], log-uniformly down to 1e-300 and
+    at 1 - 2^-k up to one ulp below 1, with 0 and 1 themselves."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, 1e-300, 1.0], rng.random(24),
+                           10.0 ** rng.uniform(-300, 0, 24),
+                           1.0 - 2.0 ** -np.arange(1, 54, 4)])
+
+
+@pytest.mark.parametrize("beta", _EXACT_BETAS)
+def test_mp_inverse_is_within_two_ulp_of_mpmath(beta):
+    # the branch solves x + x^(1+beta) = fl(y + offset); against its
+    # 60-digit root, 3,000 sampled y per branch stayed under 1 ulp at each
+    # of these beta, started at min(target, hi) or from the table
+    system = manneville_pomeau_system(beta)
+    left, right = system.branches
+    assert left.map(0.0) == 0.0
+    assert right.map(0.0) == system.params["cut"]
+    for branch, offset in ((left, 0.0), (right, 1.0)):
+        grid = _inverse_grid()
+        for y, x in zip(grid, branch.map(grid)):
+            ref = _mp_inverse_reference(float(y + offset), beta)
+            if ref == 0:
+                assert x == 0.0
+            else:
+                assert abs(x - ref) <= 2 * np.spacing(float(ref)), (beta, y)
+
+
+def _newton_from_the_right(y, beta, lo, hi, offset):
+    """The inverse started at min(target, hi), two powers per step: the
+    monotone loop as it ran before the tabulated start."""
+    target = np.atleast_1d(np.asarray(y, dtype=float)) + offset
+    x = np.minimum(target, hi)
+    for _ in range(100):
+        residual = x - target + x ** (1.0 + beta)
+        step = np.maximum(
+            x - residual / (1.0 + (1.0 + beta) * x ** beta), lo)
+        if not np.any(step < x):
+            return x
+        x = np.minimum(step, x)
+    raise AssertionError("Newton from the right did not settle")
+
+
+_INVERSE_SYSTEMS = {beta: manneville_pomeau_system(beta)
+                    for beta in _EXACT_BETAS}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_EXACT_BETAS), st.sampled_from([0, 1]),
+       st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e-6)
+                | st.floats(1.0 - 1e-6, 1.0), min_size=1, max_size=50))
+def test_mp_inverse_within_an_ulp_of_newton_from_the_right(beta, side, ys):
+    # the tabulated start and the one-power step move some points by one
+    # ulp and none by more (at beta with an inexact 1 + beta, as 0.1,
+    # x^(1+beta) carries that rounding, and the two loops differ by more)
+    system = _INVERSE_SYSTEMS[beta]
+    cut = system.params["cut"]
+    lo, hi = (0.0, cut) if side == 0 else (cut, 1.0)
+    ys = np.array(ys)
+    ref = _newton_from_the_right(ys, beta, lo, hi, float(side))
+    got = system.branches[side].map(ys)
+    assert np.all(np.abs(got - ref) <= np.spacing(ref))
+
+
+def test_mp_inverse_takes_at_most_four_newton_steps_per_call(monkeypatch):
+    # each Newton step takes one power: on the n=16 pass (108 calls of at
+    # most 4097 points) the tabulated start settles in 2-4 steps a call,
+    # where starting at min(target, hi) took 5-6 (x^(1+beta) a second
+    # power in each)
+    powers = [0]
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def power(self, *args, **kwargs):
+            powers[0] += 1
+            return np.power(*args, **kwargs)
+
+    steps = []
+
+    def per_call(fn):
+        def counted(y):
+            before = powers[0]
+            out = fn(y)
+            steps.append(powers[0] - before)
+            return out
+        return counted
+
+    counted = IfsSystem(branches=tuple(dataclasses.replace(
+        b, map=per_call(b.map), derivative=per_call(b.derivative))
+        for b in MP.branches), name=MP.name)
+    steps.clear()
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    top_level(counted, 16, coordinate(), gap=True)
+    assert len(steps) == 108
+    assert 1 <= min(steps) and max(steps) <= 4
 
 
 def test_mp_parabolic_flags():
