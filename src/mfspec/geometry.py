@@ -422,8 +422,10 @@ class LevelPass(NamedTuple):
     """What ``top_level`` keeps of the depth-n level.
 
     ``width`` and ``phi`` hold one entry per depth-n node: each word, in
-    slot order, when ``children`` is None, else a distinct (width, phi)
-    state standing for ``count`` words.  ``children[k-1]`` maps slot
+    slot order, when ``children`` is None (``count`` is then the scalar
+    1.0), else a bit-distinct (width, phi) state standing for ``count``
+    words, numbered by its lowest word slot.  ``DepthContext`` takes these
+    nodes, in this order, as its rows.  ``children[k-1]`` maps slot
     a*R + j, symbol a before node j of the R depth-(k-1) nodes, to its
     depth-k node (depth 0 is one node); ``word_nodes`` composes them.
     ``gap`` is sup |lambda_n - A_n g| (None unless asked for),
@@ -452,9 +454,9 @@ def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
 
 def _heads(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     """Whether each entry of ``order`` starts a run of equal ``keys`` (the
-    first always does), compared as values of their dtype (as floats,
-    -0.0 equals 0.0), read one ``_CHUNK`` of gathered keys at a time rather
-    than as whole sorted copies."""
+    first always does), read one ``_CHUNK`` of gathered keys at a time
+    rather than as whole sorted copies.  ``_distinct_states`` passes the
+    keys' bits, so -0.0 and 0.0 differ."""
     new = np.ones(order.size, dtype=bool)
     for start in range(1, order.size, _CHUNK):
         run = order[start - 1:start + _CHUNK]

@@ -45,9 +45,9 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      InvalidScheduleError, MfspecError, NoCylindersError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
-from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _heads,
-                       _parts, _suffix_cylinders, neg_log_derivative,
-                       top_level, word_nodes)
+from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _parts,
+                       _suffix_cylinders, neg_log_derivative, top_level,
+                       word_nodes)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
 
@@ -191,10 +191,11 @@ class _Gibbs(NamedTuple):
 
 
 class Rows(NamedTuple):
-    """Depth-n cylinders grouped into rows, with their partition function.
+    """Depth-n cylinders as rows, with their partition function.
 
     Row i stands for ``count[i]`` cylinders of minus log-diameter ``ell[i]``
-    and Birkhoff sum ``phi[i]``.  ``log_z`` alone forms the weights of
+    and Birkhoff sum ``phi[i]``; rows may come in any order, and two rows
+    may share a pair.  ``log_z`` alone forms the weights of
     Z(t, q) = sum count * exp(-t*ell + q*phi): the Gibbs statistics are its
     derivatives, and a Moran root solves Z(s, 0) = 1 without ``phi``.  A
     scalar count is 1.0, one word per row: ``log_z`` skips the multiply.
@@ -302,29 +303,20 @@ def moran_dimension(system: IfsSystem, n: int) -> float:
 class DepthContext:
     """Depth-n data shared by both estimator routes.
 
-    ``rows`` is the only depth-n state: words whose cylinder width and
-    Birkhoff sum are equal as floats share one row (so do -0.0 and 0.0
-    sums; the row keeps its lowest node's bits), and everything the routes
-    compute (the partition sum ``Rows.log_z`` behind the Gibbs and Moran
-    solvers, the cover window, the Lyapunov ``floor``, the block measure's
-    weights) depends on a word only through that pair, so the grouping is
-    exact.  Widths, sums, ``lemma1_gap`` and ``slack`` come from one
-    ``top_level`` pass, which keeps one level and returns its depth-n
-    nodes.  On affine branches with a word-local potential a node is a
-    distinct (width, phi) state with a word count, so nothing here has
-    m^n entries (linear [1/2, 1/2] at n=18: 2^18 words, 19 nodes, 19 rows;
-    the context peaks at 0.01 word arrays).  Otherwise a node is a word.
-    With no two widths tied and one word per node (as on
-    Manneville-Pomeau) one argsort groups them: each word is its own row
-    and ``rows.count`` is the scalar 1.0.  Otherwise a lexsort on (width,
-    phi) merges nodes whose pairs are equal, the lowest node's bits kept,
-    and ``rows.count`` sums the nodes' word counts, or stays the scalar 1.0
-    when each node is a word and no pair ties (linear [1/2, 1/2] with
-    ``coordinate``: every width ties, every phi differs); ties are found
-    one chunk of sorted keys at a time (``_heads``), and only the row heads
-    are gathered.  ``word_row`` maps each word, in slot order, to its row;
-    it is the one way back from rows to words, composed through the pass's
-    child maps when first read (``LowerBoundResult.measure`` reads it, a
+    ``rows`` is the only depth-n state: the depth-n nodes of one
+    ``top_level`` pass, in node order, which also gives ``lemma1_gap`` and
+    ``slack``.  Everything the routes compute (the partition sum
+    ``Rows.log_z`` behind the Gibbs and Moran solvers, the cover window,
+    the Lyapunov ``floor``, the block measure's weights) is a sum over
+    rows or depends on a word only through its (width, phi) pair, so no
+    row order or further grouping is needed.  On affine branches with a
+    word-local potential a node is a bit-distinct (width, phi) state with a
+    word count, numbered by its lowest word slot, so nothing here has m^n
+    entries (linear [1/2, 1/2] at n=18: 2^18 words, 19 rows; the context
+    peaks at 0.01 word arrays).  Otherwise each word is a row, in slot
+    order, and ``rows.count`` is the scalar 1.0.  ``word_row`` maps each
+    word, in slot order, to its row; it is the one way back from rows to
+    words, formed when first read (``LowerBoundResult.measure`` reads it, a
     sweep does not).  One debug record gives the words, rows and nodes
     stepped.
     ``delta`` is the Lyapunov floor of both routes: ``opts.delta``, else
@@ -344,43 +336,20 @@ class DepthContext:
         self.lemma1_gap, self._children = level.gap, level.children
         self.slack = (0.5 * potential.lipschitz
                       * math.fsum(level.max_diameters) / self.n)
-        width, phi, count = level.width, level.phi, level.count
-        nodes = level.nodes
-        del level  # its arrays are freed as the grouping goes
-        order = np.argsort(width)
-        if np.ndim(count) == 0 and _heads(order, width)[1:].all():
-            # a row per word, lexsort's order
-            ell = width[order]
-            del width
-            phi = phi[order]
-            row = np.arange(ell.size, dtype=np.int32)
-        else:
-            del order  # free the first sort before the second
-            order = np.lexsort((phi, width))
-            new = _heads(order, width, phi)
-            heads = order[new]
-            ell, phi = width[heads], phi[heads]
-            del width, heads
-            row = np.cumsum(new, dtype=np.int32)
-            row -= 1
-            if np.ndim(count) or not new.all():  # else each word is a row
-                weights = None if np.ndim(count) == 0 else count[order]
-                count = np.bincount(row, weights).astype(float, copy=False)
-        self._node_row = np.empty_like(row)
-        self._node_row[order] = row
-        self.rows = Rows(np.negative(np.log(ell, out=ell), out=ell), phi,
-                         count)
+        ell = level.width
+        self.rows = Rows(np.negative(np.log(ell, out=ell), out=ell),
+                         level.phi, level.count)
         _debug("depth %d: %d words in %d (width, phi) rows, %d nodes stepped",
-               self.n, system.m**self.n, ell.size, nodes)
+               self.n, system.m**self.n, ell.size, level.nodes)
 
     @cached_property
     def word_row(self) -> np.ndarray:
-        """Each word's row, in slot order (int32, m^n entries): the nodes'
-        rows, through the level pass's child maps when nodes merged words.
+        """Each word's row, in slot order (int32, m^n entries): the identity
+        when each word is a row, else the level pass's child maps composed.
         Formed when first read; a sweep never reads it."""
         if self._children is None:
-            return self._node_row
-        return self._node_row[word_nodes(self._children)]
+            return np.arange(self.rows.ell.size, dtype=np.int32)
+        return word_nodes(self._children).astype(np.int32)
 
     @cached_property
     def floor(self) -> np.ndarray | None:
@@ -556,12 +525,13 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
     clamped at its cap) raises ``SolverError``.  At a boundary alpha the
     constraint only confines the measure to the extreme words: their rows
     join the floor mask, q is 0 (reported as None), and t is their Moran
-    root, whose Newton steps ``iterations`` counts.  ``gibbs_evals`` is
-    ``iterations`` + 1: one evaluation per step and one at the point
-    returned.  Everything runs over the context's (width, phi) rows: the
-    floor (``DepthContext.floor``, shared with the cover route), the tie set
-    and the final word weight exp(q*phi - t*ell - shift) / z are formed once
-    per row.  Those weights are checked as a ``BlockMeasure``'s are (no
+    root, whose Newton steps ``iterations`` counts; ``dim`` is that root
+    itself, not H/L re-formed from its moments with other rounding.
+    ``gibbs_evals`` is ``iterations`` + 1: one evaluation per step and one
+    at the point returned.  Everything runs over the context's (width, phi)
+    rows: the floor (``DepthContext.floor``, shared with the cover route),
+    the tie set and the final word weight exp(q*phi - t*ell - shift) / z
+    are formed once per row.  Those weights are checked as a ``BlockMeasure``'s are (no
     negative weight, total 1 over the words, else ``ValueError``); the
     per-word measure gathers them through ``ctx.word_row`` when
     ``LowerBoundResult.measure`` is first read, so feasibility and the
@@ -605,7 +575,8 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
         w[mask] = kept
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
     return LowerBoundResult(
-        dim=entropy / e_ell, t=t, q=None if boundary else q,
+        dim=t if boundary else entropy / e_ell, t=t,
+        q=None if boundary else q,
         alpha_achieved=e_phi / n, lyapunov=e_ell / n,
         entropy_rate=entropy / n, iterations=iterations,
         gibbs_evals=iterations + 1, boundary=boundary, row_weights=w,

@@ -807,7 +807,8 @@ def test_lower_at_most_unconstrained_root(case, data):
 @given(_row_case(), st.data())
 def test_lower_at_a_boundary_is_the_tie_rows_moran_root(case, data):
     # at an end of the achievable range the constraint keeps only the
-    # extreme words, and the sup of H/L over them is their Moran root
+    # extreme words, and the sup of H/L over them is their Moran root:
+    # the value reported is that root itself, bit for bit
     system, potential, n = case
     floors = np.unique(CylinderTable(system, n).lambda_array)[1:].tolist()
     delta = data.draw(st.none() | st.sampled_from(floors)) if floors else None
@@ -820,19 +821,39 @@ def test_lower_at_a_boundary_is_the_tie_rows_moran_root(case, data):
     tie = np.abs(ctx.rows.phi - edge) <= 1e-9
     root = ctx.rows.where(tie if floor is None else tie & floor).moran_root()
     assert res.boundary
-    assert abs(res.dim - root[0]) <= 4 * math.ulp(root[0])
+    assert res.dim == root[0]
 
 
 # ---------------------------------------------------------------------------
 # the one-level pass against a stored table
 # ---------------------------------------------------------------------------
 
+def _node_rows(system, potential, width, phi):
+    """(rows, word_row) in the level pass's node order, from per-word widths
+    and sums in slot order.  When the pass merges (affine branches, a
+    word-local potential) a row is a bit-distinct (width, phi) state, in
+    order of its lowest word slot, with its word count; otherwise each word
+    is a row, in slot order, with the scalar count 1.0."""
+    if not (all(b.slope is not None for b in system.branches)
+            and potential.word_local):
+        return (Rows(-np.log(width), phi, 1.0),
+                np.arange(width.size, dtype=np.int32))
+    state = {}
+    word_row = np.array(
+        [state.setdefault(key, len(state)) for key in zip(
+            width.view(np.int64).tolist(), phi.view(np.int64).tolist())],
+        dtype=np.int32)
+    first = np.unique(word_row, return_index=True)[1]
+    return (Rows(-np.log(width[first]), phi[first],
+                 np.bincount(word_row).astype(float)), word_row)
+
+
 def _ref_context(system, potential, n):
     """(rows, word_row, lemma1_gap, slack) formed from a stored table.
 
     The Birkhoff sums tile the suffix sums, the geometric potential is
-    evaluated level by level at the stored midpoints, and words are grouped
-    on (width, phi) with a dict, the lowest slot keeping its pair.
+    evaluated level by level at the stored midpoints, and the words become
+    rows in node order (``_node_rows``).
     """
     table = CylinderTable(system, n)
     m = system.m
@@ -853,18 +874,8 @@ def _ref_context(system, potential, n):
         0.5 * potential.lipschitz
         * math.fsum(float(np.max(table.diameters(k)))
                     for k in range(1, n + 1)) / n)
-    width = table.diameters()
     phi = birkhoff(potential_arrays(table, potential))
-    first = {}
-    for key in zip(width.tolist(), phi.tolist()):
-        first.setdefault(key, key)
-    keys = sorted(first.values())
-    row_of = {key: i for i, key in enumerate(keys)}
-    word_row = np.array([row_of[first[key]] for key in
-                         zip(width.tolist(), phi.tolist())], dtype=np.int32)
-    rows = Rows(-np.log(np.array([k[0] for k in keys])),
-                np.array([k[1] for k in keys]),
-                np.bincount(word_row).astype(float))
+    rows, word_row = _node_rows(system, potential, table.diameters(), phi)
     return rows, word_row, gap, slack
 
 
@@ -894,16 +905,15 @@ def _pass_case(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_pass_case())
-# both grouping paths: no width ties (one row per word, a scalar count),
-# every width tied, some tied (230 distinct widths among 256 words)
+# one row per word (no width ties, every width tied, 230 distinct widths
+# among 256 words) and merged states
 @example((MP, coordinate(), 8))
 @example((HALVES, COIN, 8))
 @example((linear_system([0.3, 0.2, 0.4]), first_symbol([1.0, 0.0, 0.5]), 6))
 @example((EX2, coordinate(), 8))
 # states that merge: equal slopes with different values merge across first
-# symbols; -0.0 and 0.0 are distinct states in one row, which takes the
-# lowest slot's bits whichever sign that is; states that differ in their g
-# sums alone
+# symbols; -0.0 and 0.0 are distinct states and stay distinct rows, each
+# with its own sign bit; states that differ in their g sums alone
 @example((linear_system([0.25, 0.25, 0.5]), first_symbol([0.0, 1.0, 0.0]),
           6))
 @example((HALVES, first_symbol([-0.0, 0.0]), 8))
@@ -920,23 +930,26 @@ def test_one_level_pass_matches_stored_table(case):
     assert np.array_equal(ctx.rows.ell, rows.ell)
     assert np.array_equal(ctx.rows.phi, rows.phi)
     assert np.array_equal(np.signbit(ctx.rows.phi), np.signbit(rows.phi))
-    assert np.array_equal(_counts(ctx.rows), rows.count)
-    # the count is the scalar 1 exactly when no two (width, phi) pairs tie
-    # (a merged level pass always has ties at n >= 2: words that end in ab
-    # and in ba, with a common prefix, share a width and a word-local phi)
+    assert np.array_equal(_counts(ctx.rows), _counts(rows))
+    # the count is the scalar 1 exactly when there are as many rows as
+    # words: a per-word pass keeps value-equal pairs as rows of their own,
+    # and a merged pass always has ties at n >= 2 (words that end in ab and
+    # in ba, with a common prefix, share a width and a word-local phi)
     ties = rows.ell.size < word_row.size
     assert np.ndim(ctx.rows.count) == ties
     assert np.array_equal(ctx.word_row, word_row)
     assert ctx.word_row.dtype == np.int32
+    if not ties:  # a per-word context's word_row is the identity
+        assert np.array_equal(ctx.word_row, np.arange(system.m**n))
     assert ctx.lemma1_gap == gap
     assert ctx.slack == slack
 
 
-def _midpoint_gap_and_lexsort_rows(system, potential, n):
+def _midpoint_gap_and_node_rows(system, potential, n):
     """(gap, rows, word_row) as the level pass and the context formed them
     with a depth-n g array of midpoint terms for every branch, affine ones
-    included, and whole sorted copies for the grouping, from per-word
-    widths and sums of a stored table."""
+    included, from per-word widths and sums of a stored table; the rows in
+    node order (``_node_rows``)."""
     table = CylinderTable(system, n)
     width = table.diameters()
     phi = table.birkhoff(potential_arrays(table, potential))
@@ -951,22 +964,7 @@ def _midpoint_gap_and_lexsort_rows(system, potential, n):
     g /= n
     lam -= g
     gap = float(np.max(np.abs(lam)))
-    order = np.argsort(width)
-    ell = width[order]
-    if np.all(ell[1:] != ell[:-1]):
-        phi, count = phi[order], 1.0
-        row = np.arange(ell.size, dtype=np.int32)
-    else:
-        order = np.lexsort((phi, width))
-        width, phi = width[order], phi[order]
-        new = np.append(True, (width[1:] != width[:-1])
-                        | (phi[1:] != phi[:-1]))
-        ell, phi = width[new], phi[new]
-        row = np.cumsum(new, dtype=np.int32) - 1
-        count = 1.0 if new.all() else np.bincount(row).astype(float)
-    word_row = np.empty_like(row)
-    word_row[order] = row
-    return gap, Rows(-np.log(ell), phi, count), word_row
+    return (gap, *_node_rows(system, potential, width, phi))
 
 
 @st.composite
@@ -993,10 +991,9 @@ def _linear_pass_case(draw):
 @example((linear_system([0.02, 0.662]), first_symbol([1.0, 0.0]), 4))
 def test_affine_pass_equals_midpoint_terms_and_lexsort(case):
     # affine g terms as per-symbol constants, the depth-n g level folded
-    # into the max and the chunked row grouping change no bit
+    # into the max and the merged pass's chunked grouping change no bit
     system, potential, n = case
-    gap, rows, word_row = _midpoint_gap_and_lexsort_rows(system, potential,
-                                                         n)
+    gap, rows, word_row = _midpoint_gap_and_node_rows(system, potential, n)
     assert top_level(system, n, potential, gap=True)[2] == gap
     if n < 2:
         return
@@ -1095,22 +1092,24 @@ def test_sweep_forms_no_block_measure(monkeypatch):
 
 
 def test_mp_depth_context_keeps_one_row_per_word():
-    # no two MP widths tie, so the rows are ell and phi in width order
-    # and word_row (int32) with a scalar count; a float count of ones took
-    # 3.5 retained and 6.1 peak word arrays; the peak is the level pass's
-    # (4.58), and forming the gap after phi's last level took it to 5.0
+    # each MP word is a row, in slot order: the context keeps the level
+    # pass's ell and phi with a scalar count and no word index (word_row is
+    # formed only when read); regrouping the words in width order kept an
+    # int32 row index too (2.5 word arrays), and a float count of ones took
+    # 3.5 retained and 6.1 peak; the peak is the level pass's (4.58), and
+    # forming the gap after phi's last level took it to 5.0
     n = 16
     DepthContext(MP, coordinate(), SolverOptions(n=4))
     held, peak = _traced(lambda: DepthContext(MP, coordinate(),
                                              SolverOptions(n=n)))
-    assert held <= 2.5 * 8 * 2**n + 4096  # and the objects' headers
+    assert held <= 2.0 * 8 * 2**n + 4096  # and the objects' headers
     assert peak <= 4.8 * 8 * 2**n
 
 
 def test_affine_context_with_a_func_potential_keeps_a_scalar_count():
-    # linear [1/2, 1/2] with coordinate at n=18: every width ties and every
-    # phi differs, so the lexsort merges no node and each word is a row;
-    # the count stays the scalar 1.0 (it was a float array of ones)
+    # linear [1/2, 1/2] with coordinate at n=18: a func potential is not
+    # word-local, so the pass merges no node and each word is a row; the
+    # count stays the scalar 1.0 (it was a float array of ones)
     n = 18
     ctx = DepthContext(HALVES, coordinate(), SolverOptions(n=n))
     assert ctx.rows.ell.size == 2**n
