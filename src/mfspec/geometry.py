@@ -200,22 +200,29 @@ def _suffix_cylinders(system: IfsSystem, columns, rows: int):
     """Step each distinct suffix of ``rows`` words once, right to left.
 
     ``columns`` yields the words' symbol columns from last to first.  The
-    suffix from column j on is a node, named by its parent (the suffix from
-    j+1 on) and its symbol at j; ``Branch.image_of`` runs once per node.
-    Yields (node, symbol, parent, lo, width) per column: each row's node,
-    and per node its symbol, its parent's index into the previous yield
-    and its cylinder.  Rows sharing a suffix share its node, so trailing
-    runs and repeated rows are stepped once and gathered through ``node``.
+    suffix from column j on is a node, named by its symbol at j and its
+    parent (the suffix from j+1 on), and numbered in slot order, symbol
+    before parent, as the level pass numbers its children: each branch's
+    nodes are one contiguous block, and ``Branch.image_of`` runs once per
+    block.  Yields (node, symbol, parent, lo, width) per column: each row's
+    node, and per node its symbol, its parent's index into the previous
+    yield and its cylinder.  Rows sharing a suffix share its node, so
+    trailing runs and repeated rows are stepped once and gathered through
+    ``node``.
     """
+    m = system.m
     node, lo, width = np.zeros(rows, dtype=np.intp), np.zeros(1), np.ones(1)
     for column in columns:
-        keys, node = _distinct(node * system.m + column, lo.size * system.m)
-        parent, symbol = np.divmod(keys, system.m)
+        key = np.multiply(column, lo.size, dtype=np.intp)  # uint8 would wrap
+        keys, node = _distinct(np.add(key, node, out=key), lo.size * m)
+        symbol, parent = np.divmod(keys, lo.size)
         lo, width = lo[parent], width[parent]
-        for a, branch in enumerate(system.branches):
-            sel = symbol == a
-            if sel.any():
-                lo[sel], width[sel] = branch.image_of(lo[sel], width[sel])
+        ends = np.searchsorted(symbol, np.arange(m + 1))
+        for branch, start, stop in zip(system.branches, ends, ends[1:]):
+            if start < stop:
+                block = slice(start, stop)
+                lo[block], width[block] = branch.image_of(lo[block],
+                                                          width[block])
         yield node, symbol, parent, lo, width
 
 
@@ -310,19 +317,17 @@ def _image_level(branches: Sequence[Branch], lo, width, size: int) -> None:
     overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
     branch's temporaries never grow with the depth.  With ``lo`` None every
     branch declares a slope and only ``slope * width`` is formed, as one
-    broadcast multiply when the level has at most ``_CHUNK`` slots."""
+    broadcast multiply at every size (numpy buffers the overlapping block-0
+    input, ``size`` entries)."""
     m = len(branches)
-    if lo is None and m * size <= _CHUNK:
+    if lo is None:
         np.multiply([[b.slope] for b in branches], width[:size],
                     out=width[:m * size].reshape(m, size))
         return
     for a in reversed(range(m)):
         for part in _parts(size):
-            if lo is None:
-                width[a * size:][part] = branches[a].slope * width[part]
-            else:
-                lo[a * size:][part], width[a * size:][part] = \
-                    branches[a].image_of(lo[part], width[part])
+            lo[a * size:][part], width[a * size:][part] = \
+                branches[a].image_of(lo[part], width[part])
 
 
 def cylinder_levels(system: IfsSystem, depth: int):
@@ -452,22 +457,6 @@ def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
     return node
 
 
-def _heads(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Whether each entry of ``order`` starts a run of equal ``keys`` (the
-    first always does), read one ``_CHUNK`` of gathered keys at a time
-    rather than as whole sorted copies.  ``_distinct_states`` passes the
-    keys' bits, so -0.0 and 0.0 differ."""
-    new = np.ones(order.size, dtype=bool)
-    for start in range(1, order.size, _CHUNK):
-        run = order[start - 1:start + _CHUNK]
-        differ = np.zeros(run.size - 1, dtype=bool)
-        for key in keys:
-            sorted_key = key[run]
-            differ |= sorted_key[1:] != sorted_key[:-1]
-        new[start:start + _CHUNK] = differ
-    return new
-
-
 def _rate_gap(width: np.ndarray, g: np.ndarray, n: int) -> float:
     """Max of |lambda_n - A_n g| over depth-n cylinders of ``width`` with
     g sums ``g``, formed as |(-log width)/n - g/n| elementwise."""
@@ -481,10 +470,16 @@ def _rate_gap(width: np.ndarray, g: np.ndarray, n: int) -> float:
 def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the equal-length float arrays ``keys`` grouped by their
     bits (-0.0 is not 0.0): the first entry of each distinct state, in
-    ascending order, and each entry's state, numbered in that order."""
+    ascending order, and each entry's state, numbered in that order.  Run
+    heads of the sorted entries are marked from whole gathered keys, one
+    key at a time."""
     bits = [key.view(np.int64) for key in keys]
     order = np.lexsort(bits[::-1])
-    new = _heads(order, *bits)
+    new = np.zeros(order.size, dtype=bool)
+    for key in bits:
+        sorted_key = key[order]
+        new[1:] |= sorted_key[1:] != sorted_key[:-1]
+    new[0] = True
     first = order[new]  # lexsort is stable: each state's first entry
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)

@@ -308,6 +308,20 @@ def test_main_validate_to_file(tmp_path):
     assert out.read_text().startswith("n,s_n,reference,abs_error")
 
 
+def test_run_validate_command_matches_main_validate(tmp_path):
+    # a config whose command is a suite writes the table `mfspec validate`
+    # writes at the same depth, and a sidecar naming the suite
+    raw = make_config(tmp_path, command={"name": "validate", "suite": "moran"},
+                      solver={"n": 6})
+    assert run(parse_config(json.dumps(raw))) == 0
+    ref = tmp_path / "suite.csv"
+    assert main(["validate", "moran", "--n", "6", "--output", str(ref)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == ref.read_bytes()
+    diag = json.loads((tmp_path / "out.csv.diag.json").read_text())
+    assert diag == {"command": "validate", "n": 6, "rows": 3,
+                    "suite": "moran"}
+
+
 def test_validate_without_rows_fails(capsys):
     # a table with only a header is an error, not a result
     for argv in (["markov", "--n", "0"], ["moran", "--n", "1"],

@@ -409,6 +409,17 @@ def test_fold_matches_cylinder_table(case):
     assert np.array_equal(width, table.diameters(n)[slots])
 
 
+def test_fold_of_uint8_words_equals_int64_words():
+    # with more than 128 distinct suffixes a node key symbol * P + parent
+    # formed in uint8 would wrap (or overflow past P = 255)
+    system = linear_system([0.3, 0.2, 0.4])
+    words = np.random.default_rng(3).integers(0, 3, size=(400, 9))
+    assert len(np.unique(words[:, 1:], axis=0)) > 128
+    for got, want in zip(fold(system, words.astype(np.uint8)),
+                         fold(system, words)):
+        assert np.array_equal(got, want)
+
+
 def test_geometric_potential_matches_g_eval():
     g = geometric_potential(MP, depth=6)
     for w in ((0, 1), (1, 0, 1), (0, 0, 0, 1)):

@@ -19,12 +19,12 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            EnumerationLimitError, InfeasibleAlphaError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
-from mfspec.geometry import (Branch, CylinderTable, IfsSystem, _add_level,
-                             _g, _mobius, cylinder_levels, example2_system,
-                             fold, g_eval, geometric_potential, lambda_n,
-                             lemma1_gap, linear_system,
-                             manneville_pomeau_system, neg_log_derivative,
-                             project, top_level)
+from mfspec.geometry import (_CHUNK, Branch, CylinderTable, IfsSystem,
+                             _add_level, _g, _mobius, cylinder_levels,
+                             example2_system, fold, g_eval,
+                             geometric_potential, lambda_n, lemma1_gap,
+                             linear_system, manneville_pomeau_system,
+                             neg_log_derivative, project, top_level)
 from mfspec.oracle import (besicovitch_spectrum, BesicovitchSpec,
                            brute_force_ratio, similarity_dimension)
 from mfspec.potentials import (coordinate, first_symbol, indicator_branch,
@@ -864,8 +864,9 @@ def _ref_context(system, potential, n):
             s = v + np.tile(s, m)
         return s
 
-    g = [np.array([-math.log(float(b.derivative(0.5)))
-                   for b in system.branches])]
+    # the depth-1 terms through ``_g``, as the level pass takes them:
+    # math.log can be one ulp off numpy's log (see the AVX-512 note below)
+    g = [np.array([_g(b, 0.5) for b in system.branches])]
     g += [np.concatenate([-np.log(np.asarray(b.derivative(table.mid(k)),
                                              dtype=float))
                           for b in system.branches]) for k in range(1, n)]
@@ -923,6 +924,11 @@ def _pass_case(draw):
 # values for the other, under a word-local and a func potential
 @example((SLOPE_AND_MOBIUS, first_symbol([1.0, 0.0]), 8))
 @example((SLOPE_AND_MOBIUS, coordinate(), 8))
+# math.log(0.03746498071550521) is one ulp off np.log, and that ulp moves
+# the gap
+@example((linear_system([0.2051917241720728, 0.2710561405421914,
+                         0.08899108106337214, 0.03746498071550521]),
+          first_symbol([-1.0, -1.0, -1.0, -1.0]), 3))
 def test_one_level_pass_matches_stored_table(case):
     system, potential, n = case
     ctx = DepthContext(system, potential, SolverOptions(n=n))
@@ -981,6 +987,12 @@ def _linear_pass_case(draw):
     return system, potential, n
 
 
+# a merged pass whose last level has 7,235 children, more than one _CHUNK;
+# building a 5-branch system also folds the diameter check's sampled words
+WIDE_MERGE = (linear_system([0.11, 0.23, 0.31, 0.07, 0.19]),
+              first_symbol([1.0, 0.3, 0.0, 0.7, 0.2]), 7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_linear_pass_case())
 @example((HALVES, COIN, 9))
@@ -989,12 +1001,17 @@ def _linear_pass_case(draw):
 # with numpy's AVX-512 log, math.log(0.662) is one ulp off the log the
 # midpoint terms take, and that ulp moves the gap here
 @example((linear_system([0.02, 0.662]), first_symbol([1.0, 0.0]), 4))
+@example(WIDE_MERGE)
 def test_affine_pass_equals_midpoint_terms_and_lexsort(case):
     # affine g terms as per-symbol constants, the depth-n g level folded
-    # into the max and the merged pass's chunked grouping change no bit
+    # into the max and the merged pass's one-broadcast width step and
+    # grouping change no bit
     system, potential, n = case
     gap, rows, word_row = _midpoint_gap_and_node_rows(system, potential, n)
-    assert top_level(system, n, potential, gap=True)[2] == gap
+    level = top_level(system, n, potential, gap=True)
+    assert level.gap == gap
+    if case is WIDE_MERGE:
+        assert max(child.size for child in level.children) > _CHUNK
     if n < 2:
         return
     ctx = DepthContext(system, potential, SolverOptions(n=n))
