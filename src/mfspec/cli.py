@@ -76,8 +76,8 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    system: SystemConfig
-    potential: PotentialConfig
+    system: SystemConfig | None  # None only for a validate command
+    potential: PotentialConfig | None
     command: CommandConfig
     solver: SolverOptions
     output: OutputConfig
@@ -225,17 +225,20 @@ def parse_config(text: str) -> RunConfig:
     raw = _require_object(raw, "config")
     _check_keys(raw, ("system", "potential", "command", "solver", "output"),
                 "config")
-    for key in ("system", "potential", "command"):
-        if key not in raw:
-            raise ConfigError(f"missing top-level key '{key}'")
-    system = _parse_named(raw["system"], "system", SystemConfig)
-    potential = _parse_named(raw["potential"], "potential", PotentialConfig)
+    if "command" not in raw:
+        raise ConfigError("missing top-level key 'command'")
     command = _parse_named(raw["command"], "command", CommandConfig)
     if command.suite is not None and command.suite not in _SUITE_RUNNERS:
         raise ConfigError(f"unknown suite '{command.suite}'; available: "
                           f"{', '.join(_SUITE_RUNNERS)}")
+    sections = dict.fromkeys(("system", "potential"))  # a suite fixes both
+    for key, cls in (("system", SystemConfig), ("potential", PotentialConfig)):
+        if key in raw and (raw[key] is not None or command.name != "validate"):
+            sections[key] = _parse_named(raw[key], key, cls)
+        elif command.name != "validate":
+            raise ConfigError(f"missing top-level key '{key}'")
     return RunConfig(
-        system=system, potential=potential, command=command,
+        **sections, command=command,
         solver=_parse_plain(raw.get("solver"), "solver", SolverOptions),
         output=_parse_plain(raw.get("output"), "output", OutputConfig),
     )
@@ -382,6 +385,8 @@ def run(config: RunConfig) -> int:
     if command.name == "validate":
         columns, rows = run_suite(command.suite, config.solver.n)
         diagnostics["suite"] = command.suite
+    elif config.system is None or config.potential is None:
+        raise ConfigError(f"'{command.name}' needs 'system' and 'potential'")
     else:
         system = build_system(config.system)
         potential = build_potential(config.potential)

@@ -4,17 +4,13 @@ Two routes are combined per level value alpha:
 
 * a variational lower route: maximize block entropy over expected log
   cylinder length among depth-n block measures whose mean potential sum is
-  n * alpha.  The maximizer is a Gibbs measure with weights
-  exp(-t*ell + q*phi), so the program is two equations in (t, q): the ratio
-  H/L of the measure equals t, and its mean potential sum equals n * alpha.
-  One safeguarded Newton iteration solves both: t moves to the ratio H/L
-  (Dinkelbach's step, which never passes the unconstrained Moran root), and
-  q takes the q component of the joint Newton step, at most two standard
-  deviations of phi in size.  At an end of the achievable range the
-  constraint only confines the measure to the extreme words, and q = 0
-  there: the value is their Moran root.  The returned value is the
-  entropy/length ratio of an explicitly constructed feasible measure, hence
-  a certified finite-depth value.
+  n * alpha.  The maximizer is a Gibbs measure exp(-t*ell + q*phi) whose
+  (t, q) solves log Z = q * n * alpha at mean n * alpha; then H/L = t.  One
+  Newton solver takes every root the estimators need (Moran roots are its
+  q = 0 case; at an end of the achievable range the value is the extreme
+  words' Moran root), and a sweep continues it from level to level.  The
+  value is the entropy/length ratio of an explicitly constructed feasible
+  measure, hence a certified finite-depth value.
 
 * a cover upper route: the Moran exponent of the depth-n cylinders whose
   word average falls inside the alpha window, widened to the resolution the
@@ -56,10 +52,9 @@ _TIE_TOL = 1e-9
 _SCHEDULE_TOL = 1e-12
 
 
-# Both iterations stop once a t step is at most MORAN_TOL (the lower route's
-# only when its measure also meets the constraint to ALPHA_TOL per symbol)
-# and fail after MAX_ITER steps; a level value within BOUNDARY_TOL of the
-# achievable edge is a boundary value.
+# The (t, q) solver settles once H/L is within MORAN_TOL of t and the mean
+# within ALPHA_TOL per symbol of its target, and gives up after MAX_ITER
+# steps; a level within BOUNDARY_TOL of the achievable edge is a boundary.
 MORAN_TOL = 1e-10
 ALPHA_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -237,10 +232,13 @@ class Rows(NamedTuple):
 
         phi is centred at its Gibbs mean before the second moments are
         summed, so Var(phi) and Cov(ell, phi) are sums of centred products
-        and do not cancel, however far the mean is from a target.
-        """
+        and do not cancel, however far the mean is from a target.  Rows
+        without ``phi`` (Moran rows) read it as 0 and need no ``tmp``."""
         shift, z = self.log_z(t, q, w, tmp)
         e_ell = float(w @ self.ell) / z
+        if self.phi is None:
+            return _Gibbs(shift, z, shift + math.log(z) + t * e_ell, e_ell,
+                          0.0, 0.0, 0.0)
         e_phi = float(w @ self.phi) / z
         np.subtract(self.phi, e_phi, out=tmp)
         w *= tmp
@@ -249,40 +247,24 @@ class Rows(NamedTuple):
                       float(w @ self.ell) / z, float(w @ tmp) / z)
 
     def moran_root(self) -> tuple[float, int]:
-        """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took.
-
-        Newton's step s + f(s) / E_s[ell] on the convex decreasing
-        f(s) = log Z(s, 0), which is the lower route's ratio step H/L at
-        q = 0, kept in this form since the ratio form rounds differently.
-        From log C / max ell, for the total count C >= 1, it climbs onto the
-        root; it stops once a step gains at most MORAN_TOL (a step rounding
-        turns back too), and that step is taken, so the root is within about
-        MORAN_TOL squared.  Cylinders of one width take no sum: the start is
-        their root.
-        """
+        """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took:
+        ``_solve_tq`` with q pinned at 0, whose Newton steps climb from log C
+        / max ell (C >= 1 the count) onto the convex decreasing log Z(s, 0);
+        the root is within about MORAN_TOL squared."""
         ell = self.ell
         if ell.size == 0:
             raise NoCylindersError("no cylinders to cover with")
-        ell_min = float(np.min(ell))
-        if ell_min <= 0.0:
+        if float(np.min(ell)) <= 0.0:
             raise NotContractingError(
                 "some cylinder diameter is >= 1; increase the depth n")
-        log_c = math.log(self.words())
-        s = log_c / float(np.max(ell))
-        evals = 0
-        if s < log_c / ell_min:
-            w = np.empty_like(ell)
-            for evals in range(1, MAX_ITER + 1):
-                shift, z = self.log_z(s, 0.0, w)
-                s, last = s + (shift + math.log(z)) * z / float(w @ ell), s
-                if s - last <= MORAN_TOL:
-                    break
-            else:
-                raise SolverError(f"Moran root did not settle to "
-                                  f"{MORAN_TOL:g} within {MAX_ITER} steps")
+        s, _, _, steps, settled = _solve_tq(Rows(ell, None, self.count), 0.0,
+                                            0.0, np.empty_like(ell), None,
+                                            None, 0.0)
+        if not settled:
+            raise SolverError(f"Moran root did not settle in {MAX_ITER} steps")
         _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
-               evals)
-        return s, evals
+               steps + 1)
+        return s, steps + 1
 
 
 def moran_dimension(system: IfsSystem, n: int) -> float:
@@ -456,86 +438,86 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
 # variational lower route
 # ---------------------------------------------------------------------------
 
-def _newton_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
-               tmp: np.ndarray) -> tuple[float, float, _Gibbs, int]:
-    """The Gibbs point (t, q) of ``rows`` with ratio H/L = t and mean
-    potential sum ``target``: the point, its moments and the steps taken.
+def _solve_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
+              tmp: np.ndarray | None, start: tuple[float, float] | None,
+              cap: float) -> tuple[float, float, _Gibbs, int, bool]:
+    """The root (t, q) of F = (log Z - q*target, E[phi] - target) on
+    ``rows``: the point, its moments, its steps and whether it settled.
 
-    Each step evaluates the moments at (t, q) once, from (0, 0).  t moves
-    to the ratio H/L, Dinkelbach's step, which never passes the
-    unconstrained Moran root.  q takes the q component of Newton's step on
-    (log Z - q*target, E[phi] - target) given that t step,
-    dq = (Cov(ell, phi)*dt - (E[phi] - target)) / Var(phi), shortened to
-    |dq| * sqrt(Var(phi)) <= 2 and kept within |q| <= 700 / max|phi|, so
-    the exponent stays in floating range.  A step that lands outside ``tol``
-    on the other side of the target from the point it left, with a residual
-    no smaller than the one two steps back, alternates without contracting:
-    it is halved back toward the point it left.  On rows with two phi values
-    the coupled steps can otherwise send q from cap to cap for good.  Once a
-    point's residual is within ``tol`` and its t step at most MORAN_TOL, one
-    full Newton step is taken (t also takes the q step's first-order effect
-    on the ratio, q * (E[phi] - target) / E[ell]) and the point it reaches
-    is returned, with t and the measure far inside MORAN_TOL.  It also stops at a point
-    where q sits at the cap and the target lies beyond the Gibbs mean
-    there; that clamp is logged, and the caller's residual check rejects it.
+    From ``start`` (None: the Moran start log C / max ell, q = 0), each
+    step evaluates the moments, which give F's Jacobian (-E[ell],
+    E[phi] - target; -Cov(ell, phi), Var(phi)), and takes Newton's step,
+    dq within |dq| * sqrt(Var(phi)) <= 2 and |q| <= ``cap`` (0 pins q).
+    A Newton point is kept only if it cuts the merit |E[phi] - target| /
+    sqrt(Var(phi)) + |H/L - t| by a tenth; else the point it left steps
+    from its scalars: t to H/L (Dinkelbach's step), q by the q part of
+    Newton's step given that dt.  A point past the target from the one
+    before, by more than ``tol`` and no less than two points back, is
+    halved back toward the one before.  Once within ``tol`` with H/L within
+    MORAN_TOL of t, the point one Newton step on is returned.  It stops
+    unsettled after MAX_ITER steps, or with q at the cap and the target
+    beyond the Gibbs mean (logged).
     """
-    cap = _Q_EXP_LIMIT / max(float(np.max(np.abs(rows.phi))), 1e-12)
-    t = q = 0.0
-    settled, kept = False, []  # the last two points whose step was taken
+    t, q = start or (math.log(rows.words()) / float(np.max(rows.ell)), 0.0)
+    q = min(max(q, -cap), cap)
+    settled, newton, kept = False, False, []  # kept: the last two points
     for steps in range(MAX_ITER + 1):
         gibbs = rows.gibbs(t, q, w, tmp)
-        if settled:
-            return t, q, gibbs, steps
+        if settled or steps == MAX_ITER:
+            return t, q, gibbs, steps, settled
         residual = gibbs.e_phi - target
-        if (len(kept) == 2 and residual * kept[1][2] < 0.0
-                and abs(residual) > tol and abs(residual) >= abs(kept[0][2])):
-            _debug("halving back: residual %.3g", residual)
-            t, q = 0.5 * (t + kept[1][0]), 0.5 * (q + kept[1][1])
-            continue
-        kept = [*kept[-1:], (t, q, residual)]
         ratio = gibbs.entropy / gibbs.e_ell
-        _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
-               t, q, residual)
-        settled = abs(residual) <= tol and abs(ratio - t) <= MORAN_TOL
-        if not settled and abs(q) == cap and q * residual < 0.0:
-            _debug("multiplier clamped at q=%.17g: target %.17g lies beyond "
-                   "the Gibbs mean %.17g there (t=%.17g)", q, target,
-                   gibbs.e_phi, t)
-            return t, q, gibbs, steps
-        if settled:  # the full Newton step
-            ratio += q * residual / gibbs.e_ell
-        dq = gibbs.cov * (ratio - t) - residual
-        if gibbs.var > 0.0:
+        merit = abs(ratio - t) + abs(residual) / max(math.sqrt(gibbs.var),
+                                                     1e-150)
+        if newton and cap and merit > 0.9 * kept[-1][-1]:
+            gibbs, t, q, residual, ratio, merit = kept[-1]
+            newton = False
+        elif (len(kept) == 2 and residual * kept[1][3] < 0.0
+                and abs(residual) > tol and abs(residual) >= abs(kept[0][3])):
+            _debug("halving back: residual %.3g", residual)
+            t, q = 0.5 * (t + kept[1][1]), 0.5 * (q + kept[1][2])
+            newton = False
+            continue
+        else:
+            kept = [*kept[-1:], (gibbs, t, q, residual, ratio, merit)]
+            newton = True
+            _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
+                   t, q, residual)
+            settled = abs(residual) <= tol and abs(ratio - t) <= MORAN_TOL
+            if not settled and abs(q) == cap and q * residual < 0.0:
+                _debug("multiplier clamped at q=%.17g: target %.17g beyond "
+                       "the Gibbs mean %.17g", q, target, gibbs.e_phi)
+                return t, q, gibbs, steps, False
+        # Newton: dt solves F's first row, dq divides by E[ell]'s complement
+        k = residual / gibbs.e_ell if newton else 0.0
+        dt = ((gibbs.shift + math.log(gibbs.z) - q * target) / gibbs.e_ell
+              if newton else ratio - t)
+        dq, den = gibbs.cov * dt - residual, gibbs.var - gibbs.cov * k
+        if den > 0.0:
             reach = 2.0 / math.sqrt(gibbs.var)
-            dq = min(max(dq / gibbs.var, -reach), reach)
+            dq = min(max(dq / den, -reach), reach)
         elif dq:  # phi is constant under the measure: head for the cap
             dq = math.copysign(2.0 * cap, dq)
-        t, q = ratio, min(max(q + dq, -cap), cap)
-    raise SolverError(f"(t, q) iteration did not settle within {MAX_ITER} "
-                      f"steps")
+        dq = min(max(q + dq, -cap), cap) - q
+        t, q = t + dt + k * dq, q + dq
 
 
-def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
+def lower_bound(ctx: DepthContext, alpha: float, *,
+                start: tuple[float, float] = (0.0, 0.0)) -> LowerBoundResult:
     """Best entropy/length ratio over depth-n block measures with mean alpha.
 
-    The maximizer is the Gibbs measure exp(-t*ell + q*phi) / Z whose ratio
-    H/L is t and whose mean potential sum is n * alpha; ``_newton_tq``
-    finds (t, q), and ``iterations`` counts its steps.  A point that misses
-    the constraint by more than 10 times its tolerance (a multiplier
-    clamped at its cap) raises ``SolverError``.  At a boundary alpha the
-    constraint only confines the measure to the extreme words: their rows
-    join the floor mask, q is 0 (reported as None), and t is their Moran
-    root, whose Newton steps ``iterations`` counts; ``dim`` is that root
-    itself, not H/L re-formed from its moments with other rounding.
-    ``gibbs_evals`` is ``iterations`` + 1: one evaluation per step and one
-    at the point returned.  Everything runs over the context's (width, phi)
-    rows: the floor (``DepthContext.floor``, shared with the cover route),
-    the tie set and the final word weight exp(q*phi - t*ell - shift) / z
-    are formed once per row.  Those weights are checked as a ``BlockMeasure``'s are (no
-    negative weight, total 1 over the words, else ``ValueError``); the
-    per-word measure gathers them through ``ctx.word_row`` when
-    ``LowerBoundResult.measure`` is first read, so feasibility and the
-    Gibbs form can be re-verified independently.
+    The maximizer is the Gibbs measure exp(-t*ell + q*phi) / Z with ratio
+    H/L = t and mean potential sum n * alpha: ``_solve_tq`` from ``start``
+    (a sweep's prediction), once more from (0, 0) if that start clamps or
+    does not settle.  ``iterations`` counts both attempts' steps, the
+    restart as one; ``gibbs_evals`` is ``iterations`` + 1.  A point off the
+    constraint by over 10 times its tolerance raises ``SolverError``.  At a
+    boundary alpha only the extreme words meet the constraint: their rows
+    join the floor mask, q is pinned at 0 (reported as None) and ``dim`` is
+    their Moran root t itself.  The final word weights exp(q*phi - t*ell -
+    shift) / z, one per (width, phi) row, are checked as a
+    ``BlockMeasure``'s are; ``LowerBoundResult.measure`` gathers them per
+    word through ``ctx.word_row`` when first read.
     """
     n = ctx.n
     mask = ctx.floor
@@ -547,23 +529,28 @@ def lower_bound(ctx: DepthContext, alpha: float) -> LowerBoundResult:
 
     at_hi = alpha >= hi_avg - BOUNDARY_TOL
     boundary = at_hi or alpha <= lo_avg + BOUNDARY_TOL
+    aim = (hi_phi if at_hi else lo_phi) if boundary else target
     if boundary:  # only the extreme words meet the constraint
-        tie = np.abs(ctx.rows.phi - (hi_phi if at_hi else lo_phi)) <= _TIE_TOL
+        tie = np.abs(ctx.rows.phi - aim) <= _TIE_TOL
         mask = tie if mask is None else mask & tie
     rows = ctx.rows.where(mask)
+    cap = 0.0 if boundary else _Q_EXP_LIMIT / max(
+        float(np.max(np.abs(rows.phi))), 1e-12)
     q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
     w, tmp = np.empty((2, rows.ell.size))
-    if boundary:
-        t, iterations = rows.moran_root()
-        q, gibbs = 0.0, rows.gibbs(t, 0.0, w, tmp)
-    else:
-        t, q, gibbs, iterations = _newton_tq(rows, target, q_tol, w, tmp)
+    iterations = -1
+    for begin in (None,) if boundary else dict.fromkeys((start, (0.0, 0.0))):
+        t, q, gibbs, steps, settled = _solve_tq(rows, aim, q_tol, w, tmp,
+                                                begin, cap)
+        iterations += steps + 1
+        if settled:
+            break
     e_phi = gibbs.e_phi
-    if abs(e_phi - target) > 10.0 * q_tol:
+    if not settled and (steps == MAX_ITER or abs(e_phi - target) > 10 * q_tol):
         raise SolverError(
-            f"constraint residual {abs(e_phi - target):g} after "
-            f"multiplier capping; alpha={alpha:g} is too close to the "
-            f"achievable edge [{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
+            f"(t, q) unsettled after {iterations} steps, constraint residual "
+            f"{abs(e_phi - target):g}, |q| cap {cap:g}: alpha={alpha:g} in "
+            f"[{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
     # one word's weight per row: log_z with unit counts, same shift
     Rows(rows.ell, rows.phi, 1.0).log_z(t, q, w, tmp)
     w /= gibbs.z
@@ -597,10 +584,13 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     per point: a failed point carries its message and the sweep continues.
     A zero depth-n width (``DegenerateCylinderError``) and an invalid ``rho``
     are sweep-level preconditions, raised before any point is computed.
+    Each (t, q) solve starts from the secant through the last two interior
+    levels solved; boundary, flagged and failed levels add none.
     """
     ctx = DepthContext(system, potential, opts)
     interval = parabolic_interval(system, potential)
     rho = ctx.rho  # alpha-independent precondition; fail before sweeping
+    solved = [(-math.inf, 0.0, 0.0)] * 2  # two cold starts, then (alpha, t, q)
 
     def compute(alpha: float) -> SpectrumPoint:
         if interval is not None and interval.contains(alpha):
@@ -611,7 +601,12 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                 moran_evals=ctx.attractor_root[1])
         point, errors = {"lower": None, "upper": None}, []
         try:
-            lb = lower_bound(ctx, alpha)
+            (a0, t0, q0), (a1, t1, q1) = solved[-2:]
+            u = (alpha - a1) / (a1 - a0) if a1 != a0 else 0.0
+            lb = lower_bound(ctx, alpha, start=(t1 + u * (t1 - t0),
+                                                q1 + u * (q1 - q0)))
+            if not lb.boundary:
+                solved.append((alpha, lb.t, lb.q))
             point.update(lower=lb.dim, t=lb.t, q=lb.q,
                          iterations=lb.iterations, gibbs_evals=lb.gibbs_evals)
             del lb  # free its row weights before upper_bound allocates

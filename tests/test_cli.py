@@ -322,6 +322,33 @@ def test_run_validate_command_matches_main_validate(tmp_path):
                     "suite": "moran"}
 
 
+def test_validate_config_needs_no_system_or_potential(tmp_path):
+    # each suite fixes its own system and potential, so a validate config
+    # may leave both sections out; it writes the table `mfspec validate`
+    # writes, and its canonical form round-trips with both null
+    raw = {"command": {"name": "validate", "suite": "moran"},
+           "solver": {"n": 6}, "output": {"path": str(tmp_path / "out.csv")}}
+    cfg = parse_config(json.dumps(raw))
+    assert cfg.system is None and cfg.potential is None
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert run(cfg) == 0
+    ref = tmp_path / "suite.csv"
+    assert main(["validate", "moran", "--n", "6", "--output", str(ref)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == ref.read_bytes()
+    # the `dim` subcommand on it needs the sections it left out
+    path = tmp_path / "validate.json"
+    path.write_text(json.dumps(raw))
+    assert main(["dim", str(path)]) == 1
+    # every other command still requires both
+    for command in ({"name": "spectrum", "alphas": [0.3]}, {"name": "dim"}):
+        for key in ("system", "potential"):
+            short = make_config(tmp_path, command=command)
+            del short[key]
+            with pytest.raises(ConfigError, match=f"missing top-level key "
+                                                  f"'{key}'"):
+                parse_config(json.dumps(short))
+
+
 def test_validate_without_rows_fails(capsys):
     # a table with only a header is an error, not a result
     for argv in (["markov", "--n", "0"], ["moran", "--n", "1"],

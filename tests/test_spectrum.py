@@ -1,5 +1,6 @@
 """Estimator checks: Moran roots, both bound routes, dispatch, sampler."""
 
+import functools
 import logging
 import math
 import os
@@ -45,6 +46,10 @@ MIXED = linear_system([0.5, 1 / 3])
 EX2 = example2_system()
 MP = manneville_pomeau_system(0.5)
 MP2 = manneville_pomeau_system(2.0)
+# E_2: the four Moebius branches x -> (x + b) / (a*x + a*b + 1), a, b in
+# {1, 2}, two continued-fraction digits per symbol; uniformly contracting
+E2 = IfsSystem(branches=tuple(_mobius(1, b, a, a * b + 1)
+                              for a in (1, 2) for b in (1, 2)))
 # one branch with a slope, one without: a constant g term beside midpoints
 SLOPE_AND_MOBIUS = IfsSystem(branches=(
     Branch(map=lambda x: 0.4 * np.asarray(x, dtype=float),
@@ -366,8 +371,9 @@ def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
     # one large potential value caps |q| at 700/4000, too weak to pull the
     # mean potential sum down to 4e-6: the multiplier clamps, the iteration
     # stops there and the residual check rejects the point.  Each step
-    # record is one Gibbs evaluation: 17 here, where the nested solver with
-    # lazy cap probes spent 34
+    # record is one point kept: 17 here, in 21 Gibbs evaluations, 4 of them
+    # Newton points the merit test dropped (the Dinkelbach iteration took
+    # 17 evaluations, the nested solver with lazy cap probes 34)
     system = linear_system([1 / 3] * 3)
     potential = first_symbol([1000.0, 1e-3, 0.0])
     caplog.set_level(logging.DEBUG, logger="mfspec")
@@ -600,18 +606,113 @@ _MP_SWEEP = (0.27810802065823936, 0.18296704565847607, 0.45801396017191964,
 
 
 def test_lower_sweep_gibbs_evaluations_are_pinned():
-    # the (t, q) iteration takes 51 Gibbs evaluations over these six levels,
-    # Dinkelbach over a bisecting multiplier solve 116; every value sits on
-    # the tight reference
+    # cold, each level from (0, 0), the (t, q) solver takes 42 Gibbs
+    # evaluations over these six levels (51 before its steps were Newton's,
+    # Dinkelbach over a bisecting multiplier solve 116); the sweep, each
+    # level started from the secant through the levels solved before it,
+    # takes 35; every value sits on the tight reference
     ctx = DepthContext(MP, coordinate(), SolverOptions(n=16))
     rows = ctx.rows
     assert np.all(rows.count == 1.0)
     results = [lower_bound(ctx, alpha) for alpha in _MP_SWEEP]
-    assert sum(res.gibbs_evals for res in results) <= 58
+    assert sum(res.gibbs_evals for res in results) <= 42
+    points = full_spectrum(MP, coordinate(), _MP_SWEEP, SolverOptions(n=16))
+    assert sum(p.gibbs_evals for p in points) <= 35
+    lowers = {p.alpha: p.lower for p in points}
     for alpha, res in zip(_MP_SWEEP, results):
         _, entropy, e_ell, _ = _ref_dinkelbach(rows.ell, rows.phi, ctx.n,
                                                ctx.n * alpha, False)
         assert abs(res.dim - entropy / e_ell) <= 1e-12
+        assert abs(lowers[alpha] - entropy / e_ell) <= 1e-12
+
+
+def test_lower_settles_where_plain_newton_does_not():
+    # plain Newton steps, shortened and capped, do not settle here within
+    # MAX_ITER; a Newton point kept only when it halves the merit does
+    ctx = DepthContext(MP2, polynomial([0.0, 1.0, -0.5]), SolverOptions(n=14))
+    res = lower_bound(ctx, 0.1559232411893609)
+    assert abs(res.dim - 0.38832098732868126) <= 1e-12
+    assert res.q == pytest.approx(-4.36, abs=0.01)
+
+
+def _predicted(solved, alpha):
+    """The sweep's start: the secant through the last two levels solved."""
+    if not solved:
+        return 0.0, 0.0
+    (a0, t0, q0), (a1, t1, q1) = (solved * 2)[-2:]
+    u = (alpha - a1) / (a1 - a0) if a1 != a0 else 0.0
+    return t1 + u * (t1 - t0), q1 + u * (q1 - q0)
+
+
+@st.composite
+def _continuation_case(draw):
+    kind = draw(st.sampled_from(["linear", "example2", "mp", "e2"]))
+    if kind == "linear":
+        m = draw(st.integers(2, 4))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        total = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.3, 1.0))
+        system = linear_system([total * r / sum(raw) for r in raw])
+        values = draw(st.lists(_ROW_VALUES, min_size=m, max_size=m))
+        potential = draw(st.sampled_from([first_symbol(values),
+                                          coordinate()]))
+        n = draw(st.integers(2, {2: 8, 3: 6, 4: 5}[m]))
+    elif kind == "e2":
+        system, potential, n = E2, coordinate(), draw(st.integers(2, 6))
+    else:
+        system = EX2 if kind == "example2" else draw(st.sampled_from([MP,
+                                                                      MP2]))
+        potential = draw(st.sampled_from([coordinate(),
+                                          first_symbol([1.0, 0.0])]))
+        n = draw(st.integers(2, 10))
+    rates = np.unique(DepthContext(system, potential,
+                                   SolverOptions(n=n)).rows.ell / n)
+    delta = draw(st.none() | st.sampled_from(rates[1:].tolist())) \
+        if rates.size > 1 else None
+    levels = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(
+        [-0.05, 0.0, 1.0, 1.05]), min_size=2, max_size=6))
+    return system, potential, SolverOptions(n=n, delta=delta), levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(_continuation_case())
+# the second level starts from the first's q = -303.4, where its multiplier
+# clamps at the cap -486.6: the cold restart settles it in 7 evaluations
+@example((E2, coordinate(), SolverOptions(n=2), [5.960464477539063e-08,
+                                                 0.125]))
+def test_continued_solve_matches_cold_solve(case):
+    # levels in random order, each started from the secant through the
+    # interior levels solved before it (a restart from (0, 0) when that
+    # start clamps or does not settle): the same point as a cold solve.
+    # The constraint E[phi] = n * alpha pins q through dE[phi]/dq =
+    # Var(phi), so q is compared by the change dq * Var(phi) it makes in
+    # the mean: near an edge, where the measure sits almost on one row,
+    # rounding in E[phi] moves q by eps * |phi| / Var(phi) (example2 n=8
+    # with a floor, 6e-8 of the range above its bottom: q = -16.96 differs
+    # by 2e-9 at Var(phi) = 2.4e-7, dim by 2e-15)
+    system, potential, opts, levels = case
+    ctx = DepthContext(system, potential, opts)
+    lo, hi = (v / ctx.n for v in ctx.phi_range)
+    solved = []
+    for u in levels:
+        alpha = lo + u * (hi - lo)
+        cold = _outcome(lower_bound, ctx, alpha)
+        got = _outcome(functools.partial(
+            lower_bound, start=_predicted(solved, alpha)), ctx, alpha)
+        if isinstance(cold, type):
+            assert got is cold
+            continue
+        assert not isinstance(got, type), got
+        assert got.boundary == cold.boundary
+        assert abs(got.dim - cold.dim) <= 1e-12
+        assert abs(got.t - cold.t) <= 1e-12
+        if got.boundary:
+            assert got.q is cold.q is None
+        else:
+            p = cold.row_weights * _counts(ctx.rows)
+            var = p @ (ctx.rows.phi - p @ ctx.rows.phi) ** 2
+            assert abs(got.q - cold.q) * var <= 1e-12
+            assert np.max(np.abs(got.row_weights - cold.row_weights)) <= 1e-12
+            solved.append((alpha, got.t, got.q))
 
 
 # resolution of _ref_upper's bisection: the s_n comparison below needs it
