@@ -249,22 +249,22 @@ class Rows(NamedTuple):
     def moran_root(self) -> tuple[float, int]:
         """Unique s >= 0 with Z(s, 0) = 1 and the partition sums it took:
         ``_solve_tq`` with q pinned at 0, whose Newton steps climb from log C
-        / max ell (C >= 1 the count) onto the convex decreasing log Z(s, 0);
-        the root is within about MORAN_TOL squared."""
+        / max ell (C >= 1 the count; the root on rows of one width) onto the
+        convex decreasing log Z(s, 0), to within about MORAN_TOL squared;
+        the point the last step reaches is not summed."""
         ell = self.ell
         if ell.size == 0:
             raise NoCylindersError("no cylinders to cover with")
         if float(np.min(ell)) <= 0.0:
             raise NotContractingError(
                 "some cylinder diameter is >= 1; increase the depth n")
-        s, _, _, steps, settled = _solve_tq(Rows(ell, None, self.count), 0.0,
-                                            0.0, np.empty_like(ell), None,
-                                            None, 0.0)
+        s, _, _, sums, settled = _solve_tq(Rows(ell, None, self.count), 0.0,
+                                           0.0, np.empty_like(ell))
         if not settled:
             raise SolverError(f"Moran root did not settle in {MAX_ITER} steps")
         _debug("Moran root over %d rows: s=%.17g after %d sums", ell.size, s,
-               steps + 1)
-        return s, steps + 1
+               sums)
+        return s, sums
 
 
 def moran_dimension(system: IfsSystem, n: int) -> float:
@@ -439,63 +439,63 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
 # ---------------------------------------------------------------------------
 
 def _solve_tq(rows: Rows, target: float, tol: float, w: np.ndarray,
-              tmp: np.ndarray | None, start: tuple[float, float] | None,
-              cap: float) -> tuple[float, float, _Gibbs, int, bool]:
-    """The root (t, q) of F = (log Z - q*target, E[phi] - target) on
-    ``rows``: the point, its moments, its steps and whether it settled.
+              tmp: np.ndarray | None = None, start: tuple | None = None,
+              cap: float = 0.0) -> tuple:
+    """Root (t, q) of F = (log Z - q*target, E[phi] - target) on ``rows``:
+    the point, its moments (None for a Moran root), steps and if settled.
 
-    From ``start`` (None: the Moran start log C / max ell, q = 0), each
-    step evaluates the moments, which give F's Jacobian (-E[ell],
-    E[phi] - target; -Cov(ell, phi), Var(phi)), and takes Newton's step,
-    dq within |dq| * sqrt(Var(phi)) <= 2 and |q| <= ``cap`` (0 pins q).
-    A Newton point is kept only if it cuts the merit |E[phi] - target| /
-    sqrt(Var(phi)) + |H/L - t| by a tenth; else the point it left steps
-    from its scalars: t to H/L (Dinkelbach's step), q by the q part of
-    Newton's step given that dt.  A point past the target from the one
-    before, by more than ``tol`` and no less than two points back, is
-    halved back toward the one before.  Once within ``tol`` with H/L within
-    MORAN_TOL of t, the point one Newton step on is returned.  It stops
-    unsettled after MAX_ITER steps, or with q at the cap and the target
-    beyond the Gibbs mean (logged).
+    From ``start`` (None: q = 0 and log C / max ell, the root if the rows
+    have one width), each step evaluates the moments, which hold F's
+    Jacobian (-E[ell], E[phi] - target; -Cov(ell, phi), Var(phi)).  A point
+    whose merit |E[phi] - target| / sqrt(Var(phi)) + |H/L - t| is at most
+    half the one before's takes Newton's step; any other, or one where
+    Newton's dq has no positive divisor while Var(phi) > 0, the safeguarded
+    step: t to H/L (Dinkelbach's), q by the q part of Newton's step given
+    that dt.  Both keep |dq| * sqrt(Var(phi)) <= 2 and |q| <= ``cap`` (0
+    pins q, and every step is then Newton's).  A point past the target from
+    the one before, by over ``tol`` and no less than two back, is halved
+    back toward it.  Once within ``tol`` with H/L within MORAN_TOL of t, the
+    point one Newton step on is returned, unevaluated on rows without
+    ``phi``.  It stops unsettled after MAX_ITER steps, or with q at the cap
+    short of the target (logged).
     """
     t, q = start or (math.log(rows.words()) / float(np.max(rows.ell)), 0.0)
     q = min(max(q, -cap), cap)
-    settled, newton, kept = False, False, []  # kept: the last two points
+    settled = start is None and float(np.ptp(rows.ell)) == 0.0
+    last, kept = math.inf, []  # kept: the last two points
     for steps in range(MAX_ITER + 1):
+        if settled and rows.phi is None:  # a Moran root: s is all it gives
+            return t, q, None, steps, True
         gibbs = rows.gibbs(t, q, w, tmp)
         if settled or steps == MAX_ITER:
             return t, q, gibbs, steps, settled
         residual = gibbs.e_phi - target
-        ratio = gibbs.entropy / gibbs.e_ell
-        merit = abs(ratio - t) + abs(residual) / max(math.sqrt(gibbs.var),
-                                                     1e-150)
-        if newton and cap and merit > 0.9 * kept[-1][-1]:
-            gibbs, t, q, residual, ratio, merit = kept[-1]
-            newton = False
-        elif (len(kept) == 2 and residual * kept[1][3] < 0.0
-                and abs(residual) > tol and abs(residual) >= abs(kept[0][3])):
+        if (len(kept) == 2 and residual * kept[1][2] < 0.0
+                and abs(residual) > tol and abs(residual) >= abs(kept[0][2])):
             _debug("halving back: residual %.3g", residual)
-            t, q = 0.5 * (t + kept[1][1]), 0.5 * (q + kept[1][2])
-            newton = False
+            t, q = 0.5 * (t + kept[1][0]), 0.5 * (q + kept[1][1])
             continue
-        else:
-            kept = [*kept[-1:], (gibbs, t, q, residual, ratio, merit)]
-            newton = True
-            _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
-                   t, q, residual)
-            settled = abs(residual) <= tol and abs(ratio - t) <= MORAN_TOL
-            if not settled and abs(q) == cap and q * residual < 0.0:
-                _debug("multiplier clamped at q=%.17g: target %.17g beyond "
-                       "the Gibbs mean %.17g", q, target, gibbs.e_phi)
-                return t, q, gibbs, steps, False
+        kept = [*kept[-1:], (t, q, residual)]
+        ratio = gibbs.entropy / gibbs.e_ell
+        sd = max(math.sqrt(gibbs.var), 1e-150)
+        merit = abs(ratio - t) + abs(residual) / sd
+        _debug("Newton step %d: t=%.17g q=%.17g residual=%.3g", steps + 1,
+               t, q, residual)
+        settled = abs(residual) <= tol and abs(ratio - t) <= MORAN_TOL
+        if not settled and abs(q) == cap and q * residual < 0.0:
+            _debug("multiplier clamped at q=%.17g: target %.17g beyond "
+                   "the Gibbs mean %.17g", q, target, gibbs.e_phi)
+            return t, q, gibbs, steps, False
         # Newton: dt solves F's first row, dq divides by E[ell]'s complement
-        k = residual / gibbs.e_ell if newton else 0.0
-        dt = ((gibbs.shift + math.log(gibbs.z) - q * target) / gibbs.e_ell
-              if newton else ratio - t)
-        dq, den = gibbs.cov * dt - residual, gibbs.var - gibbs.cov * k
+        k = residual / gibbs.e_ell
+        dt = (gibbs.shift + math.log(gibbs.z) - q * target) / gibbs.e_ell
+        den = gibbs.var - gibbs.cov * k
+        newton, last = settled or not cap or merit <= 0.5 * last, merit
+        if not newton or den <= 0.0 < gibbs.var:  # the safeguarded step
+            k, dt, den = 0.0, ratio - t, gibbs.var
+        dq = gibbs.cov * dt - residual
         if den > 0.0:
-            reach = 2.0 / math.sqrt(gibbs.var)
-            dq = min(max(dq / den, -reach), reach)
+            dq = min(max(dq / den, -2.0 / sd), 2.0 / sd)
         elif dq:  # phi is constant under the measure: head for the cap
             dq = math.copysign(2.0 * cap, dq)
         dq = min(max(q + dq, -cap), cap) - q
@@ -584,8 +584,8 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     per point: a failed point carries its message and the sweep continues.
     A zero depth-n width (``DegenerateCylinderError``) and an invalid ``rho``
     are sweep-level preconditions, raised before any point is computed.
-    Each (t, q) solve starts from the secant through the last two interior
-    levels solved; boundary, flagged and failed levels add none.
+    Each interior level's (t, q) solve starts from the secant through the
+    last two interior levels solved, at most 4 spacings on.
     """
     ctx = DepthContext(system, potential, opts)
     interval = parabolic_interval(system, potential)
@@ -602,7 +602,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
         point, errors = {"lower": None, "upper": None}, []
         try:
             (a0, t0, q0), (a1, t1, q1) = solved[-2:]
-            u = (alpha - a1) / (a1 - a0) if a1 != a0 else 0.0
+            u = min((alpha - a1) / (a1 - a0), 4.0) if a1 != a0 else 0.0
             lb = lower_bound(ctx, alpha, start=(t1 + u * (t1 - t0),
                                                 q1 + u * (q1 - q0)))
             if not lb.boundary:

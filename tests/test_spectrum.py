@@ -367,18 +367,23 @@ def test_options_reject_non_finite_values(key, value):
         SolverOptions(n=4, **{key: value})
 
 
-def test_lower_logs_steps_rows_and_clamped_multiplier(caplog):
+def test_lower_logs_steps_rows_and_clamped_multiplier(caplog, monkeypatch):
     # one large potential value caps |q| at 700/4000, too weak to pull the
     # mean potential sum down to 4e-6: the multiplier clamps, the iteration
     # stops there and the residual check rejects the point.  Each step
-    # record is one point kept: 17 here, in 21 Gibbs evaluations, 4 of them
-    # Newton points the merit test dropped (the Dinkelbach iteration took
-    # 17 evaluations, the nested solver with lazy cap probes 34)
+    # record is one Gibbs evaluation: 17 here, as many as the Dinkelbach
+    # iteration took, where the nested solver with lazy cap probes spent 34
     system = linear_system([1 / 3] * 3)
     potential = first_symbol([1000.0, 1e-3, 0.0])
     caplog.set_level(logging.DEBUG, logger="mfspec")
+    ctx = DepthContext(system, potential, SolverOptions(n=4))
+    evals = []
+    gibbs = Rows.gibbs
+    monkeypatch.setattr(Rows, "gibbs",
+                        lambda *a: evals.append(1) or gibbs(*a))
     with pytest.raises(SolverError):
-        lower_bound(DepthContext(system, potential, SolverOptions(n=4)), 1e-6)
+        lower_bound(ctx, 1e-6)
+    assert len(evals) <= 17
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("depth 4: 81 words in ") for m in messages)
     assert any(m.startswith("Newton step 1: t=0 ") for m in messages)
@@ -628,7 +633,10 @@ def test_lower_sweep_gibbs_evaluations_are_pinned():
 
 def test_lower_settles_where_plain_newton_does_not():
     # plain Newton steps, shortened and capped, do not settle here within
-    # MAX_ITER; a Newton point kept only when it halves the merit does
+    # MAX_ITER; Newton's step taken only from a point that halved the merit
+    # of the one before, the safeguarded step from any other, settles in 8
+    # evaluations.  At (0, 0) Newton's dq has a negative divisor: heading
+    # for the cap there, not taking the safeguarded step, clamps at once
     ctx = DepthContext(MP2, polynomial([0.0, 1.0, -0.5]), SolverOptions(n=14))
     res = lower_bound(ctx, 0.1559232411893609)
     assert abs(res.dim - 0.38832098732868126) <= 1e-12
@@ -636,11 +644,12 @@ def test_lower_settles_where_plain_newton_does_not():
 
 
 def _predicted(solved, alpha):
-    """The sweep's start: the secant through the last two levels solved."""
+    """The sweep's start: the secant through the last two levels solved,
+    at most four times their spacing past the last."""
     if not solved:
         return 0.0, 0.0
     (a0, t0, q0), (a1, t1, q1) = (solved * 2)[-2:]
-    u = (alpha - a1) / (a1 - a0) if a1 != a0 else 0.0
+    u = min((alpha - a1) / (a1 - a0), 4.0) if a1 != a0 else 0.0
     return t1 + u * (t1 - t0), q1 + u * (q1 - q0)
 
 
@@ -671,6 +680,23 @@ def _continuation_case(draw):
     levels = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(
         [-0.05, 0.0, 1.0, 1.05]), min_size=2, max_size=6))
     return system, potential, SolverOptions(n=n, delta=delta), levels
+
+
+def test_sweep_prediction_is_bounded_past_a_close_pair():
+    # two levels 1e-12 of the range apart near an edge, then a distant one:
+    # the unbounded secant through the pair carries its rounding 5e11 times
+    # over, and the third level, started there, takes 71 evaluations where
+    # a cold start takes 5; the prediction, at most four spacings past the
+    # last level, costs 12, and every value is the cold solve's
+    system = linear_system([0.3, 0.2, 0.4])
+    potential = first_symbol([1.0, 0.0, -1.0])
+    opts = SolverOptions(n=6)
+    alphas = [-0.998, -0.997999999998, 0.0]
+    points = full_spectrum(system, potential, alphas, opts)
+    assert sum(p.gibbs_evals for p in points) <= 27
+    ctx = DepthContext(system, potential, opts)
+    for p in points:
+        assert abs(p.lower - lower_bound(ctx, p.alpha).dim) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
