@@ -409,7 +409,7 @@ def _linear_level(draw):
 def test_lower_linear_value_is_depth_free_and_fast(case):
     # with affine branches and a word-local potential the best block measure
     # is a product measure, so the depth-n value does not depend on n; the
-    # (t, q) iteration reaches it in a handful of steps: at most 12 Gibbs
+    # (t, q) iteration reaches it in a handful of steps: at most 9 Gibbs
     # evaluations over 1500 examples, where Dinkelbach over a bisecting
     # multiplier solve took up to 34
     system, potential, alpha = case
