@@ -9,14 +9,15 @@ increasing, endpoint images suffice.
 
 Depth-n rates: lambda_n(w) = -(1/n) log diam(cylinder(w)).  The geometric
 potential g assigns to a word the branch log-derivative at (an approximation
-of) the projected shifted sequence; ``lemma1_gap`` measures how far the two
-notions are apart at a given depth, which is the uniform-approximation
-residual attached to every variational dimension report.
+of) the projected shifted sequence; ``lemma1_gap`` measures how far lambda_n
+is from -(1/n) log g_w' over a cylinder, the uniform-approximation residual
+attached to every variational dimension report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +73,8 @@ class Branch:
     endpoint difference, whose relative error grows as cylinders shrink
     far from 0, and ``map`` (elementwise) runs once per distinct endpoint:
     a right end bit for bit the next left end takes that end's image, so k
-    adjacent cylinders cost k + 1 points.
+    adjacent cylinders cost k + 1 points.  ``derivative_at_image`` may give
+    the derivative at y from x = map(y), as 1/f'(x) for an inverse branch.
     """
 
     map: Callable
@@ -82,20 +84,29 @@ class Branch:
     label: str = ""
     map_width: Callable | None = None
     slope: float | None = None
+    derivative_at_image: Callable | None = None
 
     def image_of(self, lo, width):
         if self.slope is not None:
             return self.map(lo), self.slope * width
         if self.map_width is not None:
             return self.map(lo), self.map_width(lo, width)
-        hi = lo + width
-        own = np.ones(hi.size, dtype=bool)  # as bits: -0.0 is not 0.0
-        own[:-1] = hi[:-1].view(np.int64) != lo[1:].view(np.int64)
-        image = self.map(np.concatenate([lo, hi[own]]))
-        image_lo, image_hi = image[:lo.size], np.empty(lo.size)
-        image_hi[:-1] = image_lo[1:]
-        image_hi[own] = image[lo.size:]
+        image_lo, image_hi = _at_ends(self.map, lo, lo + width)
         return image_lo, image_hi - image_lo
+
+    def end_terms(self, lo, width, image_lo, image_width):
+        """-log of the derivative at lo and lo + width, rows 0 and 1, read
+        at the images' ends where declared; one constant if affine."""
+        if self.slope is not None:
+            return self._term
+        if self.derivative_at_image is None:
+            return _at_ends(lambda y: _g(self, y), lo, lo + width)
+        return _at_ends(lambda x: -np.log(self.derivative_at_image(x)),
+                        image_lo, image_lo + image_width)
+
+    @cached_property
+    def _term(self) -> np.ndarray:  # an affine branch's end terms, (2, 1)
+        return np.full((2, 1), _g(self, np.full(1, 0.5))[0])
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
@@ -184,6 +195,17 @@ class IfsSystem:
         return any(b.parabolic for b in self.branches)
 
 
+def _at_ends(f, lo, hi) -> np.ndarray:
+    """f at lo and at hi, rows 0 and 1, from one call of the elementwise
+    ``f``: a right end bit for bit the next left end takes that end's value."""
+    own = np.ones(hi.size, dtype=bool)  # as bits: -0.0 is not 0.0
+    own[:-1] = hi[:-1].view(np.int64) != lo[1:].view(np.int64)
+    value, at = f(np.concatenate([lo, hi[own]])), np.empty((2, lo.size))
+    at[0], at[1, :-1] = value[:lo.size], value[1:lo.size]
+    at[1, own] = value[lo.size:]
+    return at
+
+
 # ---------------------------------------------------------------------------
 # word-level operations
 # ---------------------------------------------------------------------------
@@ -196,7 +218,7 @@ def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(used), (np.cumsum(used) - 1)[keys]
 
 
-def _suffix_cylinders(system: IfsSystem, columns, rows: int):
+def _suffix_cylinders(system: IfsSystem, columns, rows: int, sums=None):
     """Step each distinct suffix of ``rows`` words once, right to left.
 
     ``columns`` yields the words' symbol columns from last to first.  The
@@ -204,11 +226,12 @@ def _suffix_cylinders(system: IfsSystem, columns, rows: int):
     parent (the suffix from j+1 on), and numbered in slot order, symbol
     before parent, as the level pass numbers its children: each branch's
     nodes are one contiguous block, and ``Branch.image_of`` runs once per
-    block.  Yields (node, symbol, parent, lo, width) per column: each row's
-    node, and per node its symbol, its parent's index into the previous
-    yield and its cylinder.  Rows sharing a suffix share its node, so
-    trailing runs and repeated rows are stepped once and gathered through
-    ``node``.
+    block.  Yields (node, symbol, parent, lo, width, sums) per column:
+    each row's node, and per node its symbol, its parent's index into the
+    previous yield, its cylinder and, from ``sums`` (2, 1) at the root,
+    its parent's end sums plus its ``Branch.end_terms``.  Rows sharing a suffix
+    share its node, so trailing runs and repeated rows are stepped once
+    and gathered through ``node``.
     """
     m = system.m
     node, lo, width = np.zeros(rows, dtype=np.intp), np.zeros(1), np.ones(1)
@@ -217,13 +240,17 @@ def _suffix_cylinders(system: IfsSystem, columns, rows: int):
         keys, node = _distinct(np.add(key, node, out=key), lo.size * m)
         symbol, parent = np.divmod(keys, lo.size)
         lo, width = lo[parent], width[parent]
+        sums = None if sums is None else sums[:, parent]
         ends = np.searchsorted(symbol, np.arange(m + 1))
         for branch, start, stop in zip(system.branches, ends, ends[1:]):
             if start < stop:
                 block = slice(start, stop)
-                lo[block], width[block] = branch.image_of(lo[block],
-                                                          width[block])
-        yield node, symbol, parent, lo, width
+                image = branch.image_of(lo[block], width[block])
+                if sums is not None:
+                    sums[:, block] += branch.end_terms(lo[block],
+                                                       width[block], *image)
+                lo[block], width[block] = image
+        yield node, symbol, parent, lo, width, sums
 
 
 def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +264,8 @@ def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
     words = np.asarray(words)
     node = np.zeros(len(words), dtype=np.intp)
     lo, width = np.zeros(1), np.ones(1)
-    for node, _, _, lo, width in _suffix_cylinders(system, reversed(words.T),
-                                                   len(words)):
+    for node, _, _, lo, width, _ in _suffix_cylinders(
+            system, reversed(words.T), len(words)):
         pass
     return lo[node], width[node]
 
@@ -246,6 +273,15 @@ def fold(system: IfsSystem, words) -> tuple[np.ndarray, np.ndarray]:
 def _g(branch: Branch, x):
     """-log branch'(x): the one formula every geometric potential term takes."""
     return -np.log(branch.derivative(x))
+
+
+def end_sums(system: IfsSystem, words) -> tuple[np.ndarray, ...]:
+    """(width, D_lo, D_hi) of the rows of a (count, n >= 1) symbol array:
+    -log g_w' at 0 and 1, summed bit for bit as the level pass sums them."""
+    for node, *_, width, sums in _suffix_cylinders(system, reversed(
+            np.asarray(words).T), len(words), np.zeros((2, 1))):
+        pass
+    return width[node], *sums[:, node]
 
 
 def neg_log_derivative(system: IfsSystem, symbols: np.ndarray,
@@ -311,14 +347,16 @@ def _parts(size: int):
     return (slice(i, min(i + _CHUNK, size)) for i in range(0, size, _CHUNK))
 
 
-def _image_level(branches: Sequence[Branch], lo, width, size: int) -> None:
+def _image_level(branches: Sequence[Branch], lo, width, size: int,
+                 ends=None) -> None:
     """Cylinders one level deeper in place: slot a*size + j becomes branch
     a's ``image_of`` of slot j of ``lo``, ``width``.  Block 0, which
     overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
-    branch's temporaries never grow with the depth.  With ``lo`` None every
-    branch declares a slope and only ``slope * width`` is formed, as one
-    broadcast multiply at every size (numpy buffers the overlapping block-0
-    input, ``size`` entries)."""
+    branch's temporaries never grow with the depth; ``ends(a, part, lo,
+    width, image_lo, image_width)`` sees each call before its write.  With
+    ``lo`` None every branch declares a slope and only ``slope * width`` is
+    formed, as one broadcast multiply at every size (numpy buffers the
+    overlapping block-0 input, ``size`` entries)."""
     m = len(branches)
     if lo is None:
         np.multiply([[b.slope] for b in branches], width[:size],
@@ -326,8 +364,11 @@ def _image_level(branches: Sequence[Branch], lo, width, size: int) -> None:
         return
     for a in reversed(range(m)):
         for part in _parts(size):
-            lo[a * size:][part], width[a * size:][part] = \
-                branches[a].image_of(lo[part], width[part])
+            image = branches[a].image_of(lo[part], width[part])
+            if ends:
+                ends(a, part, lo[part], width[part], *image)
+            lo[a * size:][part], width[a * size:][part] = image
+            del image  # freed before the next call's temporaries
 
 
 def cylinder_levels(system: IfsSystem, depth: int):
@@ -433,7 +474,7 @@ class LevelPass(NamedTuple):
     nodes, in this order, as its rows.  ``children[k-1]`` maps slot
     a*R + j, symbol a before node j of the R depth-(k-1) nodes, to its
     depth-k node (depth 0 is one node); ``word_nodes`` composes them.
-    ``gap`` is sup |lambda_n - A_n g| (None unless asked for),
+    ``gap`` is the Lemma-1 gap (``lemma1_gap``; None unless asked for),
     ``max_diameters`` the largest width per depth and ``nodes`` the number
     of nodes stepped over all levels.
     """
@@ -457,14 +498,13 @@ def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
     return node
 
 
-def _rate_gap(width: np.ndarray, g: np.ndarray, n: int) -> float:
-    """Max of |lambda_n - A_n g| over depth-n cylinders of ``width`` with
-    g sums ``g``, formed as |(-log width)/n - g/n| elementwise."""
+def _rate_gap(width: np.ndarray, sums, n: int) -> float:
+    """Max of |lambda_n - D/n| over cylinders of ``width`` and their end
+    sums D in ``sums``, formed as |(-log width)/n - D/n| elementwise."""
     lam = np.log(width)
     np.negative(lam, out=lam)
     lam /= n
-    lam -= g / n
-    return float(np.max(np.abs(lam, out=lam)))
+    return max(float(np.max(np.abs(lam - d / n))) for d in sums)
 
 
 def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -495,21 +535,18 @@ def top_level(system: IfsSystem, n: int, potential=None,
 
     Returns a ``LevelPass``: depth-n widths and Birkhoff sums of a
     ``PotentialSpec``'s ``on_cylinders`` values (None without
-    ``potential``), sup |lambda_n - A_n g| if ``gap`` and the largest width
-    per depth.  Each level forms the m*R children of its R nodes in slot
-    order a*R + j, in place behind the parents: widths by one
-    ``_image_level`` step, phi and g by one ``_add_level`` step each.  g's
-    terms are branch -log-derivatives at 0.5, then at suffix midpoints,
-    formed for the gap alone; an affine branch (``Branch.slope``) takes one
-    constant term, from one derivative call, and no midpoints.  The g sums
-    are kept up to depth n-1: the depth-n ones are formed one ``_CHUNK`` at
-    a time inside the max, elementwise as a depth-n array would be, and
-    freed before the potential's last level.
+    ``potential``), the Lemma-1 gap if ``gap`` and the largest width per
+    depth.  Each level forms the m*R children of its R nodes in slot order
+    a*R + j, in place behind the parents: widths by one ``_image_level``
+    step, phi by one ``_add_level`` step, and the gap's end sums D_lo, D_hi
+    (``end_sums``; one if every branch is affine) from ``Branch.end_terms``
+    in the image step, kept to depth n-1: depth n is formed by the chunk
+    inside the max, as a whole array would be, before phi's last level.
 
     When every branch is affine and the potential is word-local or absent,
     no step reads ``lo``, and bit-equal children merge into one node
     (``_distinct_states``), numbered by their lowest word slot: on (width,
-    phi, g sum) below depth n, on (width, phi) at depth n.  The work is
+    phi, end sum) below depth n, on (width, phi) at depth n.  The work is
     then O(m*R) per level, with no ``map`` call and no word array (linear
     [1/2, 1/2] with a first-symbol potential: k + 1 nodes at depth k).
     Otherwise each word is a node and the buffers hold m^n slots.  Every
@@ -519,8 +556,8 @@ def top_level(system: IfsSystem, n: int, potential=None,
     """
     system.alphabet.check_cap(n)
     m, branches = system.m, system.branches
-    merge = all(b.slope is not None for b in branches) and (
-        potential is None or potential.word_local)
+    affine = all(b.slope is not None for b in branches)
+    merge = affine and (potential is None or potential.word_local)
     room = m if merge else m**n  # children the buffers hold
     lo = None if merge else np.zeros(room)
     width = np.ones(room)
@@ -529,20 +566,20 @@ def top_level(system: IfsSystem, n: int, potential=None,
     value = None  # a word-local potential's values, read at every level
     if potential is not None and potential.word_local:
         value = potential.on_cylinders(m, first, 0.0, 1.0)
-    g = mid = None
-    if gap:  # depth-0 sum and suffix midpoint
-        g, mid = np.zeros(m if merge else m**(n - 1)), np.full(1, 0.5)
-        const = [None if b.slope is None else _g(b, mid)[0] for b in branches]
+    rates, sums = [], [np.zeros(m if merge else m**(n - 1))  # depth 0
+                       for _ in range(2 - affine)] if gap else []
+    block = np.array([b._term[0] for b in branches]) if merge and gap else None
 
-        def term(a, part):
-            return _g(branches[a], mid[part]) if const[a] is None else const[a]
-        # merged nodes take the constant terms as one (m, 1) block
-        terms = np.array(const)[:, None] if merge else term
-    size, worst, nodes = 1, None, 0
+    def ends(a, part, *cylinders):  # block a's end sums, in place below n
+        d_a = [np.add(t, d[part], out=d[a * size:][part] if k < n else None)
+               for d, t in zip(sums, branches[a].end_terms(*cylinders))]
+        if k == n and not np.any(cylinders[3] <= 0.0):  # else raised below
+            rates.append(_rate_gap(cylinders[3], d_a, n))
+    size, nodes = 1, 0
     count = np.ones(1) if merge else 1.0
     children, max_diameters = [], []
     for k in range(1, n + 1):  # size: nodes one level up
-        _image_level(branches, lo, width, size)
+        _image_level(branches, lo, width, size, ends if sums else None)
         max_diameters.append(float(np.max(width[:m * size])))
         if k == n and np.any(width[:m * size] <= 0.0):
             zero = width[:m * size] <= 0.0
@@ -550,15 +587,12 @@ def top_level(system: IfsSystem, n: int, potential=None,
                 zero = zero.reshape(m, -1)[:, word_nodes(children)].ravel()
             raise DegenerateCylinderError(
                 word_label(slot_words(m, n, [int(np.argmax(zero))])[0]))
-        if gap and k < n:
-            _add_level(g, size, m, terms)  # depth k from depth k-1
-            if None in const:
-                mid = lo[:m * size] + 0.5 * width[:m * size]
-        elif gap:  # depth-n g sums by the chunk, before phi's last level
-            worst = max(_rate_gap(width[a * size:][part],
-                                  np.add(term(a, part), g[part]), n)
-                        for a in range(m) for part in _parts(size))
-            g = mid = None
+        if sums and merge:  # the constant terms as one (m, 1) block
+            _add_level(sums[0], size, m, block)
+            if k == n:
+                rates.append(_rate_gap(width[:m * size], sums, n))
+        if k == n:
+            sums = []  # freed before phi's last level
         if phi is not None:
             level = value if value is not None else potential.on_cylinders(
                 m, first, lo[:m * size].reshape(m, -1),
@@ -570,52 +604,45 @@ def top_level(system: IfsSystem, n: int, potential=None,
             level = None
         if merge:
             heads, child = _distinct_states(
-                [key[:m * size] for key in (width, phi, g) if key is not None])
+                [key[:m * size] for key in (width, phi, *sums)
+                 if key is not None])
             count = np.bincount(child, np.concatenate([count] * m))
             children.append(child)
             size = heads.size
             room = size * m if k < n else size
-            width, phi, g = [
+            width, phi, *sums = [
                 None if key is None else np.concatenate(
                     [key[heads], np.empty(room - size)])
-                for key in (width, phi, g)]
+                for key in (width, phi, *sums)]
         else:
             size *= m
         nodes += size
-    return LevelPass(width, phi, worst, max_diameters, count,
-                     tuple(children) if merge else None, nodes)
+    return LevelPass(width, phi, max(rates) if gap else None, max_diameters,
+                     count, tuple(children) if merge else None, nodes)
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
                seed: int = 0) -> float:
-    """Sup over depth-n words of |lambda_n(w) - A_n g(w)|.
-
-    ``sample=None`` enumerates all m^n words (cap-guarded, ``top_level``)
-    and returns the true word-level sup; otherwise that many pseudo-random
-    words are drawn with the fixed seed.  Zero up to rounding for linear
-    systems (2^-51 on [0.3, 0.2, 0.4] at n=9: the widths are products and
-    the g sums are sums of logs) and decays with n when branch derivatives
-    are continuous.
-    """
+    """Sup over depth-n words w and x in [0,1] of |lambda_n(w) + (1/n) log
+    g_w'(x)|, as max(|ell - D_lo|, |ell - D_hi|)/n, ell = -log width
+    (``end_sums``): exact where log g_w' is monotone, as on every shipped
+    family (Moebius composites are Moebius; both Manneville-Pomeau
+    log-derivatives decrease).  ``sample=None`` enumerates all m^n words
+    (cap-guarded, ``top_level``), else that many words are drawn with the
+    fixed seed.  Zero up to rounding for linear systems (2^-51 on
+    [0.3, 0.2, 0.4] at n=9); decays with n for continuous derivatives."""
     if n < 1:
         raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
     if sample is None:
         return top_level(system, n, gap=True).gap
     if sample < 1:
         raise ValueError(f"lemma1_gap needs sample >= 1 words, got {sample}")
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, system.m, size=(sample, n))
-    # a suffix node's g sum adds its symbol's term at its parent's midpoint
-    # to its parent's sum, the order a per-word sum takes
-    mid, gsum = np.full(1, 0.5), np.zeros(1)
-    for node, symbol, parent, lo, width in _suffix_cylinders(
-            system, reversed(words.T), sample):
-        gsum = gsum[parent] + neg_log_derivative(system, symbol, mid[parent])
-        mid = lo + 0.5 * width
+    words = np.random.default_rng(seed).integers(0, system.m, (sample, n))
+    width, *sums = end_sums(system, words)
     if np.any(width <= 0.0):
-        bad = int(np.argmax(width[node] <= 0.0))
+        bad = int(np.argmax(width <= 0.0))
         raise DegenerateCylinderError(word_label(tuple(words[bad])))
-    return _rate_gap(width, gsum, n)
+    return _rate_gap(width, sums, n)
 
 
 def geometric_potential(system: IfsSystem, depth: int) -> WordFunction:
@@ -700,6 +727,8 @@ def _mobius(a: float, b: float, c: float, d: float, **flags) -> Branch:
 
     return Branch(map=lambda y: (a * np.asarray(y, dtype=float) + b) / den(y),
                   derivative=lambda y: det / den(y) ** 2,
+                  derivative_at_image=lambda x: (
+                      a - c * np.asarray(x, dtype=float)) ** 2 / det,
                   map_width=map_width, **flags)
 
 
@@ -741,8 +770,8 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
     if not 0.0 < beta:
         raise ValueError("beta must be positive")
 
-    def forward_derivative(x):
-        return 1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta
+    def at_image(x):  # an inverse branch's derivative, 1/f'(x) at x = g(y)
+        return 1.0 / (1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta)
 
     def newton(x, target, lo, p, xp, out):
         """The Newton step from x into ``out``, floored at lo; p and xp are
@@ -795,8 +824,8 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
 
         def inverse(y):
             return invert(y, lo, hi, offset, table)
-        return Branch(map=inverse, derivative=lambda y: 1.0 / (
-            forward_derivative(inverse(y))), **flags)
+        return Branch(map=inverse, derivative=lambda y: at_image(inverse(y)),
+                      derivative_at_image=at_image, **flags)
 
     cut = float(invert(1.0, 0.0, 1.0, 0.0))
     branches = (branch(0.0, cut, 0.0, parabolic=True, fixed_point=0.0,

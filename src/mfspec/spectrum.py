@@ -577,7 +577,7 @@ def lower_bound(ctx: DepthContext, alpha: float, *,
 def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                   alphas: Iterable[float],
                   opts: SolverOptions | None = None) -> list[SpectrumPoint]:
-    """Lower and upper estimates for a grid of level values, sorted by alpha.
+    """Lower and upper estimates for level values, sorted by alpha, NaN last.
 
     Points inside the indifferent-fixed-point interval are flagged and get
     the unfiltered attractor estimate for both columns.  Estimator errors are
@@ -623,7 +623,8 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
             delta=ctx.delta, lemma1_gap=ctx.lemma1_gap,
             error="; ".join(errors) or None, **point)
 
-    return [compute(a) for a in sorted(float(a) for a in alphas)]
+    return [compute(a) for a in sorted(map(float, alphas),
+                                       key=lambda a: (math.isnan(a), a))]
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +683,7 @@ def _window_midpoints(system: IfsSystem, seq: np.ndarray,
               + np.arange(size.sum()))
     symbols = np.unique(seq[run_lo[run_hi - run_lo >= depth]])
     nodes = 0
-    for node, first, _, lo, width in _suffix_cylinders(system, (
+    for node, first, _, lo, width, _ in _suffix_cylinders(system, (
             np.append(seq[starts + j], symbols)
             for j in reversed(range(depth))), starts.size + symbols.size):
         nodes += lo.size

@@ -77,7 +77,8 @@ def test_criterion_03_lemma1_gap_decrease():
         ok = ok and all(lemma1_gap(system, n) <= 1e-12 for n in (4, 8, 12)
                         if system.m**n <= 2**20)
     elapsed = time.perf_counter() - start
-    report(3, "contraction-gap decrease (exhaustive to n=16)",
+    report(3, "contraction-gap decrease, sup over each cylinder from the "
+           "end sums (exhaustive to n=16)",
            ok and elapsed <= 60.0,
            f"(gaps {gaps[4]:.4f} > {gaps[8]:.4f} > {gaps[16]:.4f}, "
            f"{elapsed:.1f}s)")

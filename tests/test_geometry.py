@@ -257,10 +257,11 @@ def test_mp_inverse_within_an_ulp_of_newton_from_the_right(beta, side, ys):
 
 
 def test_mp_inverse_takes_at_most_four_newton_steps_per_call(monkeypatch):
-    # each Newton step takes one power: on the n=16 pass (108 calls of at
-    # most 4097 points) the tabulated start settles in 2-4 steps a call,
-    # where starting at min(target, hi) took 5-6 (x^(1+beta) a second
-    # power in each)
+    # each Newton step takes one power: on the n=16 pass (54 map calls of
+    # at most 4097 points; the gap's terms invert nothing, where midpoint
+    # derivatives took 54 calls more) the tabulated start settles in 2-4
+    # steps a call, where starting at min(target, hi) took 5-6 (x^(1+beta)
+    # a second power in each)
     powers = [0]
 
     class CountingNumpy:
@@ -287,7 +288,7 @@ def test_mp_inverse_takes_at_most_four_newton_steps_per_call(monkeypatch):
     steps.clear()
     monkeypatch.setattr(geometry, "np", CountingNumpy())
     top_level(counted, 16, coordinate(), gap=True)
-    assert len(steps) == 108
+    assert len(steps) == 54
     assert 1 <= min(steps) and max(steps) <= 4
 
 
@@ -361,6 +362,25 @@ def test_gap_rejects_empty_inputs(n, sample, name):
     # no words or no symbols leave nothing to take the sup over
     with pytest.raises(ValueError, match=f"{name}[ =]"):
         lemma1_gap(MP, n, sample=sample)
+
+
+def test_gap_walks_call_no_mp_derivative():
+    # Manneville-Pomeau branches declare their derivative at the image
+    # point, 1/f'(x), so neither gap walk inverts a point for its terms
+    calls = []
+
+    def counted(derivative):
+        def call(y):
+            calls.append(np.size(y))
+            return derivative(y)
+        return call
+
+    system = IfsSystem(branches=tuple(dataclasses.replace(
+        b, derivative=counted(b.derivative)) for b in MP.branches))
+    calls.clear()  # the branches' own checks at construction called it
+    top_level(system, 16, coordinate(), gap=True)
+    lemma1_gap(system, 16, sample=1000, seed=1)
+    assert calls == []
 
 
 def test_gap_cap_guard():
@@ -500,12 +520,16 @@ def _counting(system):
 
 
 @pytest.mark.parametrize("system, points", [
-    # 2^17 - 2 left ends over the 16 levels, one unshared right end per
-    # branch call (54 calls of at most 4096 words) and 2^17 - 2 derivatives
-    # for the gap; mapping both ends of every word took 393,210
-    ((MP, coordinate()), 262_194),
-    # map at lo and map_width once per word, as before
-    ((EX2, coordinate()), 393_210),
+    # 2^17 - 2 left ends over the 16 levels and one unshared right end per
+    # branch call (54 calls of at most 4096 words); mapping both ends of
+    # every word took 393,210
+    # the gap's end terms are read at the image ends through
+    # derivative_at_image, not counted here; midpoint derivatives took
+    # 2^17 - 2 more points (262,194)
+    ((MP, coordinate()), 131_124),
+    # map at lo and map_width once per word; the end terms through
+    # derivative_at_image, where midpoint derivatives took 393,210
+    ((EX2, coordinate()), 262_140),
     # map at lo once per word (2^17 - 2 points), the width slope * width,
     # and one derivative per affine branch for its constant g term; a
     # map_width call per word took 262,142, midpoint derivatives 393,210

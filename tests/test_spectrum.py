@@ -21,8 +21,8 @@ from mfspec.errors import (AlphaUnreachableError, DegenerateCylinderError,
                            InvalidScheduleError, MfspecError,
                            NoCylindersError, NotContractingError, SolverError)
 from mfspec.geometry import (_CHUNK, Branch, CylinderTable, IfsSystem,
-                             _add_level, _g, _mobius, cylinder_levels,
-                             example2_system, fold, g_eval,
+                             _g, _mobius, end_sums, example2_system, fold,
+                             g_eval,
                              geometric_potential, lambda_n, lemma1_gap,
                              linear_system, manneville_pomeau_system,
                              neg_log_derivative, project, top_level)
@@ -975,12 +975,41 @@ def _node_rows(system, potential, width, phi):
                  np.bincount(word_row).astype(float)), word_row)
 
 
+def _end_terms_ref(branch, lo, hi, image_lo, image_hi):
+    """-log branch' at lo and at hi, each point on its own: through
+    ``derivative_at_image`` at the image points where the branch declares
+    it, else through ``derivative``, affine branches included.  Terms go
+    through numpy's log, as the level pass takes them: math.log can be one
+    ulp off (see the AVX-512 note below)."""
+    if branch.derivative_at_image is None:
+        return _g(branch, lo), _g(branch, hi)
+    return tuple(-np.log(branch.derivative_at_image(x))
+                 for x in (image_lo, image_hi))
+
+
+def _end_term_levels(system, table, n):
+    """Per depth k = 1..n, the (lo, hi) end terms of the depth-k slots
+    a*m^(k-1) + j of a stored table: branch a's at the two ends of the
+    depth-(k-1) cylinder j ([0, 1] at k = 1), read at slot a*m^(k-1) + j's
+    own ends where the branch declares ``derivative_at_image``."""
+    levels = []
+    for k in range(1, n + 1):
+        lo, hi = ((np.zeros(1), np.ones(1)) if k == 1
+                  else (table.lo(k - 1), table.hi(k - 1)))
+        blocks = [slice(a * lo.size, (a + 1) * lo.size)
+                  for a in range(system.m)]
+        levels.append([np.concatenate(terms) for terms in zip(*[
+            _end_terms_ref(b, lo, hi, table.lo(k)[block], table.hi(k)[block])
+            for b, block in zip(system.branches, blocks)])])
+    return levels
+
+
 def _ref_context(system, potential, n):
     """(rows, word_row, lemma1_gap, slack) formed from a stored table.
 
-    The Birkhoff sums tile the suffix sums, the geometric potential is
-    evaluated level by level at the stored midpoints, and the words become
-    rows in node order (``_node_rows``).
+    The Birkhoff sums tile the suffix sums, the gap's end sums D_lo and
+    D_hi take the end terms of every stored level (``_end_term_levels``),
+    and the words become rows in node order (``_node_rows``).
     """
     table = CylinderTable(system, n)
     m = system.m
@@ -991,13 +1020,8 @@ def _ref_context(system, potential, n):
             s = v + np.tile(s, m)
         return s
 
-    # the depth-1 terms through ``_g``, as the level pass takes them:
-    # math.log can be one ulp off numpy's log (see the AVX-512 note below)
-    g = [np.array([_g(b, 0.5) for b in system.branches])]
-    g += [np.concatenate([-np.log(np.asarray(b.derivative(table.mid(k)),
-                                             dtype=float))
-                          for b in system.branches]) for k in range(1, n)]
-    gap = float(np.max(np.abs(table.lambda_array - birkhoff(g) / n)))
+    gap = max(float(np.max(np.abs(table.lambda_array - birkhoff(d) / n)))
+              for d in zip(*_end_term_levels(system, table, n)))
     slack = 0.0 if potential.word_local else (
         0.5 * potential.lipschitz
         * math.fsum(float(np.max(table.diameters(k)))
@@ -1080,23 +1104,17 @@ def test_one_level_pass_matches_stored_table(case):
 
 def _midpoint_gap_and_node_rows(system, potential, n):
     """(gap, rows, word_row) as the level pass and the context formed them
-    with a depth-n g array of midpoint terms for every branch, affine ones
-    included, from per-word widths and sums of a stored table; the rows in
+    with depth-n end sums of per-point terms for every branch, affine ones
+    included (on affine branches they equal the midpoint terms the name
+    recalls), from per-word widths and sums of a stored table; the rows in
     node order (``_node_rows``)."""
     table = CylinderTable(system, n)
     width = table.diameters()
     phi = table.birkhoff(potential_arrays(table, potential))
-    m, branches = system.m, system.branches
-    g = np.empty(m**n)
-    g[:m] = [_g(b, 0.5) for b in branches]
-    for lo, w in cylinder_levels(system, n - 1):
-        mid = lo + 0.5 * w
-        _add_level(g, w.size, m, lambda a, part: _g(branches[a], mid[part]))
     lam = -np.log(width)
     lam /= n
-    g /= n
-    lam -= g
-    gap = float(np.max(np.abs(lam)))
+    gap = max(float(np.max(np.abs(lam - table.birkhoff(list(d)) / n)))
+              for d in zip(*_end_term_levels(system, table, n)))
     return (gap, *_node_rows(system, potential, width, phi))
 
 
@@ -1263,9 +1281,9 @@ def test_affine_context_with_a_func_potential_keeps_a_scalar_count():
 
 def test_mp_pass_evaluates_branches_in_chunks():
     # whole-block Newton inverses took this pass to 8.0 word arrays; in
-    # chunks it holds lo, width and phi, and g and the midpoints of depth
-    # n-1 (4.58 with temporaries); forming the gap after phi's last level
-    # took 5.0
+    # chunks it holds lo, width and phi, and the gap's end sums D_lo and
+    # D_hi of depth n-1 (4.64 with temporaries, as the midpoint gap's g sum
+    # and midpoints took); forming the gap after phi's last level took 5.0
     n = 16
     top_level(MP, 4, coordinate(), gap=True)
     _, peak = _traced(lambda: top_level(MP, n, coordinate(), gap=True))
@@ -1371,6 +1389,20 @@ def test_spectrum_rows_sorted_and_errors_kept():
     assert points[2].error is not None
     assert points[2].lower is None
     assert points[0].error is None
+
+
+def test_spectrum_sorts_a_nan_level_last():
+    # sorted() leaves NaN where it lies: the sweep returned 0.7, nan, 0.3,
+    # 0.5 and the secant predicted 0.3 from 0.7
+    opts = SolverOptions(n=6)
+    points = full_spectrum(HALVES, COIN, [0.7, math.nan, 0.3, 0.5], opts)
+    assert [p.alpha for p in points[:3]] == [0.3, 0.5, 0.7]
+    assert math.isnan(points[3].alpha)
+    assert points[3].lower is None and points[3].upper is None
+    assert "alpha=nan" in points[3].error
+    plain = full_spectrum(HALVES, COIN, [0.7, 0.3, 0.5], opts)
+    assert [p.lower for p in points[:3]] == [p.lower for p in plain]
+    assert all(p.error is None for p in points[:3])
 
 
 def test_spectrum_lower_at_most_upper_plus_slack():
@@ -1481,15 +1513,22 @@ def _plain_fold(system, words):
 
 
 def _plain_gap(system, n, sample, seed):
-    """``lemma1_gap(system, n, sample, seed)`` summed row by row."""
+    """``lemma1_gap(system, n, sample, seed)`` summed row by row: each
+    row's end sums add the end terms of its own suffix cylinders."""
     words = np.random.default_rng(seed).integers(0, system.m,
                                                  size=(sample, n))
-    mid, gsum = np.full(sample, 0.5), np.zeros(sample)
-    for column, (lo, width) in zip(reversed(words.T),
-                                   _plain_suffixes(system, words)):
-        gsum += neg_log_derivative(system, column, mid)
-        mid = lo + 0.5 * width
-    return float(np.max(np.abs(-np.log(width) / n - gsum / n)))
+    lo, hi, sums = np.zeros(sample), np.ones(sample), np.zeros((2, sample))
+    for column, (image_lo, width) in zip(reversed(words.T),
+                                         _plain_suffixes(system, words)):
+        image_hi = image_lo + width
+        for a, branch in enumerate(system.branches):
+            sel = column == a
+            if sel.any():
+                sums[:, sel] += _end_terms_ref(branch, lo[sel], hi[sel],
+                                               image_lo[sel], image_hi[sel])
+        lo, hi = image_lo.copy(), image_hi
+    lam = -np.log(width) / n
+    return max(float(np.max(np.abs(lam - d / n))) for d in sums)
 
 
 def _distinct_suffixes(windows):
@@ -1620,6 +1659,58 @@ def test_word_level_api_equals_the_level_pass(system, data):
         assert brute_force_ratio(
             system, first_symbol([0.0] * m), 0.0, n, 0.5) == (
                 -(0.5 * math.log(0.5) + 0.5 * math.log(0.5)) / min(pairs))
+
+
+def _composed_neg_log_derivative(system, w, x):
+    """-log g_w'(x) by the chain rule, from each branch's ``derivative``
+    and ``map``, last symbol first."""
+    total, y = np.zeros(np.shape(x)), np.asarray(x, dtype=float)
+    for a in reversed(w):
+        total -= np.log(system.branches[a].derivative(y))
+        y = system.branches[a].map(y)
+    return total
+
+
+# E_2, and a system whose branches declare neither a slope nor
+# derivative_at_image, so its end terms are derivatives at the parents' ends
+_END_SYSTEMS = st.sampled_from([E2, _flat_system()]) | _fold_system()
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_END_SYSTEMS, data=st.data())
+def test_end_sums_bound_the_log_derivative_over_each_cylinder(system, data):
+    # log g_w' is monotone on [0, 1] for every family here (Moebius
+    # composites are Moebius; every log-derivative here is non-increasing),
+    # so -log g_w'(x) lies between the end sums D_lo and D_hi at every x,
+    # and so does ell = -log width = -log g_w'(xi) for some xi
+    n = data.draw(st.integers(1, 10))
+    words = np.array(data.draw(st.lists(st.lists(
+        st.integers(0, system.m - 1), min_size=n, max_size=n),
+        min_size=1, max_size=8)))
+    xs = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+        max_size=16)))
+    width, d_lo, d_hi = end_sums(system, words)
+    low, high = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+    tol = 1e-13 * n * (1.0 + np.abs(high))  # rounding in n terms
+    for w, ell, a, b, eps in zip(words, -np.log(width), low, high, tol):
+        g = _composed_neg_log_derivative(system, w, xs)
+        assert np.all(a - eps <= g) and np.all(g <= b + eps)
+        assert a - eps <= ell <= b + eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=_END_SYSTEMS, data=st.data())
+def test_exhaustive_gap_is_the_max_of_word_level_end_sums(system, data):
+    # end_sums takes the level pass's terms and additions on each word, so
+    # the exhaustive gap is the max of the per-word values, bit for bit
+    n = data.draw(st.integers(1, int(math.log(256, system.m) + 1e-9)))
+    table = CylinderTable(system, n)
+    width, d_lo, d_hi = end_sums(system, np.array(list(table.words())))
+    assert np.array_equal(width, table.diameters())
+    lam = -np.log(width) / n
+    per_word = np.maximum(np.abs(lam - d_lo / n), np.abs(lam - d_hi / n))
+    assert lemma1_gap(system, n) == np.max(per_word)
 
 
 @settings(max_examples=25, deadline=None)
