@@ -11,13 +11,15 @@ Depth-n rates: lambda_n(w) = -(1/n) log diam(cylinder(w)).  The geometric
 potential g assigns to a word the branch log-derivative at (an approximation
 of) the projected shifted sequence; ``lemma1_gap`` measures how far lambda_n
 is from -(1/n) log g_w' over a cylinder, the uniform-approximation residual
-attached to every variational dimension report.
+attached to every variational dimension report.  ``top_level`` gives the
+depth-n rows: words, or symbol compositions for affine word-local systems.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -64,17 +66,16 @@ class Branch:
     branch: it maps the interval [lo, lo+width] to its image (lo', width').
     An affine branch declares its constant ``slope``, which must equal the
     sampled derivative exactly: its image width is slope * width, next to
-    one ``map`` call at lo, and its geometric potential term is one
-    constant.  A system of such branches with a word-local potential (or
-    none) never reads ``lo`` in the level pass, which then merges
-    bit-equal children into one node (``top_level``).  Otherwise
+    one ``map`` call at lo (``top_level`` enumerates a system of them with
+    a word-local potential, or none, by symbol compositions).  Otherwise
     ``map_width`` optionally gives the image width in a cancellation-free
     form, next to one ``map`` call at lo; without it the width is an
     endpoint difference, whose relative error grows as cylinders shrink
     far from 0, and ``map`` (elementwise) runs once per distinct endpoint:
     a right end bit for bit the next left end takes that end's image, so k
     adjacent cylinders cost k + 1 points.  ``derivative_at_image`` may give
-    the derivative at y from x = map(y), as 1/f'(x) for an inverse branch.
+    the derivative at y from x = map(y), as 1/f'(x) for an inverse branch,
+    and must agree with the sampled derivative to a relative 1e-9.
     """
 
     map: Callable
@@ -96,17 +97,11 @@ class Branch:
 
     def end_terms(self, lo, width, image_lo, image_width):
         """-log of the derivative at lo and lo + width, rows 0 and 1, read
-        at the images' ends where declared; one constant if affine."""
-        if self.slope is not None:
-            return self._term
+        at the images' ends where declared."""
         if self.derivative_at_image is None:
             return _at_ends(lambda y: _g(self, y), lo, lo + width)
         return _at_ends(lambda x: -np.log(self.derivative_at_image(x)),
                         image_lo, image_lo + image_width)
-
-    @cached_property
-    def _term(self) -> np.ndarray:  # an affine branch's end terms, (2, 1)
-        return np.full((2, 1), _g(self, np.full(1, 0.5))[0])
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
@@ -117,6 +112,10 @@ class Branch:
             raise ValueError(
                 f"branch {self.label!r}: sampled derivative is not the "
                 f"declared slope {self.slope!r}")
+        if self.derivative_at_image is not None and not np.allclose(
+                self.derivative_at_image(self.map(grid)), d, 1e-9, 0.0):
+            raise ValueError(f"branch {self.label!r}: derivative_at_image "
+                             f"does not match the sampled derivative")
         if self.parabolic:
             if self.fixed_point is None:
                 raise ValueError(
@@ -193,6 +192,10 @@ class IfsSystem:
     @property
     def has_parabolic(self) -> bool:
         return any(b.parabolic for b in self.branches)
+
+    @property
+    def affine(self) -> bool:  # every branch declares its slope
+        return all(b.slope is not None for b in self.branches)
 
 
 def _at_ends(f, lo, hi) -> np.ndarray:
@@ -353,16 +356,8 @@ def _image_level(branches: Sequence[Branch], lo, width, size: int,
     a's ``image_of`` of slot j of ``lo``, ``width``.  Block 0, which
     overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
     branch's temporaries never grow with the depth; ``ends(a, part, lo,
-    width, image_lo, image_width)`` sees each call before its write.  With
-    ``lo`` None every branch declares a slope and only ``slope * width`` is
-    formed, as one broadcast multiply at every size (numpy buffers the
-    overlapping block-0 input, ``size`` entries)."""
-    m = len(branches)
-    if lo is None:
-        np.multiply([[b.slope] for b in branches], width[:size],
-                    out=width[:m * size].reshape(m, size))
-        return
-    for a in reversed(range(m)):
+    width, image_lo, image_width)`` sees each call before its write."""
+    for a in reversed(range(len(branches))):
         for part in _parts(size):
             image = branches[a].image_of(lo[part], width[part])
             if ends:
@@ -386,18 +381,16 @@ def cylinder_levels(system: IfsSystem, depth: int):
 
 def _add_level(sums: np.ndarray, size: int, m: int, block) -> None:
     """Birkhoff sums one level deeper in place, S(a w) = v(a w) + S(w), from
-    S in ``sums[:size]`` and v in ``block``: an array broadcastable to (m,
-    size), or ``block(a, part)`` for the ``_parts`` of block a; block 0
-    overlaps S: last.  An array block over at most ``_CHUNK`` slots takes
-    one broadcast add."""
-    if not callable(block) and m * size <= _CHUNK:
+    S in ``sums[:size]`` and v in ``block``, an array broadcastable to (m,
+    size); block 0 overlaps S: last.  At most ``_CHUNK`` slots take one
+    broadcast add."""
+    if m * size <= _CHUNK:
         np.add(block, sums[:size], out=sums[:m * size].reshape(m, size))
         return
-    whole = None if callable(block) else np.broadcast_to(block, (m, size))
+    whole = np.broadcast_to(block, (m, size))
     for a in reversed(range(m)):
         for part in _parts(size):
-            v = block(a, part) if whole is None else whole[a, part]
-            np.add(v, sums[part], out=sums[a * size:][part])
+            np.add(whole[a, part], sums[part], out=sums[a * size:][part])
 
 
 class CylinderTable:
@@ -465,37 +458,23 @@ class CylinderTable:
 
 
 class LevelPass(NamedTuple):
-    """What ``top_level`` keeps of the depth-n level.
-
-    ``width`` and ``phi`` hold one entry per depth-n node: each word, in
-    slot order, when ``children`` is None (``count`` is then the scalar
-    1.0), else a bit-distinct (width, phi) state standing for ``count``
-    words, numbered by its lowest word slot.  ``DepthContext`` takes these
-    nodes, in this order, as its rows.  ``children[k-1]`` maps slot
-    a*R + j, symbol a before node j of the R depth-(k-1) nodes, to its
-    depth-k node (depth 0 is one node); ``word_nodes`` composes them.
-    ``gap`` is the Lemma-1 gap (``lemma1_gap``; None unless asked for),
-    ``max_diameters`` the largest width per depth and ``nodes`` the number
-    of nodes stepped over all levels.
-    """
+    """What ``top_level`` keeps of the depth-n level: one ``width`` and
+    ``phi`` per row, the rows ``DepthContext`` takes in this order.  With
+    ``kind`` None each word is a row, in slot order, and ``count`` is 1.0;
+    else symbol s is of kind ``kind[s]``, and row i is a composition of n
+    over the kinds with the values of its lowest word ``words[i]`` and
+    ``count[i]`` words.  ``gap`` is the Lemma-1 gap (None unless asked
+    for), ``max_diameters`` the largest width per depth and ``nodes`` the
+    number of cylinders stepped."""
 
     width: np.ndarray
     phi: np.ndarray | None
     gap: float | None
     max_diameters: list[float]
     count: np.ndarray | float
-    children: tuple[np.ndarray, ...] | None
+    words: np.ndarray | None
+    kind: np.ndarray | None
     nodes: int
-
-
-def word_nodes(children: Sequence[np.ndarray]) -> np.ndarray:
-    """Each depth-n word's node, in slot order, from ``LevelPass.children``:
-    slot a*m^(k-1) + s at depth k is symbol a's child of slot s's node."""
-    m = children[0].size
-    node = np.zeros(1, dtype=np.intp)
-    for child in children:
-        node = child.reshape(m, -1)[:, node].ravel()
-    return node
 
 
 def _rate_gap(width: np.ndarray, sums, n: int) -> float:
@@ -507,91 +486,95 @@ def _rate_gap(width: np.ndarray, sums, n: int) -> float:
     return max(float(np.max(np.abs(lam - d / n))) for d in sums)
 
 
-def _distinct_states(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the equal-length float arrays ``keys`` grouped by their
-    bits (-0.0 is not 0.0): the first entry of each distinct state, in
-    ascending order, and each entry's state, numbered in that order.  Run
-    heads of the sorted entries are marked from whole gathered keys, one
-    key at a time."""
-    bits = [key.view(np.int64) for key in keys]
-    order = np.lexsort(bits[::-1])
-    new = np.zeros(order.size, dtype=bool)
-    for key in bits:
-        sorted_key = key[order]
-        new[1:] |= sorted_key[1:] != sorted_key[:-1]
-    new[0] = True
-    first = order[new]  # lexsort is stable: each state's first entry
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    state = np.empty_like(order)
-    state[order] = rank[np.cumsum(new) - 1]
-    return first[by_first], state
+def compositions(k: int, n: int) -> np.ndarray:
+    """The compositions of n over k kinds as rows of sorted digits, in
+    lexicographic order."""
+    return np.fromiter(itertools.combinations_with_replacement(range(k), n),
+                       np.dtype((np.intp, n)), math.comb(n + k - 1, n))
+
+
+def _composition_level(system: IfsSystem, n: int, potential,
+                       gap: bool) -> LevelPass:
+    """``top_level`` of an affine system whose potential is word-local or
+    absent: one row per composition of n over the symbol kinds."""
+    slope = np.array([b.slope for b in system.branches])
+    value = None if potential is None else np.asarray(
+        potential.symbol_values(system.m), dtype=float)
+    kinds = {}  # bit-equal (slope, value) pairs, in order of first symbol
+    kind = np.array([kinds.setdefault(bits, len(kinds)) for bits in zip(*(
+        key.view(np.int64).tolist() for key in (slope, value)
+        if key is not None))])
+    lowest = np.unique(kind, return_index=True)[1]  # each kind's first symbol
+    words, size = lowest[compositions(lowest.size, n)], np.bincount(kind)
+    rows, digits = len(words), kind[np.c_[words, words[:, -1]]]
+    count, run = np.ones(rows, dtype=np.int64), np.zeros(rows, dtype=np.intp)
+    width, phi, max_diameters = np.ones(rows), np.full(rows, -0.0), []
+    for j in reversed(range(n)):  # suffixes; run: the digit's place in its
+        # run (the repeated last digit starts it at 1), so each count is an
+        # integer multinomial times prod size^count; -0.0 + v is v, bit-wise
+        run = np.where(digits[:, j] == digits[:, j + 1], run + 1, 1)
+        count = count * (n - j) // run * size[digits[:, j]]
+        width = slope[words[:, j]] * width
+        max_diameters.append(float(np.max(width)))
+        phi = None if value is None else value[words[:, j]] + phi
+    if np.any(width <= 0.0):
+        raise DegenerateCylinderError(
+            word_label(words[int(np.argmax(width <= 0.0))].tolist()))
+    return LevelPass(width, phi, 0.0 if gap else None, max_diameters,
+                     count.astype(float), words, kind, rows * n)
 
 
 def top_level(system: IfsSystem, n: int, potential=None,
               gap: bool = False) -> LevelPass:
-    """One pass over the cylinder levels 1..n, keeping only the current one.
-
-    Returns a ``LevelPass``: depth-n widths and Birkhoff sums of a
-    ``PotentialSpec``'s ``on_cylinders`` values (None without
+    """The depth-n rows of ``system`` as a ``LevelPass``: widths, Birkhoff
+    sums of a ``PotentialSpec``'s ``on_cylinders`` values (None without
     ``potential``), the Lemma-1 gap if ``gap`` and the largest width per
-    depth.  Each level forms the m*R children of its R nodes in slot order
-    a*R + j, in place behind the parents: widths by one ``_image_level``
-    step, phi by one ``_add_level`` step, and the gap's end sums D_lo, D_hi
-    (``end_sums``; one if every branch is affine) from ``Branch.end_terms``
-    in the image step, kept to depth n-1: depth n is formed by the chunk
-    inside the max, as a whole array would be, before phi's last level.
+    depth.  The cap is checked first; a zero depth-n width raises
+    ``DegenerateCylinderError`` (the lowest word with one, or the first
+    such row's lowest word) before any log.
 
-    When every branch is affine and the potential is word-local or absent,
-    no step reads ``lo``, and bit-equal children merge into one node
-    (``_distinct_states``), numbered by their lowest word slot: on (width,
-    phi, end sum) below depth n, on (width, phi) at depth n.  The work is
-    then O(m*R) per level, with no ``map`` call and no word array (linear
-    [1/2, 1/2] with a first-symbol potential: k + 1 nodes at depth k).
-    Otherwise each word is a node and the buffers hold m^n slots.  Every
-    number is formed by the same elementwise operations either way.  The
-    cap is checked before allocating; a zero depth-n width raises
-    ``DegenerateCylinderError`` (lowest slot) before any log.
+    If every branch declares a slope and the potential is word-local or
+    absent, a word's width prod r and sum sum v depend only on how often
+    each kind occurs in it, symbols with bit-equal (slope, value) being
+    one kind (slope alone without a potential).  The rows are then the
+    ``compositions`` of n over the kinds, in the order of their lowest
+    words (each kind's first symbol, ascending), each with that word's
+    width and sum, folded right to left by ``slope * width`` and ``value +
+    sum`` as ``fold`` takes them, and its number of words.  No ``map``
+    call is made.  An all-affine gap is 0.0 exactly, with no end sums, as
+    g_w' is the constant prod r the width is.  Otherwise one pass over
+    the levels 1..n keeps only the current one, each word a row: level k
+    forms the m*R children of its R words in slot order a*R + j, in place
+    behind the parents, widths by ``_image_level`` and phi by
+    ``_add_level``.  The gap reads the end sums D_lo, D_hi (``end_sums``)
+    from ``Branch.end_terms`` in the image step, kept to depth n-1: depth
+    n is formed by the chunk inside the max, before phi's last level.
     """
     system.alphabet.check_cap(n)
+    if system.affine and (potential is None or potential.word_local):
+        return _composition_level(system, n, potential, gap)
     m, branches = system.m, system.branches
-    affine = all(b.slope is not None for b in branches)
-    merge = affine and (potential is None or potential.word_local)
-    room = m if merge else m**n  # children the buffers hold
-    lo = None if merge else np.zeros(room)
-    width = np.ones(room)
-    phi = None if potential is None else np.empty(room)
+    lo, width = np.zeros(m**n), np.ones(m**n)
+    phi = None if potential is None else np.empty(m**n)
     first = np.arange(m)[:, None]
-    value = None  # a word-local potential's values, read at every level
-    if potential is not None and potential.word_local:
-        value = potential.on_cylinders(m, first, 0.0, 1.0)
-    rates, sums = [], [np.zeros(m if merge else m**(n - 1))  # depth 0
-                       for _ in range(2 - affine)] if gap else []
-    block = np.array([b._term[0] for b in branches]) if merge and gap else None
+    value = potential.on_cylinders(m, first, 0.0, 1.0) if (  # word-local
+        potential is not None and potential.word_local) else None
+    rates, sums = [], [np.zeros(m**(n - 1)) for _ in range(2)] if (
+        gap and not system.affine) else []
 
     def ends(a, part, *cylinders):  # block a's end sums, in place below n
         d_a = [np.add(t, d[part], out=d[a * size:][part] if k < n else None)
                for d, t in zip(sums, branches[a].end_terms(*cylinders))]
         if k == n and not np.any(cylinders[3] <= 0.0):  # else raised below
             rates.append(_rate_gap(cylinders[3], d_a, n))
-    size, nodes = 1, 0
-    count = np.ones(1) if merge else 1.0
-    children, max_diameters = [], []
-    for k in range(1, n + 1):  # size: nodes one level up
+    size, nodes, max_diameters = 1, 0, []
+    for k in range(1, n + 1):  # size: words one level up
         _image_level(branches, lo, width, size, ends if sums else None)
         max_diameters.append(float(np.max(width[:m * size])))
-        if k == n and np.any(width[:m * size] <= 0.0):
-            zero = width[:m * size] <= 0.0
-            if children:  # slot a*R + j: symbol a before node j
-                zero = zero.reshape(m, -1)[:, word_nodes(children)].ravel()
-            raise DegenerateCylinderError(
-                word_label(slot_words(m, n, [int(np.argmax(zero))])[0]))
-        if sums and merge:  # the constant terms as one (m, 1) block
-            _add_level(sums[0], size, m, block)
-            if k == n:
-                rates.append(_rate_gap(width[:m * size], sums, n))
         if k == n:
+            if np.any(width <= 0.0):
+                raise DegenerateCylinderError(word_label(slot_words(
+                    m, n, [int(np.argmax(width <= 0.0))])[0]))
             sums = []  # freed before phi's last level
         if phi is not None:
             level = value if value is not None else potential.on_cylinders(
@@ -602,23 +585,10 @@ def top_level(system: IfsSystem, n: int, potential=None,
             else:
                 _add_level(phi, size, m, level)
             level = None
-        if merge:
-            heads, child = _distinct_states(
-                [key[:m * size] for key in (width, phi, *sums)
-                 if key is not None])
-            count = np.bincount(child, np.concatenate([count] * m))
-            children.append(child)
-            size = heads.size
-            room = size * m if k < n else size
-            width, phi, *sums = [
-                None if key is None else np.concatenate(
-                    [key[heads], np.empty(room - size)])
-                for key in (width, phi, *sums)]
-        else:
-            size *= m
+        size *= m
         nodes += size
-    return LevelPass(width, phi, max(rates) if gap else None, max_diameters,
-                     count, tuple(children) if merge else None, nodes)
+    return LevelPass(width, phi, max(rates, default=0.0) if gap else None,
+                     max_diameters, 1.0, None, None, nodes)
 
 
 def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
@@ -629,8 +599,8 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     family (Moebius composites are Moebius; both Manneville-Pomeau
     log-derivatives decrease).  ``sample=None`` enumerates all m^n words
     (cap-guarded, ``top_level``), else that many words are drawn with the
-    fixed seed.  Zero up to rounding for linear systems (2^-51 on
-    [0.3, 0.2, 0.4] at n=9); decays with n for continuous derivatives."""
+    fixed seed.  0.0 exactly for an all-affine system (g_w' is the width,
+    a constant), with no end sums formed; decays with n otherwise."""
     if n < 1:
         raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
     if sample is None:
@@ -638,11 +608,12 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     if sample < 1:
         raise ValueError(f"lemma1_gap needs sample >= 1 words, got {sample}")
     words = np.random.default_rng(seed).integers(0, system.m, (sample, n))
-    width, *sums = end_sums(system, words)
+    width, *sums = (fold(system, words)[1:] if system.affine
+                    else end_sums(system, words))
     if np.any(width <= 0.0):
         bad = int(np.argmax(width <= 0.0))
         raise DegenerateCylinderError(word_label(tuple(words[bad])))
-    return _rate_gap(width, sums, n)
+    return _rate_gap(width, sums, n) if sums else 0.0
 
 
 def geometric_potential(system: IfsSystem, depth: int) -> WordFunction:

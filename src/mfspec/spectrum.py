@@ -18,8 +18,9 @@ Two routes are combined per level value alpha:
   slack).
 
 Both routes read every depth-n input from one ``DepthContext``: its
-system, potential, options, (width, phi) rows and Lyapunov floor, so both
-columns estimate the same level set, restricted to lambda_n >= delta.
+system, potential, options, (width, phi) rows (words, or symbol
+compositions on affine branches with a word-local potential) and Lyapunov
+floor, so both columns estimate the same level set, lambda_n >= delta.
 
 Systems with indifferent fixed points get special dispatch: on the interval
 spanned by the potential values at those fixed points, the level-set
@@ -42,8 +43,8 @@ from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
                      NotContractingError, SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _parts,
-                       _suffix_cylinders, neg_log_derivative, top_level,
-                       word_nodes)
+                       _suffix_cylinders, compositions, neg_log_derivative,
+                       top_level)
 from .potentials import PotentialSpec, potential_arrays
 from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
 
@@ -270,9 +271,9 @@ class Rows(NamedTuple):
 def moran_dimension(system: IfsSystem, n: int) -> float:
     """Moran exponent of every depth-n cylinder: the attractor estimate.
 
-    The sum runs over the level pass's nodes with their word counts: on
-    affine branches, the distinct depth-n widths (n + 1 of them on linear
-    [1/2, 1/3]), else one node per word.
+    The sum runs over ``top_level``'s rows with their word counts: on
+    affine branches, one per composition of n over the distinct slopes
+    (n + 1 of them on linear [1/2, 1/3]), else one per word.
     """
     level = top_level(system, n)
     return Rows(-np.log(level.width), None, level.count).moran_root()[0]
@@ -285,25 +286,24 @@ def moran_dimension(system: IfsSystem, n: int) -> float:
 class DepthContext:
     """Depth-n data shared by both estimator routes.
 
-    ``rows`` is the only depth-n state: the depth-n nodes of one
-    ``top_level`` pass, in node order, which also gives ``lemma1_gap`` and
+    ``rows`` is the only depth-n state: the depth-n rows of one
+    ``top_level`` call, in its order, which also gives ``lemma1_gap`` and
     ``slack``.  Everything the routes compute (the partition sum
     ``Rows.log_z`` behind the Gibbs and Moran solvers, the cover window,
     the Lyapunov ``floor``, the block measure's weights) is a sum over
     rows or depends on a word only through its (width, phi) pair, so no
     row order or further grouping is needed.  On affine branches with a
-    word-local potential a node is a bit-distinct (width, phi) state with a
-    word count, numbered by its lowest word slot, so nothing here has m^n
-    entries (linear [1/2, 1/2] at n=18: 2^18 words, 19 rows; the context
-    peaks at 0.01 word arrays).  Otherwise each word is a row, in slot
-    order, and ``rows.count`` is the scalar 1.0.  ``word_row`` maps each
-    word, in slot order, to its row; it is the one way back from rows to
-    words, formed when first read (``LowerBoundResult.measure`` reads it, a
-    sweep does not).  One debug record gives the words, rows and nodes
-    stepped.
+    word-local potential a row is a composition of n over the symbol kinds,
+    with its lowest-slot word's width and sum and its word count (linear
+    [1/2, 1/2] at n=18: 2^18 words, 19 rows; the context peaks at 0.01
+    word arrays).  Otherwise each word is a row, in slot order, and
+    ``rows.count`` is the scalar 1.0.  ``word_row`` maps each word to its
+    row, formed when first read (``LowerBoundResult.measure`` reads it, a
+    sweep does not).  One debug record gives the words, rows and nodes.
     ``delta`` is the Lyapunov floor of both routes: ``opts.delta``, else
-    1e-3 * log m on parabolic systems, else 0; ``floor`` and ``phi_range``
-    are formed from it once.
+    1e-3 * log m on parabolic systems, else 0.  ``floor`` and
+    ``phi_range`` are formed from it once, from the rows' values: a
+    composition is judged by its lowest word's rate and sum.
     """
 
     def __init__(self, system: IfsSystem, potential: PotentialSpec,
@@ -315,7 +315,7 @@ class DepthContext:
         self.delta = self.opts.delta if self.opts.delta is not None else (
             1e-3 * math.log(system.m) if system.has_parabolic else 0.0)
         level = top_level(system, self.n, potential, gap=True)
-        self.lemma1_gap, self._children = level.gap, level.children
+        self.lemma1_gap, self._kind = level.gap, level.kind
         self.slack = (0.5 * potential.lipschitz
                       * math.fsum(level.max_diameters) / self.n)
         ell = level.width
@@ -326,12 +326,21 @@ class DepthContext:
 
     @cached_property
     def word_row(self) -> np.ndarray:
-        """Each word's row, in slot order (int32, m^n entries): the identity
-        when each word is a row, else the level pass's child maps composed.
-        Formed when first read; a sweep never reads it."""
-        if self._children is None:
-            return np.arange(self.rows.ell.size, dtype=np.int32)
-        return word_nodes(self._children).astype(np.int32)
+        """Each word's row (int32, m^n entries in slot order), formed when
+        first read: the identity, or its composition's by child maps
+        composed as ``fold`` names suffixes (symbol a before a composition
+        of j - 1 makes the one of j its sorted kind digits name)."""
+        m, n, kind = self.system.m, self.n, self._kind
+        if kind is None:
+            return np.arange(m**n, dtype=np.int32)
+        k, row = int(kind.max()) + 1, kind  # depth 1: each symbol's kind
+        for j in range(2, n + 1):  # sorted digits compare as their codes
+            below, scale = compositions(k, j - 1), k ** np.arange(j)[::-1]
+            child = np.sort(np.c_[np.repeat(kind, len(below)),
+                                  np.tile(below, (m, 1))]) @ scale
+            row = np.searchsorted(compositions(k, j) @ scale, child).reshape(
+                m, -1)[:, row].ravel()
+        return row.astype(np.int32)
 
     @cached_property
     def floor(self) -> np.ndarray | None:

@@ -239,6 +239,7 @@ _INVERSE_SYSTEMS = {beta: manneville_pomeau_system(beta)
                     for beta in _EXACT_BETAS}
 
 
+@pytest.mark.fixed_seed
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_EXACT_BETAS), st.sampled_from([0, 1]),
        st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e-6)
@@ -317,6 +318,16 @@ def test_parabolic_flag_must_match_derivative():
                derivative=lambda x: np.full_like(
                    np.asarray(x, dtype=float), 0.5),
                parabolic=True, fixed_point=0.0)
+
+
+def test_derivative_at_image_must_match_derivative():
+    # the Manneville-Pomeau branches declare 1/f'(x) at x = map(y), which
+    # is checked against the sampled derivative: a constant 0.5 in its
+    # place moved lemma1_gap at n=8 from 0.35105 to 0.34210
+    for branch in MP.branches:
+        with pytest.raises(ValueError, match=f"branch {branch.label!r}: "
+                           "derivative_at_image"):
+            dataclasses.replace(branch, derivative_at_image=lambda x: 0.5)
 
 
 def test_slope_must_match_derivative():
@@ -531,13 +542,13 @@ def _counting(system):
     # derivative_at_image, where midpoint derivatives took 393,210
     ((EX2, coordinate()), 262_140),
     # map at lo once per word (2^17 - 2 points), the width slope * width,
-    # and one derivative per affine branch for its constant g term; a
-    # map_width call per word took 262,142, midpoint derivatives 393,210
-    ((HALVES, coordinate()), 131_072),
-    # affine branches and a word-local potential: states, not words, are
-    # stepped, with no map call, so only the two constant g terms remain;
-    # the per-word pass took 262,142
-    ((HALVES, first_symbol([1.0, 0.0])), 2),
+    # and no g term: an affine gap is 0.0; a map_width call per word took
+    # 262,142, midpoint derivatives 393,210
+    ((HALVES, coordinate()), 131_070),
+    # affine branches and a word-local potential: compositions, not words,
+    # are folded by their slopes, with no branch call; the per-word pass
+    # took 262,142
+    ((HALVES, first_symbol([1.0, 0.0])), 0),
 ], ids=["mp-coordinate", "ex2-coordinate", "halves-coordinate",
         "halves-coin"])
 def test_level_pass_branch_points_are_pinned(system, points):
