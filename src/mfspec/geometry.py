@@ -33,6 +33,7 @@ _VALIDATION_GRID = 513
 _NEWTON_MAX_ITER = 100
 _CHUNK = 4096  # words per branch evaluation in a level pass
 _INVERSE_TABLE = 1024  # cells of a Manneville-Pomeau branch's start table
+_NEWTON_CERTIFIED = 1e-10  # relative Newton step that ends an MP inverse
 
 
 @dataclass(frozen=True)
@@ -721,22 +722,32 @@ def example2_system() -> IfsSystem:
 def manneville_pomeau_system(beta: float) -> IfsSystem:
     """Inverse branches of x + x^(1+beta) mod 1 on [0,1], for any beta > 0.
 
-    The forward map is piecewise onto with branch domains split where
-    x + x^(1+beta) crosses 1; the left inverse branch is parabolic at 0.  The
-    forward map is convex and increasing, so a Newton step from any point
-    lands right of the root, and Newton's method started there decreases
-    monotonically onto it; iteration stops once no entry decreases, which
-    leaves the fixed point 0 exact.  Each step takes one power, p = x^beta:
-    residual (x - target) + x*p, derivative 1 + (1+beta)*p.  At
-    construction each branch tabulates its inverse at ``_INVERSE_TABLE`` + 1
-    uniform points of [0,1], started at min(target, hi) as the same inverse
-    applied to 1 finds the cut.  A call starts from the table's linear
-    interpolant, which lies left of the concave inverse, takes one Newton
-    step to its right, and the same loop finishes: about 3.5 evaluations
-    per point instead of 6.  Against starting at min(target, hi) with
-    x^(1+beta) as a power of its own, points move by at most 1 ulp where
-    1 + beta is exact in binary.  Points are solved ``_CHUNK`` at a time (a shorter remainder joins the
-    part before), so the Newton temporaries never grow with the input.
+    The forward map f is piecewise onto with branch domains split where
+    x + x^(1+beta) crosses 1; the left inverse branch is parabolic at 0.
+    Each Newton step takes one power, p = x^beta: residual (x - target) +
+    x*p, derivative 1 + (1+beta)*p.
+
+    Start.  When the system is built, each branch tabulates a cubic Hermite
+    interpolant on ``_INVERSE_TABLE`` uniform cells.  The parabolic branch
+    is x = y*R(s) with s = y^beta, where R + s*R^(1+beta) = 1: R(0) = 1,
+    R(1) is the cut, R'(s) = -R^(1+beta) / (1 + (1+beta)*s*R^beta), and R
+    is analytic in s, so the start is as good relatively at y = 1e-300 as
+    at y = 1/2.  R is solved at the nodes directly, never as g(y)/y, which
+    underflows for small beta.  The other branch interpolates x = g(y)
+    against y with slopes 1/f'(x).  So a call takes one power for s on the
+    parabolic branch and none on the other.
+
+    Step and certificate.  The start, clamped into [lo, min(target, hi)],
+    takes one Newton step.  A point that moved by c <= tol*x (tol =
+    ``_NEWTON_CERTIFIED``) is done: f is convex with f' >= 1, so the next
+    correction is at most f''/(2f') * c^2 <= beta/(2x) * c^2, a relative
+    beta/2 * tol^2, below 2^-53 for every beta up to 2e4.  Any other point
+    continues the monotone loop from its Newton point: a tangent step of
+    the convex f lands right of the root, and from there Newton decreases
+    monotonically onto it, stopping once no entry decreases (the fixed
+    point 0 stays exact).  The same loop, from R = 1 or x = 1, builds the
+    tables.  Points are solved ``_CHUNK`` at a time (a shorter remainder
+    joins the part before), so the temporaries never grow with the input.
     """
     if not 0.0 < beta:
         raise ValueError("beta must be positive")
@@ -744,11 +755,14 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
     def at_image(x):  # an inverse branch's derivative, 1/f'(x) at x = g(y)
         return 1.0 / (1.0 + (1.0 + beta) * np.asarray(x, dtype=float) ** beta)
 
-    def newton(x, target, lo, p, xp, out):
+    def newton(x, target, lo, p, xp, out, s=None):
         """The Newton step from x into ``out``, floored at lo; p and xp are
         scratch.  x - target is exact on the left branch (Sterbenz), so the
-        residual carries no rounding of the forward value itself."""
+        residual carries no rounding of the forward value itself.  With s,
+        the step solves x + s*x^(1+beta) = target instead."""
         np.power(x, beta, out=p)
+        if s is not None:
+            p *= s
         np.subtract(x, target, out=out)
         out += np.multiply(x, p, out=xp)  # the residual
         p *= 1.0 + beta
@@ -757,7 +771,27 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
         np.subtract(x, out, out=out)
         np.maximum(out, lo, out=out)
 
-    def invert(y, lo, hi, offset, table=None):
+    def descend(x, target, lo, s=None):
+        """The monotone loop, in place from x right of the root."""
+        p, xp, step = np.empty((3, x.size))
+        for _ in range(_NEWTON_MAX_ITER):
+            newton(x, target, lo, p, xp, step, s)
+            if not (step < x).any():
+                return x
+            np.minimum(step, x, out=x)
+        raise SolverError(
+            f"Manneville-Pomeau inverse (beta={beta:g}) did not "
+            f"settle in {_NEWTON_MAX_ITER} Newton steps")
+
+    def hermite(x, dx):
+        """Each cell's cubic in t in [0, 1], lowest power first, from node
+        values x and slopes dx, then a constant cell for y = 1 itself."""
+        d0, d1 = dx[:-1] / _INVERSE_TABLE, dx[1:] / _INVERSE_TABLE
+        rise = np.diff(x)
+        return np.stack([x, *(np.append(c, 0.0) for c in (
+            d0, 3 * rise - 2 * d0 - d1, d0 + d1 - 2 * rise))])
+
+    def invert(y, lo, hi, offset, table, parabolic):
         y = np.asarray(y, dtype=float)
         flat, inverse = y.ravel(), np.empty(y.size)
         # a chunk of cylinders and its last right end are one part
@@ -765,42 +799,46 @@ def manneville_pomeau_system(beta: float) -> IfsSystem:
         for part in map(slice, starts, [*starts[1:], flat.size]):
             target = flat[part] + offset
             top = np.minimum(target, hi)
-            x, (p, xp, step) = inverse[part], np.empty((3, top.size))
-            if table is None:
-                x[:] = top
-            else:  # left of the root, then one step to its right
-                at = np.multiply(flat[part], _INVERSE_TABLE, out=p)
-                cell = np.minimum(at.astype(np.intp), _INVERSE_TABLE - 1)
-                at -= cell
-                np.multiply(table[1].take(cell, mode="clip"), at, out=x)
-                x += table[0].take(cell, mode="clip")
-                np.maximum(x, lo, out=x)
-                np.minimum(x, top, out=x)
-                newton(x, target, lo, p, xp, step)
-                np.minimum(step, top, out=x)
-            for _ in range(_NEWTON_MAX_ITER):
-                newton(x, target, lo, p, xp, step)
-                if not (step < x).any():
-                    break
-                np.minimum(step, x, out=x)
-            else:
-                raise SolverError(
-                    f"Manneville-Pomeau inverse (beta={beta:g}) did not "
-                    f"settle in {_NEWTON_MAX_ITER} Newton steps")
+            x, (at, xp, step) = inverse[part], np.empty((3, top.size))
+            # the start: x(y), or y*R(s) at s = y^beta on the parabolic side
+            u = np.power(flat[part], beta, out=at) if parabolic else flat[part]
+            np.multiply(u, _INVERSE_TABLE, out=at)
+            cell = at.astype(np.intp)
+            at -= cell
+            np.multiply(table[3].take(cell, mode="clip"), at, out=x)
+            for k in (2, 1):  # Horner's rule
+                x += table[k].take(cell, mode="clip")
+                x *= at
+            x += table[0].take(cell, mode="clip")
+            if parabolic:
+                x *= flat[part]
+            np.maximum(x, lo, out=x)
+            np.minimum(x, top, out=x)
+            newton(x, target, lo, at, xp, step)
+            np.abs(np.subtract(step, x, out=at), out=at)  # the step's size
+            np.multiply(x, _NEWTON_CERTIFIED, out=xp)
+            rest = np.flatnonzero(at > xp)  # not certified: the loop
+            np.minimum(step, top, out=x)
+            if rest.size:
+                x[rest] = descend(x[rest], target[rest], lo)
         return inverse.reshape(y.shape)[()]
 
-    def branch(lo, hi, offset, **flags):
-        at = invert(np.linspace(0.0, 1.0, _INVERSE_TABLE + 1), lo, hi, offset)
-        table = at[:-1], np.diff(at)  # each cell's left value and rise
+    nodes = np.linspace(0.0, 1.0, _INVERSE_TABLE + 1)
+    ratio = descend(np.ones(nodes.size), 1.0, 0.0, nodes)  # R at s = nodes
+    power, cut = ratio ** beta, float(ratio[-1])
+    slope = -ratio * power / (1.0 + (1.0 + beta) * nodes * power)  # R'(s)
+    image = descend(np.ones(nodes.size), nodes + 1.0, cut)  # the other branch
 
+    def branch(lo, hi, offset, table, parabolic=False, **flags):
         def inverse(y):
-            return invert(y, lo, hi, offset, table)
+            return invert(y, lo, hi, offset, table, parabolic)
         return Branch(map=inverse, derivative=lambda y: at_image(inverse(y)),
-                      derivative_at_image=at_image, **flags)
+                      derivative_at_image=at_image, parabolic=parabolic,
+                      **flags)
 
-    cut = float(invert(1.0, 0.0, 1.0, 0.0))
-    branches = (branch(0.0, cut, 0.0, parabolic=True, fixed_point=0.0,
-                       label="left"),
-                branch(cut, 1.0, 1.0, label="right"))
+    branches = (branch(0.0, cut, 0.0, hermite(ratio, slope), parabolic=True,
+                       fixed_point=0.0, label="left"),
+                branch(cut, 1.0, 1.0, hermite(image, at_image(image)),
+                       label="right"))
     return IfsSystem(branches=branches, name="manneville_pomeau",
-                     params={"beta": float(beta), "cut": float(cut)})
+                     params={"beta": float(beta), "cut": cut})

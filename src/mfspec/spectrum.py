@@ -690,7 +690,8 @@ def _window_midpoints(system: IfsSystem, seq: np.ndarray,
     size = np.maximum(np.minimum(edges, count) - begin, 0)
     starts = (np.repeat(begin - np.cumsum(size) + size, size)
               + np.arange(size.sum()))
-    symbols = np.unique(seq[run_lo[run_hi - run_lo >= depth]])
+    symbols = np.flatnonzero(np.bincount(seq[run_lo[run_hi - run_lo >= depth]],
+                                         minlength=system.m))
     nodes = 0
     for node, first, _, lo, width, _ in _suffix_cylinders(system, (
             np.append(seq[starts + j], symbols)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -205,7 +206,8 @@ def _inverse_grid(seed=7):
 def test_mp_inverse_is_within_two_ulp_of_mpmath(beta):
     # the branch solves x + x^(1+beta) = fl(y + offset); against its
     # 60-digit root, 3,000 sampled y per branch stayed under 1 ulp at each
-    # of these beta, started at min(target, hi) or from the table
+    # of these beta, from the cubic start with one Newton step as from
+    # min(target, hi) with the monotone loop
     system = manneville_pomeau_system(beta)
     left, right = system.branches
     assert left.map(0.0) == 0.0
@@ -222,7 +224,7 @@ def test_mp_inverse_is_within_two_ulp_of_mpmath(beta):
 
 def _newton_from_the_right(y, beta, lo, hi, offset):
     """The inverse started at min(target, hi), two powers per step: the
-    monotone loop as it ran before the tabulated start."""
+    monotone loop as it ran before the branches tabulated a start."""
     target = np.atleast_1d(np.asarray(y, dtype=float)) + offset
     x = np.minimum(target, hi)
     for _ in range(100):
@@ -245,9 +247,9 @@ _INVERSE_SYSTEMS = {beta: manneville_pomeau_system(beta)
        st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e-6)
                 | st.floats(1.0 - 1e-6, 1.0), min_size=1, max_size=50))
 def test_mp_inverse_within_an_ulp_of_newton_from_the_right(beta, side, ys):
-    # the tabulated start and the one-power step move some points by one
-    # ulp and none by more (at beta with an inexact 1 + beta, as 0.1,
-    # x^(1+beta) carries that rounding, and the two loops differ by more)
+    # the cubic start and its one certified Newton step move some points
+    # by one ulp and none by more (at beta with an inexact 1 + beta, as
+    # 0.1, x^(1+beta) carries that rounding, and the two differ by more)
     system = _INVERSE_SYSTEMS[beta]
     cut = system.params["cut"]
     lo, hi = (0.0, cut) if side == 0 else (cut, 1.0)
@@ -257,12 +259,55 @@ def test_mp_inverse_within_an_ulp_of_newton_from_the_right(beta, side, ys):
     assert np.all(np.abs(got - ref) <= np.spacing(ref))
 
 
-def test_mp_inverse_takes_at_most_four_newton_steps_per_call(monkeypatch):
-    # each Newton step takes one power: on the n=16 pass (54 map calls of
-    # at most 4097 points; the gap's terms invert nothing, where midpoint
-    # derivatives took 54 calls more) the tabulated start settles in 2-4
-    # steps a call, where starting at min(target, hi) took 5-6 (x^(1+beta)
-    # a second power in each)
+@pytest.mark.fixed_seed
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_EXACT_BETAS), st.sampled_from([0, 1]),
+       st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e-6)
+                | st.floats(1.0 - 1e-6, 1.0), min_size=1, max_size=50))
+def test_mp_inverse_fallback_within_an_ulp_of_newton_from_the_right(
+        beta, side, ys):
+    # at these beta no sampled point fails the one-step certificate; with
+    # a zero threshold every point that a step still moves continues the
+    # monotone loop from its Newton point, which ends where the old one did
+    system = _INVERSE_SYSTEMS[beta]
+    cut = system.params["cut"]
+    lo, hi = (0.0, cut) if side == 0 else (cut, 1.0)
+    ys = np.append(ys, 0.0)
+    ref = _newton_from_the_right(ys, beta, lo, hi, float(side))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_NEWTON_CERTIFIED", 0.0)
+        got = system.branches[side].map(ys)
+    assert np.all(np.abs(got - ref) <= np.spacing(ref))
+    assert got[-1] == (0.0 if side == 0 else cut)
+
+
+@pytest.mark.parametrize("beta", [1e-4, 0.01, 10.0, 1000.0])
+def test_mp_inverse_at_extreme_beta_is_within_four_ulp_of_mpmath(beta):
+    # y^beta underflows for most y at beta = 1000 and sits near 1 for all
+    # of them at beta = 1e-4; the tables are built without a warning and
+    # the start, step and fallback stay within 4 ulp of a 60-digit root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = manneville_pomeau_system(beta)
+    left, right = system.branches
+    assert left.map(0.0) == 0.0
+    assert right.map(0.0) == system.params["cut"]
+    for branch, offset in ((left, 0.0), (right, 1.0)):
+        grid = _inverse_grid()
+        for y, x in zip(grid, branch.map(grid)):
+            ref = _mp_inverse_reference(float(y + offset), beta)
+            if ref == 0:
+                assert x == 0.0
+            else:
+                assert abs(x - ref) <= 4 * np.spacing(float(ref)), (beta, y)
+
+
+def test_mp_inverse_takes_one_newton_step_per_call(monkeypatch):
+    # on the n=16 pass (54 map calls of at most 4097 points; the gap's
+    # terms invert nothing) every point's cubic start is certified by one
+    # Newton step: the parabolic branch takes two powers a call (s = y^beta
+    # for its start and x^beta for the step) and the other branch one, so
+    # no point falls back to the monotone loop
     powers = [0]
 
     class CountingNumpy:
@@ -273,24 +318,25 @@ def test_mp_inverse_takes_at_most_four_newton_steps_per_call(monkeypatch):
             powers[0] += 1
             return np.power(*args, **kwargs)
 
-    steps = []
+    calls = []
 
-    def per_call(fn):
+    def per_call(fn, side):
         def counted(y):
             before = powers[0]
             out = fn(y)
-            steps.append(powers[0] - before)
+            calls.append((side, powers[0] - before))
             return out
         return counted
 
     counted = IfsSystem(branches=tuple(dataclasses.replace(
-        b, map=per_call(b.map), derivative=per_call(b.derivative))
-        for b in MP.branches), name=MP.name)
-    steps.clear()
+        b, map=per_call(b.map, side), derivative=per_call(b.derivative, side))
+        for side, b in enumerate(MP.branches)), name=MP.name)
+    calls.clear()
     monkeypatch.setattr(geometry, "np", CountingNumpy())
     top_level(counted, 16, coordinate(), gap=True)
-    assert len(steps) == 54
-    assert 1 <= min(steps) and max(steps) <= 4
+    assert sorted(set(calls)) == [(0, 2), (1, 1)]
+    assert [side for side, _ in calls].count(0) == 27
+    assert len(calls) == 54
 
 
 def test_mp_parabolic_flags():

@@ -1941,6 +1941,28 @@ def test_first_calls_leave_logging_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sampler_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (NumPy 2.x), about 1 MB of resident
+    # memory; the sampler finds its long-run symbols by a bincount instead
+    code = (
+        "import sys\n"
+        "from mfspec import (MarkovChainSpec, alternating_sampler,\n"
+        "                    block_marginal, coordinate,\n"
+        "                    manneville_pomeau_system)\n"
+        "chain = MarkovChainSpec(transition=[[0.9, 0.1], [0.2, 0.8]],\n"
+        "                        initial=[2 / 3, 1 / 3])\n"
+        "ks = list(range(1, 20))\n"
+        "alternating_sampler(manneville_pomeau_system(0.5), coordinate(),\n"
+        "                    block_marginal(chain, 2), 0, ks,\n"
+        "                    [1.0 / (k * k) for k in ks], horizon=2000)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(spectrum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sampler_degenerate_schedule_tracks_measure_average():
     # k = 0 inserts no parabolic blocks, so the average follows the measure
     from mfspec.potentials import induced_word_function
