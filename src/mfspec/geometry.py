@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (DegenerateCylinderError, InsufficientDepthError,
                      SolverError)
-from .symbolic import Alphabet, Word, WordFunction, slot_words, word_label
+from .symbolic import (Alphabet, PcgStream, Word, WordFunction, slot_words,
+                       word_label)
 
 _PARABOLIC_TOL = 1e-9
 _VALIDATION_GRID = 513
@@ -170,8 +171,7 @@ class IfsSystem:
         if self.m**depth <= 65536:
             *_, (_, widths) = cylinder_levels(self, depth)
         else:
-            rng = np.random.default_rng(0)
-            words = rng.integers(0, self.m, size=(samples, depth))
+            words = PcgStream(0).integers(self.m, (samples, depth))
             widths = fold(self, words)[1]
         if float(np.max(widths)) >= d1:
             raise ValueError(
@@ -599,16 +599,17 @@ def lemma1_gap(system: IfsSystem, n: int, sample: int | None = None,
     (``end_sums``): exact where log g_w' is monotone, as on every shipped
     family (Moebius composites are Moebius; both Manneville-Pomeau
     log-derivatives decrease).  ``sample=None`` enumerates all m^n words
-    (cap-guarded, ``top_level``), else that many words are drawn with the
-    fixed seed.  0.0 exactly for an all-affine system (g_w' is the width,
-    a constant), with no end sums formed; decays with n otherwise."""
+    (cap-guarded, ``top_level``), else the words numpy's
+    ``default_rng(seed).integers(0, m, (sample, n))`` draws.  0.0 exactly
+    for an all-affine system (g_w' is the width, a constant), with no end
+    sums formed; decays with n otherwise."""
     if n < 1:
         raise ValueError(f"lemma1_gap needs a depth n >= 1, got n={n}")
     if sample is None:
         return top_level(system, n, gap=True).gap
     if sample < 1:
         raise ValueError(f"lemma1_gap needs sample >= 1 words, got {sample}")
-    words = np.random.default_rng(seed).integers(0, system.m, (sample, n))
+    words = PcgStream(seed).integers(system.m, (sample, n))
     width, *sums = (fold(system, words)[1:] if system.affine
                     else end_sums(system, words))
     if np.any(width <= 0.0):

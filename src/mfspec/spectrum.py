@@ -46,7 +46,7 @@ from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _parts,
                        _suffix_cylinders, compositions, neg_log_derivative,
                        top_level)
 from .potentials import PotentialSpec, potential_arrays
-from .symbolic import WEIGHT_FLOOR, BlockMeasure, check_weights
+from .symbolic import WEIGHT_FLOOR, BlockMeasure, PcgStream, check_weights
 
 _Q_EXP_LIMIT = 700.0
 _TIE_TOL = 1e-9
@@ -717,6 +717,8 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
     the potential and of the geometric potential.  As the parabolic blocks
     dominate, the potential average should approach the potential value at
     the indifferent fixed point while the geometric average decays to 0.
+    A seed gives the blocks numpy's ``default_rng(seed).choice`` draws on
+    the block weights: the same inverse-cdf search on ``PcgStream``.
 
     The finite schedule must have nondecreasing k_i and nonincreasing
     k_i * eps_i (the numeric stand-ins for k_i -> infinity, k_i eps_i -> 0).
@@ -756,10 +758,11 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
         raise InvalidScheduleError(
             "k_i * eps_i must be nonincreasing within tolerance")
 
-    rng = np.random.default_rng(seed)
+    stream = PcgStream(seed)
     dtype = np.min_scalar_type(system.m - 1)
     slots = np.flatnonzero(measure.p > WEIGHT_FLOOR)
-    weights = measure.p[slots] / measure.p[slots].sum()
+    cdf = np.cumsum(measure.p[slots] / measure.p[slots].sum())
+    cdf /= cdf[-1]
     block_shape = (measure.m,) * measure.n
 
     chunks: list[np.ndarray] = []
@@ -767,7 +770,7 @@ def alternating_sampler(system: IfsSystem, potential: PotentialSpec,
     total = 0
 
     def emit_stage(i: int, k: int) -> int:
-        draws = rng.choice(len(slots), size=-(-i // measure.n), p=weights)
+        draws = cdf.searchsorted(stream.random(-(-i // measure.n)), "right")
         words = np.stack(np.unravel_index(slots[draws], block_shape), axis=1)
         chunks.append(words.ravel()[:i].astype(dtype))
         if k:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -32,6 +33,72 @@ WEIGHT_FLOOR = 1e-300
 
 _SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class PcgStream:
+    """numpy's ``default_rng(seed)`` draws, bit for bit, without its random
+    package: SeedSequence's hash of the seed's 32-bit words seeds PCG64, a
+    128-bit LCG with XSL-RR output (O'Neill, HMC-CS-2014-0905).  A negative
+    seed is a ``ValueError``, a non-integer one (``1.5``) a ``TypeError``."""
+
+    @staticmethod
+    def _hasher(const: int, mult: int) -> Callable[[int], int]:
+        def hashmix(value: int) -> int:  # each call steps the constant
+            nonlocal const
+            value = (value ^ const) * (const := const * mult & _M32) & _M32
+            return value ^ value >> 16
+        return hashmix
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        words = [seed >> k & _M32 for k in range(0, seed.bit_length() or 1, 32)]
+        hashmix = self._hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+        # each pool word into every other, then each word past the pool
+        for src, dst in [*itertools.permutations(range(4), 2),
+                         *itertools.product(range(4, len(words)), range(4))]:
+            x = (0xCA01F9DD * pool[dst]
+                 - 0x4973F715 * hashmix((pool + words[4:])[src])) & _M32
+            pool[dst] = x ^ x >> 16
+        state = self._hasher(0x8B51F9DD, 0x58F38DED)  # 4 uint64 words
+        a, b, c, d = (state(pool[i]) | state(pool[i + 1]) << 32
+                      for i in (0, 2, 0, 2))
+        self._inc = inc = (c << 65 | d << 1 | 1) & _M128  # pcg64_set_seed
+        self._state = (inc + (a << 64 | b)) * _PCG_MULT + inc & _M128
+        self._half = np.zeros(0, dtype=np.uint64)  # a high half not yet used
+
+    def _next64(self, k: int) -> np.ndarray:
+        s, inc, out = self._state, self._inc, []
+        for _ in range(k):
+            s = (s * _PCG_MULT + inc) & _M128
+            x, r = (s >> 64 ^ s) & _M64, s >> 122
+            out.append((x >> r | x << 64 - r) & _M64)
+        self._state = s
+        return np.array(out, dtype=np.uint64)
+
+    def random(self, k: int) -> np.ndarray:
+        """k doubles in [0, 1), as ``Generator.random(k)``."""
+        return (self._next64(k) >> 11) * 2.0**-53
+
+    def integers(self, m: int, shape) -> np.ndarray:
+        """int64 in [0, m), 1 <= m <= 2**32, as ``Generator.integers(0, m,
+        shape)``: Lemire's method on the 32-bit halves numpy buffers."""
+        out = np.zeros(math.prod(shape), dtype=np.int64)
+        need = out.size if m > 1 else 0
+        while need:  # a rejected half is skipped: draw again for it
+            draws = self._next64((need - self._half.size + 1) // 2)
+            halves = np.append(self._half, np.c_[draws & _M32, draws >> 32])
+            prod, self._half = halves[:need] * np.uint64(m), halves[need:]
+            kept = prod[(prod & _M32) >= 2**32 % m] >> 32
+            out[-need:][:kept.size] = kept
+            need -= kept.size
+        return out.reshape(shape)
 
 
 def word_label(w: Word) -> str:

@@ -40,8 +40,8 @@ from mfspec.spectrum import (ALPHA_TOL, BOUNDARY_TOL, MAX_ITER,
                              alternating_sampler,
                              full_spectrum, lower_bound, moran_dimension,
                              parabolic_interval, upper_bound)
-from mfspec.symbolic import (BlockMeasure, MarkovChainSpec, block_marginal,
-                             slot_words)
+from mfspec.symbolic import (BlockMeasure, MarkovChainSpec, PcgStream,
+                             block_marginal, slot_words)
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -1582,15 +1582,32 @@ def test_sampler_rejects_nonpositive_eval_depth():
 
 def test_sampler_rejects_a_measure_of_another_alphabet(monkeypatch):
     # a 3-symbol measure on the 2-branch MP map is refused by name, before
-    # the generator is even made
+    # the stream is even made
     def no_draws(*args, **kwargs):
         raise AssertionError("the sampler drew before checking the measure")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(spectrum, "PcgStream", no_draws)
     with pytest.raises(ValueError, match="measure has 3 symbols but the "
                                          "system has 2 branches"):
         alternating_sampler(MP, coordinate(), BlockMeasure.dirac((0, 2), 3),
                             0, [1, 2], [0.5, 0.25], 100)
+
+
+def test_seeds_are_nonnegative_integers(monkeypatch):
+    # a seed is read with operator.index and refused before any draw, as
+    # numpy's default_rng refuses a negative one
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(PcgStream, "_next64", no_draws)
+    nu = block_marginal(CHAIN, 2)
+    for seed, error in ((-1, ValueError), (1.5, TypeError),
+                        (None, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            alternating_sampler(MP, coordinate(), nu, 0, [1, 2], [0.5, 0.25],
+                                100, seed=seed)
+        with pytest.raises(error):
+            lemma1_gap(MP, 10, sample=300, seed=seed)
 
 
 def test_sampler_memory_is_flat_in_the_horizon():
@@ -1943,19 +1960,26 @@ def test_first_calls_leave_logging_unimported():
 
 def test_sampler_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma (NumPy 2.x), about 1 MB of resident
-    # memory; the sampler finds its long-run symbols by a bincount instead
+    # memory; the sampler finds its long-run symbols by a bincount instead.
+    # The sampler, the sampled gap and the decay check of a 5-branch system
+    # (m**8 > 65536, so it draws its words) draw from PcgStream: numpy's
+    # random package would load secrets, hashlib and OpenSSL's _hashlib,
+    # about 6 MB
     code = (
         "import sys\n"
         "from mfspec import (MarkovChainSpec, alternating_sampler,\n"
-        "                    block_marginal, coordinate,\n"
-        "                    manneville_pomeau_system)\n"
+        "                    block_marginal, coordinate, lemma1_gap,\n"
+        "                    linear_system, manneville_pomeau_system)\n"
         "chain = MarkovChainSpec(transition=[[0.9, 0.1], [0.2, 0.8]],\n"
         "                        initial=[2 / 3, 1 / 3])\n"
         "ks = list(range(1, 20))\n"
-        "alternating_sampler(manneville_pomeau_system(0.5), coordinate(),\n"
-        "                    block_marginal(chain, 2), 0, ks,\n"
-        "                    [1.0 / (k * k) for k in ks], horizon=2000)\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        "mp = manneville_pomeau_system(0.5)\n"
+        "alternating_sampler(mp, coordinate(), block_marginal(chain, 2), 0,\n"
+        "                    ks, [1.0 / (k * k) for k in ks], horizon=2000)\n"
+        "lemma1_gap(mp, 10, sample=300, seed=2)\n"
+        "linear_system([0.15] * 5)\n"
+        "for name in ('numpy.ma', 'numpy.random', 'secrets', '_hashlib'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n")
     src = str(Path(spectrum.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
