@@ -352,18 +352,22 @@ def _parts(size: int):
 
 
 def _image_level(branches: Sequence[Branch], lo, width, size: int,
-                 ends=None) -> None:
+                 step=None) -> None:
     """Cylinders one level deeper in place: slot a*size + j becomes branch
     a's ``image_of`` of slot j of ``lo``, ``width``.  Block 0, which
     overlaps the parents, goes last, one ``_CHUNK`` of slots per call, so a
-    branch's temporaries never grow with the depth; ``ends(a, part, lo,
-    width, image_lo, image_width)`` sees each call before its write."""
+    branch's temporaries never grow with the depth; ``step(a, part, lo,
+    width, image_lo, image_width)`` sees each call before its write.  A
+    ``lo`` of the ``size`` parents alone (a last level) keeps them: only
+    widths are written."""
     for a in reversed(range(len(branches))):
         for part in _parts(size):
             image = branches[a].image_of(lo[part], width[part])
-            if ends:
-                ends(a, part, lo[part], width[part], *image)
-            lo[a * size:][part], width[a * size:][part] = image
+            if step:
+                step(a, part, lo[part], width[part], *image)
+            if lo.size > size:
+                lo[a * size:][part] = image[0]
+            width[a * size:][part] = image[1]
             del image  # freed before the next call's temporaries
 
 
@@ -378,20 +382,6 @@ def cylinder_levels(system: IfsSystem, depth: int):
     for size in (m**k for k in range(depth)):
         _image_level(system.branches, lo, width, size)
         yield lo[:m * size], width[:m * size]
-
-
-def _add_level(sums: np.ndarray, size: int, m: int, block) -> None:
-    """Birkhoff sums one level deeper in place, S(a w) = v(a w) + S(w), from
-    S in ``sums[:size]`` and v in ``block``, an array broadcastable to (m,
-    size); block 0 overlaps S: last.  At most ``_CHUNK`` slots take one
-    broadcast add."""
-    if m * size <= _CHUNK:
-        np.add(block, sums[:size], out=sums[:m * size].reshape(m, size))
-        return
-    whole = np.broadcast_to(block, (m, size))
-    for a in reversed(range(m)):
-        for part in _parts(size):
-            np.add(whole[a, part], sums[part], out=sums[a * size:][part])
 
 
 class CylinderTable:
@@ -436,12 +426,13 @@ class CylinderTable:
         return self.system.alphabet.words(self.depth if k is None else k)
 
     def birkhoff(self, values: list[np.ndarray]) -> np.ndarray:
-        """Birkhoff sums over all depth-n words from per-depth value arrays."""
+        """Birkhoff sums over all depth-n words from per-depth value arrays,
+        S(a w) = v(a w) + S(w) in place (numpy buffers the overlap)."""
         sums = np.empty(self.m**self.depth)
         sums[:self.m] = values[0]
         for v in values[1:]:
             v = v.reshape(self.m, -1)
-            _add_level(sums, v.shape[1], self.m, v)
+            np.add(v, sums[:v.shape[1]], out=sums[:v.size].reshape(v.shape))
         return sums
 
     @property
@@ -466,7 +457,8 @@ class LevelPass(NamedTuple):
     over the kinds with the values of its lowest word ``words[i]`` and
     ``count[i]`` words.  ``gap`` is the Lemma-1 gap (None unless asked
     for), ``max_diameters`` the largest width per depth and ``nodes`` the
-    number of cylinders stepped."""
+    number of cylinders stepped; ``width`` and ``phi`` are its only word
+    arrays."""
 
     width: np.ndarray
     phi: np.ndarray | None
@@ -546,48 +538,42 @@ def top_level(system: IfsSystem, n: int, potential=None,
     g_w' is the constant prod r the width is.  Otherwise one pass over
     the levels 1..n keeps only the current one, each word a row: level k
     forms the m*R children of its R words in slot order a*R + j, in place
-    behind the parents, widths by ``_image_level`` and phi by
-    ``_add_level``.  The gap reads the end sums D_lo, D_hi (``end_sums``)
-    from ``Branch.end_terms`` in the image step, kept to depth n-1: depth
-    n is formed by the chunk inside the max, before phi's last level.
+    behind the parents, by ``_image_level``, whose step per branch and
+    chunk also adds the potential on the children's images to their
+    parents' sums, v + S, in place, block 0 last.  ``lo`` holds the
+    m^(n-1) parents only, as the last level writes widths alone.  The gap
+    reads the end sums D_lo, D_hi (``end_sums``) from ``Branch.end_terms``
+    in the same step, kept to depth n-1: depth n is formed by the chunk
+    inside the max.  No level-sized temporary is formed.
     """
     system.alphabet.check_cap(n)
     if system.affine and (potential is None or potential.word_local):
         return _composition_level(system, n, potential, gap)
     m, branches = system.m, system.branches
-    lo, width = np.zeros(m**n), np.ones(m**n)
+    lo, width = np.zeros(m**(n - 1)), np.ones(m**n)
     phi = None if potential is None else np.empty(m**n)
-    first = np.arange(m)[:, None]
-    value = potential.on_cylinders(m, first, 0.0, 1.0) if (  # word-local
-        potential is not None and potential.word_local) else None
     rates, sums = [], [np.zeros(m**(n - 1)) for _ in range(2)] if (
         gap and not system.affine) else []
 
-    def ends(a, part, *cylinders):  # block a's end sums, in place below n
-        d_a = [np.add(t, d[part], out=d[a * size:][part] if k < n else None)
-               for d, t in zip(sums, branches[a].end_terms(*cylinders))]
-        if k == n and not np.any(cylinders[3] <= 0.0):  # else raised below
-            rates.append(_rate_gap(cylinders[3], d_a, n))
+    def step(a, part, *cylinders):  # block a's end sums and phi, in place
+        if sums:  # the end sums are kept below n
+            d_a = [np.add(t, d[part], out=d[a * size:][part] if k < n
+                          else None)
+                   for d, t in zip(sums, branches[a].end_terms(*cylinders))]
+            if k == n and not np.any(cylinders[3] <= 0.0):  # else raised
+                rates.append(_rate_gap(cylinders[3], d_a, n))
+        if phi is not None:  # at level 1 from -0.0: -0.0 + v is v, bit-wise
+            np.add(potential.on_cylinders(m, a, *cylinders[2:]),
+                   phi[part] if k > 1 else -0.0, out=phi[a * size:][part])
     size, nodes, max_diameters = 1, 0, []
     for k in range(1, n + 1):  # size: words one level up
-        _image_level(branches, lo, width, size, ends if sums else None)
+        _image_level(branches, lo, width, size, step)
         max_diameters.append(float(np.max(width[:m * size])))
-        if k == n:
-            if np.any(width <= 0.0):
-                raise DegenerateCylinderError(word_label(slot_words(
-                    m, n, [int(np.argmax(width <= 0.0))])[0]))
-            sums = []  # freed before phi's last level
-        if phi is not None:
-            level = value if value is not None else potential.on_cylinders(
-                m, first, lo[:m * size].reshape(m, -1),
-                width[:m * size].reshape(m, -1))
-            if k == 1:
-                phi[:m] = np.ravel(np.broadcast_to(level, (m, 1)))
-            else:
-                _add_level(phi, size, m, level)
-            level = None
         size *= m
         nodes += size
+    if np.any(width <= 0.0):
+        raise DegenerateCylinderError(word_label(slot_words(
+            m, n, [int(np.argmax(width <= 0.0))])[0]))
     return LevelPass(width, phi, max(rates, default=0.0) if gap else None,
                      max_diameters, 1.0, None, None, nodes)
 

@@ -90,10 +90,13 @@ class LowerBoundResult:
     """Certified feasible value of the depth-n variational problem.
 
     ``row_weights`` is one word's weight per row of ``context.rows`` (0 on
-    the rows the floor or a boundary masks out), checked to sum to 1 over
-    the words.  ``measure``, the per-word ``BlockMeasure``, gathers them
-    through ``context.word_row`` when first read, so a sweep that reads
-    only the numbers forms no word array.
+    the rows ``mask``, the floor's or a boundary's, leaves out), checked
+    by ``lower_bound`` to sum to 1 over the words.  It is formed when
+    first read, from (t, q) and the partition sum ``z`` by
+    ``Rows.word_weights`` as the solve formed it, bit for bit, and
+    ``measure``, the per-word ``BlockMeasure``, gathers it through
+    ``context.word_row``.  So a result holds no word array, and a sweep
+    that reads only the numbers forms none after the context.
     """
 
     dim: float
@@ -105,8 +108,20 @@ class LowerBoundResult:
     iterations: int
     gibbs_evals: int
     boundary: bool
-    row_weights: np.ndarray = field(repr=False, compare=False)
+    z: float = field(repr=False, compare=False)
+    mask: np.ndarray | None = field(repr=False, compare=False)
     context: DepthContext = field(repr=False, compare=False)
+
+    @cached_property
+    def row_weights(self) -> np.ndarray:
+        rows, mask = self.context.rows.where(self.mask), self.mask
+        w = rows.word_weights(self.t, self.q or 0.0, self.z,
+                              np.empty_like(rows.ell), np.empty_like(rows.ell))
+        if mask is None:
+            return w
+        weights = np.zeros(mask.size)  # the masked rows weigh nothing
+        weights[mask] = w
+        return weights
 
     @cached_property
     def measure(self) -> BlockMeasure:
@@ -227,6 +242,14 @@ class Rows(NamedTuple):
             w *= self.count
         return shift, float(w.sum())
 
+    def word_weights(self, t, q, z, w, tmp) -> np.ndarray:
+        """One word's weight per row, exp(-t*ell + q*phi - shift) / z, into
+        ``w``: ``log_z`` with unit counts, so with the same shift, over the
+        ``z`` the counted ``log_z`` gave at (t, q)."""
+        Rows(self.ell, self.phi, 1.0).log_z(t, q, w, tmp)
+        w /= z
+        return w
+
     def gibbs(self, t, q, w, tmp) -> _Gibbs:
         """Gibbs moments at (t, q) in one pass over the two buffers ``log_z``
         takes; ``w`` ends up holding the weights times phi - E[phi].
@@ -276,7 +299,8 @@ def moran_dimension(system: IfsSystem, n: int) -> float:
     (n + 1 of them on linear [1/2, 1/3]), else one per word.
     """
     level = top_level(system, n)
-    return Rows(-np.log(level.width), None, level.count).moran_root()[0]
+    ell = np.negative(np.log(level.width, out=level.width), out=level.width)
+    return Rows(ell, None, level.count).moran_root()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +449,8 @@ def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
     half = 2.0 * ctx.rho + ctx.slack
     mask = ctx.floor
     rows = ctx.rows
-    keep = np.abs(rows.phi / n - alpha) < half
+    keep = rows.phi / n  # the window test's one float temporary
+    keep = np.abs(np.subtract(keep, alpha, out=keep), out=keep) < half
     if mask is not None:
         keep &= mask
     if not keep.any():
@@ -524,9 +549,10 @@ def lower_bound(ctx: DepthContext, alpha: float, *,
     boundary alpha only the extreme words meet the constraint: their rows
     join the floor mask, q is pinned at 0 (reported as None) and ``dim`` is
     their Moran root t itself.  The final word weights exp(q*phi - t*ell -
-    shift) / z, one per (width, phi) row, are checked as a
-    ``BlockMeasure``'s are; ``LowerBoundResult.measure`` gathers them per
-    word through ``ctx.word_row`` when first read.
+    shift) / z, one per (width, phi) row (``Rows.word_weights``), are
+    formed in the solve's buffers and checked as a ``BlockMeasure``'s are;
+    the result keeps (t, q, z, mask), from which ``LowerBoundResult``
+    forms them again, bit for bit, when first read.
     """
     n = ctx.n
     mask = ctx.floor
@@ -543,8 +569,8 @@ def lower_bound(ctx: DepthContext, alpha: float, *,
         tie = np.abs(ctx.rows.phi - aim) <= _TIE_TOL
         mask = tie if mask is None else mask & tie
     rows = ctx.rows.where(mask)
-    cap = 0.0 if boundary else _Q_EXP_LIMIT / max(
-        float(np.max(np.abs(rows.phi))), 1e-12)
+    cap = 0.0 if boundary else _Q_EXP_LIMIT / max(  # max |phi|, unformed
+        -float(np.min(rows.phi)), float(np.max(rows.phi)), 1e-12)
     q_tol = n * ALPHA_TOL * max(1.0, abs(alpha))
     w, tmp = np.empty((2, rows.ell.size))
     iterations = -1
@@ -560,22 +586,14 @@ def lower_bound(ctx: DepthContext, alpha: float, *,
             f"(t, q) unsettled after {iterations} steps, constraint residual "
             f"{abs(e_phi - target):g}, |q| cap {cap:g}: alpha={alpha:g} in "
             f"[{lo_avg:.6g}, {hi_avg:.6g}] at depth {n}")
-    # one word's weight per row: log_z with unit counts, same shift
-    Rows(rows.ell, rows.phi, 1.0).log_z(t, q, w, tmp)
-    w /= gibbs.z
-    check_weights(w, rows.count)
-    if mask is None:  # the result keeps the weights, not both buffers
-        w = w.copy()
-    else:  # the masked rows weigh nothing
-        kept, w = w, np.zeros(mask.size)
-        w[mask] = kept
+    check_weights(rows.word_weights(t, q, gibbs.z, w, tmp), rows.count)
     entropy, e_ell = gibbs.entropy, gibbs.e_ell
     return LowerBoundResult(
         dim=t if boundary else entropy / e_ell, t=t,
         q=None if boundary else q,
         alpha_achieved=e_phi / n, lyapunov=e_ell / n,
         entropy_rate=entropy / n, iterations=iterations,
-        gibbs_evals=iterations + 1, boundary=boundary, row_weights=w,
+        gibbs_evals=iterations + 1, boundary=boundary, z=gibbs.z, mask=mask,
         context=ctx)
 
 
@@ -618,7 +636,6 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
                 solved.append((alpha, lb.t, lb.q))
             point.update(lower=lb.dim, t=lb.t, q=lb.q,
                          iterations=lb.iterations, gibbs_evals=lb.gibbs_evals)
-            del lb  # free its row weights before upper_bound allocates
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:

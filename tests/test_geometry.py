@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfspec import geometry
 from mfspec.errors import (DegenerateCylinderError, EnumerationLimitError,
@@ -17,7 +17,7 @@ from mfspec.geometry import (Branch, CylinderTable, IfsSystem,
                              g_eval, geometric_potential, lambda_n,
                              lemma1_gap, linear_system,
                              manneville_pomeau_system, project, top_level)
-from mfspec.potentials import coordinate, first_symbol
+from mfspec.potentials import coordinate, first_symbol, polynomial
 
 HALVES = linear_system([0.5, 0.5])
 MIXED = linear_system([0.5, 1 / 3])
@@ -603,3 +603,37 @@ def test_level_pass_branch_points_are_pinned(system, points):
     count[0] = 0  # the system's own checks at construction called them too
     top_level(counted, 16, potential, gap=True)
     assert count[0] == points
+
+
+@st.composite
+def _word_pass_case(draw):
+    """A system whose level pass keeps each word a row (a branch without a
+    slope, or affine branches with a ``func`` potential), a potential and
+    a depth."""
+    system = draw(st.sampled_from([MP, _MP_BETAS[2.0], EX2, HALVES, MIXED]))
+    potentials = [coordinate(), polynomial([0.3, -1.0, 2.0])]
+    if not system.affine:  # else a word-local potential takes compositions
+        potentials.append(first_symbol([1.0, -0.5]))
+    return system, draw(st.sampled_from(potentials)), draw(st.integers(1, 9))
+
+
+@pytest.mark.fixed_seed
+@settings(max_examples=40, deadline=None)
+@given(_word_pass_case(), st.integers(1, 64))
+@example((MP, coordinate(), 9), 1)
+@example((EX2, first_symbol([1.0, -0.5]), 9), 7)
+def test_level_pass_is_bit_equal_at_any_chunk_size(case, chunk):
+    # the level pass steps each branch over one _CHUNK of parents at a
+    # time, phi and the gap's end sums in the same step, block 0 last;
+    # with chunks of 1 to 64 words a level of 2^9 words takes up to 512
+    # calls per branch, and every output equals the one-chunk pass's bits
+    system, potential, n = case
+    ref = top_level(system, n, potential, gap=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CHUNK", chunk)
+        got = top_level(system, n, potential, gap=True)
+    assert np.array_equal(got.width.view(np.int64), ref.width.view(np.int64))
+    assert np.array_equal(got.phi.view(np.int64), ref.phi.view(np.int64))
+    assert got.gap.hex() == ref.gap.hex()
+    assert [d.hex() for d in got.max_diameters] == [
+        d.hex() for d in ref.max_diameters]

@@ -1348,21 +1348,28 @@ def test_sweep_forms_no_block_measure(monkeypatch):
     def refuse(**kwargs):
         raise AssertionError("the sweep formed a block measure")
 
-    contexts = []
-
     class Recorded(DepthContext):
         def __init__(self, *args):
             super().__init__(*args)
             contexts.append(self)
 
+    def recorded_lower(*args, **kwargs):
+        results.append(lower_bound(*args, **kwargs))
+        return results[-1]
+
+    contexts, results = [], []
     with monkeypatch.context() as patched:
         patched.setattr(spectrum, "BlockMeasure", refuse)
         patched.setattr(spectrum, "DepthContext", Recorded)
+        patched.setattr(spectrum, "lower_bound", recorded_lower)
         points = full_spectrum(HALVES, COIN, [0.2, 0.35, 0.5, 1.0],
                                SolverOptions(n=8, rho=0.05))
         assert [p.error for p in points] == [None] * 4
-    # nor the per-word rows: the sweep formed no word array
+    # nor the per-word rows, nor any result's row weights: the sweep
+    # formed no word array
     assert len(contexts) == 1 and "word_row" not in contexts[0].__dict__
+    assert len(results) == 4
+    assert not any("row_weights" in r.__dict__ for r in results)
     # the floor masks MP's words of the least rate
     delta = float(np.unique(CylinderTable(MP, 8).lambda_array)[1])
     for context, alpha in (
@@ -1371,17 +1378,52 @@ def test_sweep_forms_no_block_measure(monkeypatch):
              0.3)):
         res = lower_bound(context, alpha)
         mask = context.floor
-        rows = context.rows.where(mask)
-        w, tmp = np.empty((2, rows.ell.size))
-        z = rows.log_z(res.t, res.q, w, tmp)[1]
-        Rows(rows.ell, rows.phi, 1.0).log_z(res.t, res.q, w, tmp)
-        w /= z
-        if mask is not None:
-            kept, w = w, np.zeros(mask.size)
-            w[mask] = kept
+        w = _eager_row_weights(context, res, mask)
         assert (mask is None) == (context.system is HALVES)
         assert np.array_equal(res.measure.p, w.take(context.word_row))
         assert res.measure is res.measure
+
+
+def _eager_row_weights(context, res, mask):
+    """The row weights as ``lower_bound`` once kept them: ``log_z`` with
+    unit counts at (t, q), over the counted z, then the mask scatter."""
+    rows, q = context.rows.where(mask), res.q or 0.0
+    w, tmp = np.empty((2, rows.ell.size))
+    z = rows.log_z(res.t, q, w, tmp)[1]
+    Rows(rows.ell, rows.phi, 1.0).log_z(res.t, q, w, tmp)
+    w /= z
+    if mask is not None:
+        kept, w = w, np.zeros(mask.size)
+        w[mask] = kept
+    return w
+
+
+def test_row_weights_are_formed_on_read():
+    # a plain level, a level under a floor that masks MP's words of the
+    # least rate, and a boundary level (floor and ties): each result's
+    # weights, read only after more solves on its context, equal the
+    # eager formula bit for bit, as does the measure gathered from them
+    n = 8
+    delta = float(np.unique(CylinderTable(MP, n).lambda_array)[1])
+    plain = DepthContext(MP, coordinate(), SolverOptions(n=n))
+    floored = DepthContext(MP, coordinate(), SolverOptions(n=n, delta=delta))
+    hi = floored.phi_range[1]
+    ties = floored.floor & (np.abs(floored.rows.phi - hi) <= spectrum._TIE_TOL)
+    cases = [(plain, 0.3, None), (floored, 0.3, floored.floor),
+             (floored, hi / n, ties)]
+    results = [lower_bound(ctx, alpha) for ctx, alpha, _ in cases]
+    for ctx, _, _ in cases:
+        lower_bound(ctx, 0.35)
+    assert plain.floor is None and floored.floor is not None
+    assert [r.boundary for r in results] == [False, False, True]
+    for (ctx, _, mask), res in zip(cases, results):
+        assert "row_weights" not in res.__dict__
+        w = _eager_row_weights(ctx, res, mask)
+        assert res.row_weights is res.row_weights
+        assert np.array_equal(res.row_weights.view(np.int64),
+                              w.view(np.int64))
+        assert np.array_equal(res.measure.p.view(np.int64),
+                              w.take(ctx.word_row).view(np.int64))
 
 
 def test_mp_depth_context_keeps_one_row_per_word():
@@ -1389,14 +1431,57 @@ def test_mp_depth_context_keeps_one_row_per_word():
     # pass's ell and phi with a scalar count and no word index (word_row is
     # formed only when read); regrouping the words in width order kept an
     # int32 row index too (2.5 word arrays), and a float count of ones took
-    # 3.5 retained and 6.1 peak; the peak is the level pass's (4.58), and
-    # forming the gap after phi's last level took it to 5.0
+    # 3.5 retained and 6.1 peak; the peak is the level pass's (4.14, with
+    # ~0.33 MB of chunk temporaries), where a whole-level potential block
+    # and a lo of every word took 4.64
     n = 16
     DepthContext(MP, coordinate(), SolverOptions(n=4))
     held, peak = _traced(lambda: DepthContext(MP, coordinate(),
                                              SolverOptions(n=n)))
     assert held <= 2.0 * 8 * 2**n + 4096  # and the objects' headers
-    assert peak <= 4.8 * 8 * 2**n
+    assert peak <= 4.3 * 8 * 2**n
+
+
+def test_mp_sweep_peaks_at_its_context():
+    # full_spectrum on MP at n=16 over 6 interior levels holds the
+    # context's ell and phi and, per level, one (2, N) Gibbs block: the
+    # level pass's 4.14 word arrays stay the peak; a lower result that kept
+    # its row weights, copied out of the block, took the sweep to 5.01
+    n = 16
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=n))
+    lo, hi = (v / n for v in ctx.phi_range)
+    alphas = [lo + u * (hi - lo) for u in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)]
+    del ctx
+    points = []
+    peak = _traced(lambda: points.extend(full_spectrum(
+        MP, coordinate(), alphas, SolverOptions(n=n))))[1]
+    assert [p.error for p in points] == [None] * 6
+    assert not any(p.in_parabolic_interval for p in points)
+    assert peak <= 4.3 * 8 * 2**n
+
+
+def test_moran_dimension_takes_ell_in_place():
+    # the widths of a pass with no potential (lo of the parents only)
+    # become ell in place, beside Moran's one weight buffer: 2.14 word
+    # arrays, where -log(width) as a copy took 3.00
+    n = 16
+    moran_dimension(MP, 4)
+    _, peak = _traced(lambda: moran_dimension(MP, n))
+    assert peak <= 2.3 * 8 * 2**n
+
+
+def test_lower_result_holds_no_word_array():
+    # a result keeps (t, q, z, mask) and its context; its weights are
+    # formed when read: 1.3 KB held, where the weights kept took one word
+    # array; a boundary's mask, floor and ties, is one byte per row
+    n = 16
+    ctx = DepthContext(MP, coordinate(), SolverOptions(n=n))
+    lo, hi = ctx.phi_range  # the floor and the range, formed before
+    assert ctx.floor is None
+    held = _traced(lambda: lower_bound(ctx, 0.3))[0]
+    assert held < 4096
+    held = _traced(lambda: lower_bound(ctx, hi / n))[0]
+    assert held < 4096 + ctx.rows.ell.size
 
 
 def test_affine_context_with_a_func_potential_keeps_a_scalar_count():
@@ -1409,15 +1494,27 @@ def test_affine_context_with_a_func_potential_keeps_a_scalar_count():
     assert np.array_equal(np.sort(ctx.word_row), np.arange(2**n))
 
 
+def test_affine_context_with_a_func_potential_peaks_at_its_pass():
+    # linear [1/2, 1/2] with coordinate at n=18, each word a row: width,
+    # phi and lo of the 2^17 parents (2.63 word arrays); a lo of every
+    # word and a whole-level midpoint block took 4.00
+    n = 18
+    DepthContext(HALVES, coordinate(), SolverOptions(n=4))
+    _, peak = _traced(lambda: DepthContext(HALVES, coordinate(),
+                                           SolverOptions(n=n)))
+    assert peak <= 2.8 * 8 * 2**n
+
+
 def test_mp_pass_evaluates_branches_in_chunks():
     # whole-block Newton inverses took this pass to 8.0 word arrays; in
-    # chunks it holds lo, width and phi, and the gap's end sums D_lo and
-    # D_hi of depth n-1 (4.64 with temporaries, as the midpoint gap's g sum
-    # and midpoints took); forming the gap after phi's last level took 5.0
+    # chunks it holds width and phi, lo of the depth n-1 parents and the
+    # gap's end sums D_lo and D_hi of depth n-1: 3.5, and 4.14 with the
+    # chunks' temporaries; a lo of every word and a whole-level potential
+    # block took 4.64, and forming the gap after phi's last level 5.0
     n = 16
     top_level(MP, 4, coordinate(), gap=True)
     _, peak = _traced(lambda: top_level(MP, n, coordinate(), gap=True))
-    assert peak <= 4.8 * 8 * 2**n
+    assert peak <= 4.3 * 8 * 2**n
 
 
 def test_word_cap_is_checked_before_allocating():
