@@ -6,12 +6,13 @@ is parabolic at both endpoints, so the flagged interval spans every
 achievable level value and the whole spectrum collapses to the attractor
 dimension.  The intermittent-map system (inverse branches of
 x + x^(1+beta) mod 1) is parabolic only at 0: exactly the level alpha = 0
-is flagged, and every other level gets the two depth-n columns.  These are
-not two-sided there: its spectrum is flat too, b(alpha) = 1 on
-[0, alpha_ac], where alpha_ac ~ 0.369 is the mean of x under the
-absolutely continuous invariant measure, and both columns read below 1 on
-that part (at alpha = 0.2, lower 0.749 and upper 0.980).  Reaching it takes
-long excursions near 0, which no depth-n word holds.
+is flagged, and every other level gets the two depth-n columns.  Its
+spectrum is flat too, b(alpha) = 1 on [0, alpha_ac], where alpha_ac ~ 0.369
+is the mean of x under the absolutely continuous invariant measure.  The
+upper column reads that 1 (and 1 at every level here: the Lemma-1 gap of
+depth 10 leaves the cover bound no room below it), while the lower column
+reads below 1 on that part (0.749 at alpha = 0.2): reaching it takes long
+excursions near 0, which no depth-n word holds.
 """
 
 from mfspec import (SolverOptions, coordinate, example2_system, full_spectrum,

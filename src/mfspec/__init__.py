@@ -2,16 +2,16 @@
 
 Estimates the Hausdorff dimension of level sets of Birkhoff averages over
 the attractor of an iterated function system on [0,1], combining a
-variational lower estimate over depth-n block measures with a Moran-equation
-cylinder-cover upper estimate, with dedicated dispatch for systems carrying
-indifferent (parabolic) fixed points.
+variational lower estimate over depth-n block measures with a Chernoff
+cylinder-cover upper bound read from the same partition function, with
+dedicated dispatch for systems carrying indifferent (parabolic) fixed points.
 """
 
-from .errors import (AlphaUnreachableError, ConfigError,
-                     DegenerateCylinderError, EnumerationLimitError,
-                     InfeasibleAlphaError, InsufficientDepthError,
-                     InvalidScheduleError, MfspecError, NoCylindersError,
-                     NotContractingError, SolverError)
+from .errors import (ConfigError, DegenerateCylinderError,
+                     EnumerationLimitError, InfeasibleAlphaError,
+                     InsufficientDepthError, InvalidScheduleError,
+                     MfspecError, NoCylindersError, NotContractingError,
+                     SolverError)
 from .geometry import (Branch, CylinderTable, IfsSystem, Interval,
                        cylinder_interval, example2_system, fold, g_eval,
                        geometric_potential, lambda_n, lemma1_gap,

@@ -405,14 +405,19 @@ def run(config: RunConfig) -> int:
         rows = [_project(p, columns) for p in points]
     exit_code = 2 if any(r.get("error") for r in rows) else 0
 
-    table = render_table(columns, rows, out.format, out.precision)
-    with open(out.path, "w", newline="") as fh:
-        fh.write(table)
+    _write(out.path, render_table(columns, rows, out.format, out.precision))
     diagnostics["rows"] = len(rows)
-    with open(out.path + ".diag.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out.path + ".diag.json",
+           json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     return exit_code
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +457,7 @@ def main(argv: list[str] | None = None) -> int:
             columns, rows = run_suite(args.suite, args.n)
             table = render_table(columns, rows, args.format, 12)
             if args.output:
-                with open(args.output, "w", newline="") as fh:
-                    fh.write(table)
+                _write(args.output, table)
             else:
                 sys.stdout.write(table)
             return 2 if any(r.get("error") for r in rows) else 0

@@ -38,22 +38,6 @@ class NoCylindersError(MfspecError):
     """The word filter left no cylinders to cover with."""
 
 
-class AlphaUnreachableError(MfspecError):
-    """No depth-n word average falls inside the requested window."""
-
-    def __init__(self, alpha: float, window: float, nearest: float,
-                 achievable: tuple[float, float]):
-        self.alpha = alpha
-        self.window = window
-        self.nearest = nearest
-        self.achievable = achievable
-        super().__init__(
-            f"no word average within {window:g} of alpha={alpha:g} at this depth; "
-            f"nearest achievable average is {nearest:.6g}, "
-            f"achievable range is [{achievable[0]:.6g}, {achievable[1]:.6g}]"
-        )
-
-
 class InfeasibleAlphaError(MfspecError):
     """alpha lies outside the achievable word-average range at this depth."""
 

@@ -1,6 +1,6 @@
 """Dimension estimators for Birkhoff-average level sets of an interval IFS.
 
-Two routes are combined per level value alpha:
+Two routes per level value alpha read one partition function, Z(t, q):
 
 * a variational lower route: maximize block entropy over expected log
   cylinder length among depth-n block measures whose mean potential sum is
@@ -12,15 +12,14 @@ Two routes are combined per level value alpha:
   value is the entropy/length ratio of an explicitly constructed feasible
   measure, hence a certified finite-depth value.
 
-* a cover upper route: the Moran exponent of the depth-n cylinders whose
-  word average falls inside the alpha window, widened to the resolution the
-  window actually certifies (twice the window plus the word-approximation
-  slack).
+* a Chernoff cover upper route: the root in t of log Z at the lower
+  route's q, shifted by the Lemma-1 gap and the word-approximation slack,
+  so it sits at or above the lower value by construction.
 
 Both routes read every depth-n input from one ``DepthContext``: its
-system, potential, options, (width, phi) rows (words, or symbol
-compositions on affine branches with a word-local potential) and Lyapunov
-floor, so both columns estimate the same level set, lambda_n >= delta.
+system, potential, options and (width, phi) rows (words, or symbol
+compositions on affine branches with a word-local potential).  The lower
+route alone applies the Lyapunov floor lambda_n >= delta.
 
 Systems with indifferent fixed points get special dispatch: on the interval
 spanned by the potential values at those fixed points, the level-set
@@ -38,9 +37,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (AlphaUnreachableError, InfeasibleAlphaError,
-                     InvalidScheduleError, MfspecError, NoCylindersError,
-                     NotContractingError, SolverError)
+from .errors import (InfeasibleAlphaError, InvalidScheduleError,
+                     MfspecError, NoCylindersError, NotContractingError,
+                     SolverError)
 # CylinderTable and potential_arrays: unused here, wrapped by perfbench
 from .geometry import (_CHUNK, CylinderTable, IfsSystem, Interval, _parts,
                        _suffix_cylinders, compositions, neg_log_derivative,
@@ -66,21 +65,21 @@ MAX_ITER = 200
 class SolverOptions:
     """Knobs shared by the depth-n estimators.
 
-    ``rho`` is the alpha-window half-width for the cover route (None picks
-    max(0.05, twice the word-approximation slack)).  ``delta`` is the
-    Lyapunov floor of both routes, excluding words with lambda_n below it
-    (None picks ``DepthContext.delta``'s default).
+    ``rho`` is the level tolerance of the upper route: it bounds the level
+    set of averages within rho of alpha (0, the default, is alpha itself).
+    ``delta`` is the Lyapunov floor of the lower route, excluding words
+    with lambda_n below it (None picks ``DepthContext.delta``'s default).
     """
 
     n: int = 10
-    rho: float | None = None
+    rho: float = 0.0
     delta: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("solver depth n must be >= 2")
-        if self.rho is not None and not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError("rho must be nonnegative and finite")
         if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ValueError("delta must be nonnegative and finite")
 
@@ -132,7 +131,7 @@ class LowerBoundResult:
 
 @dataclass(frozen=True)
 class UpperBoundResult:
-    """Moran exponent of the windowed depth-n cylinder cover."""
+    """Chernoff cover bound, its rows' words and its partition sums."""
 
     s_n: float
     cover_size: int
@@ -312,8 +311,8 @@ class DepthContext:
 
     ``rows`` is the only depth-n state: the depth-n rows of one
     ``top_level`` call, in its order, which also gives ``lemma1_gap`` and
-    ``slack``.  Everything the routes compute (the partition sum
-    ``Rows.log_z`` behind the Gibbs and Moran solvers, the cover window,
+    ``slack`` (length and per-symbol Birkhoff-sum distortion).  Everything
+    the routes compute (the partition sum ``Rows.log_z`` behind every root,
     the Lyapunov ``floor``, the block measure's weights) is a sum over
     rows or depends on a word only through its (width, phi) pair, so no
     row order or further grouping is needed.  On affine branches with a
@@ -324,7 +323,7 @@ class DepthContext:
     ``rows.count`` is the scalar 1.0.  ``word_row`` maps each word to its
     row, formed when first read (``LowerBoundResult.measure`` reads it, a
     sweep does not).  One debug record gives the words, rows and nodes.
-    ``delta`` is the Lyapunov floor of both routes: ``opts.delta``, else
+    ``delta`` is the Lyapunov floor of the lower route: ``opts.delta``, else
     1e-3 * log m on parabolic systems, else 0.  ``floor`` and
     ``phi_range`` are formed from it once, from the rows' values: a
     composition is judged by its lowest word's rate and sum.
@@ -393,18 +392,6 @@ class DepthContext:
     def attractor_dimension(self) -> float:
         return self.attractor_root[0]
 
-    @property
-    def rho(self) -> float:
-        """Cover window half-width; ValueError unless it exceeds the slack."""
-        rho = self.opts.rho
-        if rho is None:
-            return max(0.05, 2.0 * self.slack)
-        if rho <= self.slack:
-            raise ValueError(
-                f"window rho={rho:g} must exceed the word-approximation slack "
-                f"{self.slack:g} at depth {self.n}")
-        return rho
-
 
 # ---------------------------------------------------------------------------
 # parabolic dispatch interval
@@ -428,44 +415,67 @@ def parabolic_interval(system: IfsSystem,
 
 
 # ---------------------------------------------------------------------------
-# cover upper route
+# Chernoff cover upper route
 # ---------------------------------------------------------------------------
 
-def upper_bound(ctx: DepthContext, alpha: float) -> UpperBoundResult:
-    """Moran exponent of the cylinders whose word average sits near alpha.
+def upper_bound(ctx: DepthContext, alpha: float, q: float | None = None, *,
+                t: float = 0.0) -> UpperBoundResult:
+    """Chernoff cover bound on the dimension of the level set {A f = alpha}:
+    min(1, root in t of G(t) = log Z(t, q) + t*n*gap - q*n*alpha +
+    |q|*n*(slack + rho)), Z over every row (no floor), gap and slack the
+    context's ``lemma1_gap`` and ``slack``.
 
-    The cover keeps words with |A_n f - alpha| below twice the window rho
-    plus the word-approximation slack; that widened half-width is what a
-    finite-depth window actually certifies about means over the covered
-    cylinders.  The context's Lyapunov floor (``DepthContext.floor``)
-    drops words with lambda_n below ``DepthContext.delta``, as in the lower
-    route.  The exponent is ``Rows.moran_root`` over the kept rows, and
-    ``moran_evals`` counts its partition sums.  An empty window raises
-    ``AlphaUnreachableError`` with the nearest word average and the range of
-    averages among the words the floor keeps (``NoCylindersError`` if it
-    keeps none), or ``InfeasibleAlphaError`` if alpha is not finite.
+    A jn-cylinder w_1...w_j has diameter at most prod exp(n*gap - ell(w_i)),
+    and a point of the level set has block sums within jn*(slack + rho +
+    eps) of jn*alpha, an event whose indicator is at most exp(q*(sum
+    phi(w_i) - jn*alpha) + |q|*jn*(slack + rho + eps)) for any q.  So the
+    cover's t-sum is at most exp(j*G(t) + o(j)): any t with G(t) < 0 bounds
+    the dimension.  The lower route's Gibbs measure, of mean n*alpha, gives
+    log Z(s, q) >= H - s*L + q*n*alpha, so G > 0 below H/L: upper >= lower
+    up to the solver tolerance.  Limits: ``lemma1_gap`` is the exact sup
+    only where log g_w' is monotone (every shipped family), and rounding is
+    not bounded.
+
+    G is convex, G' = n*gap - E[ell] (``Rows.gibbs``): Newton steps from
+    ``t`` at or below the root (the lower route's t, or 0) stay below it,
+    so a step past 1 gives 1 (one evaluation on Manneville-Pomeau's flat
+    part), as does G' >= 0 at G > 0 (no root); a step within MORAN_TOL
+    ends.  ``moran_evals`` counts evaluations, ``cover_size`` words.
+    Without ``q`` (a boundary or refused level) it is the smaller of the
+    q -> +-inf limits: 1 if a row has d = +-(phi - n*alpha) + n*(slack +
+    rho) > 0, else the Moran root of ell - n*gap over the rows with d = 0
+    (to n*BOUNDARY_TOL), 1 if one has ell <= n*gap, 0 if none (an empty
+    level set).  A non-finite alpha raises ``InfeasibleAlphaError``.
     """
-    n = ctx.n
-    half = 2.0 * ctx.rho + ctx.slack
-    mask = ctx.floor
-    rows = ctx.rows
-    keep = rows.phi / n  # the window test's one float temporary
-    keep = np.abs(np.subtract(keep, alpha, out=keep), out=keep) < half
-    if mask is not None:
-        keep &= mask
-    if not keep.any():
-        lo_phi, hi_phi = ctx.phi_range
-        achievable = lo_phi / n, hi_phi / n
-        if not math.isfinite(alpha):
-            raise InfeasibleAlphaError(alpha, achievable)
-        avg = rows.where(mask).phi / n
-        nearest = float(avg[np.argmin(np.abs(avg - alpha))])
-        raise AlphaUnreachableError(alpha, half, nearest, achievable)
-    # copy once, through window and floor together, only what Moran sums read
-    cover = Rows(rows.ell, None, rows.count).where(keep)
-    s, evals = cover.moran_root()
-    return UpperBoundResult(s_n=s, cover_size=int(cover.words()),
-                            moran_evals=evals)
+    n, rows = ctx.n, ctx.rows
+    if not math.isfinite(alpha):
+        raise InfeasibleAlphaError(alpha, tuple(v / n for v in ctx.phi_range))
+    gap, width = n * ctx.lemma1_gap, n * (ctx.slack + ctx.opts.rho)
+    if q is None:
+        sides, tol = [], n * BOUNDARY_TOL
+        for sign in (1.0, -1.0):
+            d = sign * (rows.phi - n * alpha) + width
+            near = Rows(rows.ell - gap, None, rows.count).where(d >= -tol)
+            words = int(near.words())
+            s, sums = ((float(words > 0), 0) if not words or np.any(d > tol)
+                       or np.min(near.ell) <= 0.0 else near.moran_root())
+            sides.append(UpperBoundResult(min(s, 1.0), words, sums))
+        return min(sides, key=lambda side: side.s_n)
+    offset = abs(q) * width - q * n * alpha
+    w, tmp = np.empty((2, rows.ell.size))
+    for evals in range(1, MAX_ITER + 1):
+        gibbs = rows.gibbs(t, q, w, tmp)
+        value = gibbs.shift + math.log(gibbs.z) + t * gap + offset
+        if gap >= gibbs.e_ell:  # G does not fall past t
+            t = t if value <= 0.0 else 1.0
+            break
+        step = value / (gibbs.e_ell - gap)
+        t += step
+        if t >= 1.0 or abs(step) <= MORAN_TOL:
+            break
+    else:
+        raise SolverError(f"cover root did not settle in {MAX_ITER} steps")
+    return UpperBoundResult(min(t, 1.0), int(rows.words()), evals)
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +619,15 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
     Points inside the indifferent-fixed-point interval are flagged and get
     the unfiltered attractor estimate for both columns.  Estimator errors are
     per point: a failed point carries its message and the sweep continues.
-    A zero depth-n width (``DegenerateCylinderError``) and an invalid ``rho``
-    are sweep-level preconditions, raised before any point is computed.
-    Each interior level's (t, q) solve starts from the secant through the
-    last two interior levels solved, at most 4 spacings on.
+    A zero depth-n width (``DegenerateCylinderError``) is a sweep-level
+    precondition, raised before any point is computed.  Each interior
+    level's (t, q) solve starts from the secant through the last two
+    interior levels solved, at most 4 spacings on; ``upper_bound`` reads
+    the (t, q) solved.
     """
     ctx = DepthContext(system, potential, opts)
     interval = parabolic_interval(system, potential)
-    rho = ctx.rho  # alpha-independent precondition; fail before sweeping
+    rho = ctx.opts.rho
     solved = [(-math.inf, 0.0, 0.0)] * 2  # two cold starts, then (alpha, t, q)
 
     def compute(alpha: float) -> SpectrumPoint:
@@ -639,7 +650,7 @@ def full_spectrum(system: IfsSystem, potential: PotentialSpec,
         except MfspecError as exc:
             errors.append(f"lower: {exc}")
         try:
-            ub = upper_bound(ctx, alpha)
+            ub = upper_bound(ctx, alpha, point.get("q"), t=point.get("t", 0))
             point.update(upper=ub.s_n, cover_size=ub.cover_size,
                          moran_evals=ub.moran_evals)
         except MfspecError as exc:

@@ -37,15 +37,15 @@ def report(num, name, ok, detail=""):
 def test_criterion_01_besicovitch_agreement():
     quoted = {0.2: 0.7219, 0.3: 0.8813, 0.5: 1.0000}
     start = time.perf_counter()
-    ctx = DepthContext(HALVES, COIN, SolverOptions(n=14, rho=0.05))
+    ctx = DepthContext(HALVES, COIN, SolverOptions(n=14))
     checks = []
     for alpha, digits in quoted.items():
         closed = besicovitch_spectrum(COIN_SPEC, alpha)
         checks.append(abs(closed - digits) <= 5e-5)
-        lower = lower_bound(ctx, alpha).dim
-        upper = upper_bound(ctx, alpha).s_n
-        checks.append(abs(lower - closed) <= 1e-8)
-        checks.append(abs(upper - closed) <= 0.08)
+        lb = lower_bound(ctx, alpha)
+        upper = upper_bound(ctx, alpha, lb.q, t=lb.t).s_n
+        checks.append(abs(lb.dim - closed) <= 1e-8)
+        checks.append(abs(upper - closed) <= 1e-9)
     elapsed = time.perf_counter() - start
     checks.append(elapsed <= 30.0)
     report(1, "Besicovitch-Eggleston agreement at n=14", all(checks),

@@ -374,11 +374,25 @@ def test_main_run_and_dim(tmp_path):
     assert lines[1].split(",")[0] == ""
 
 
-def test_main_reports_fatal_errors(tmp_path):
+def test_main_reports_fatal_errors(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
+    # an output path in a missing directory, from a config and from
+    # validate's --output, is reported, not raised
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "out.csv"
+    path.write_text(json.dumps(make_config(tmp_path, output={
+        "path": str(missing)})))
+    assert main(["run", str(path)]) == 1
+    assert main(["validate", "moran", "--n", "4",
+                 "--output", str(missing)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("mfspec: error: cannot write output: ")
+               for line in err)
+    assert not missing.parent.exists()
 
 
 def test_cli_and_shipped_systems_load_without_scipy():
